@@ -213,6 +213,19 @@ def _evaluation_codes(model, dataset, config: dict, rows) -> np.ndarray:
     return model.codes(x)
 
 
+def _run_dci(config: dict, codes: np.ndarray, factors: np.ndarray) -> metrics.DciEvaluation:
+    """The DCI metric with the settings of the config's metrics block."""
+    block = _section(config, "metrics")
+    return metrics.run_dci(
+        codes,
+        factors,
+        split_seed=int(_require(block, "split_seed", "metrics")),
+        grid=tuple(block.get("alpha_grid", metrics.DEFAULT_ALPHA_GRID)),
+        folds=int(block.get("folds", 10)),
+        holdout_fraction=float(block.get("holdout_fraction", 0.2)),
+    )
+
+
 def cmd_evaluate(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
     dataset = _load_dataset_checked(config, out_dir)
@@ -240,14 +253,7 @@ def cmd_evaluate(config: dict, args) -> int:
 
     codes = _evaluation_codes(model, dataset, config, val_rows)
     factors = dataset.factors[val_rows]
-    evaluation = metrics.run_dci(
-        codes,
-        factors,
-        split_seed=int(_require(metrics_block, "split_seed", "metrics")),
-        grid=tuple(metrics_block.get("alpha_grid", metrics.DEFAULT_ALPHA_GRID)),
-        folds=int(metrics_block.get("folds", 10)),
-        holdout_fraction=float(metrics_block.get("holdout_fraction", 0.2)),
-    )
+    evaluation = _run_dci(config, codes, factors)
     report = evaluation.report
 
     report_path = _resolve(out_dir, metrics_block.get("report", "dci_report.json"))
@@ -310,16 +316,8 @@ def _sweep_cell(job):
         train_config = _train_config(config, beta=beta, latent_dim=dim)
         model, report = engine.train(train_config, dataset.samples)
         _, val_rows = split_indices(train_config.seed, dataset.n, train_config.val_fraction)
-        metrics_block = _section(config, "metrics")
         codes = _evaluation_codes(model, dataset, config, val_rows)
-        dci = metrics.evaluate_dci(
-            codes,
-            dataset.factors[val_rows],
-            split_seed=int(_require(metrics_block, "split_seed", "metrics")),
-            grid=tuple(metrics_block.get("alpha_grid", metrics.DEFAULT_ALPHA_GRID)),
-            folds=int(metrics_block.get("folds", 10)),
-            holdout_fraction=float(metrics_block.get("holdout_fraction", 0.2)),
-        )
+        dci = _run_dci(config, codes, dataset.factors[val_rows]).report
         mse = report.val_mse[report.best_epoch]
         return [
             fmt % beta, str(dim), fmt % dci.dc_score, fmt % dci.disentanglement,

@@ -86,7 +86,10 @@ class FactorSpec:
 
     @classmethod
     def from_json(cls, blob: str) -> "FactorSpec":
-        return cls(tuple(Factor.from_dict(d) for d in json.loads(blob)))
+        entries = json.loads(blob)
+        if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
+            raise ValueError("factor spec must be a JSON list of factor objects")
+        return cls(tuple(Factor.from_dict(d) for d in entries))
 
 
 SHAPES_SPEC = FactorSpec((

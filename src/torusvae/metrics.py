@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +71,12 @@ def standardize(table: CodeFactorTable) -> CodeFactorTable:
 # -- lasso ----------------------------------------------------------------------
 
 
-def soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
+def soft_threshold(x, t):
+    """sign(x) * max(|x| - t, 0), elementwise, for t >= 0.
+
+    Written as two clamps, which round exactly like the scalar x - t and x + t.
+    """
+    return np.maximum(x - t, 0.0) + np.minimum(x + t, 0.0)
 
 
 def lasso_objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, alpha: float) -> float:
@@ -84,67 +84,86 @@ def lasso_objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, alpha: float) -
     return float(r @ r / (2.0 * X.shape[0]) + alpha * np.abs(w).sum())
 
 
+def _moments(X: np.ndarray, Y: np.ndarray):
+    """X'X/n and X'Y/n: the covariance form of a lasso on rows X with targets Y (n, K)."""
+    return X.T @ X / len(X), X.T @ Y / len(X)
+
+
 def null_threshold(X: np.ndarray, y: np.ndarray) -> float:
     """Smallest alpha at which the lasso solution is exactly zero: max_j |X_j.y| / N.
 
-    Evaluated with the same per-column dot products coordinate descent uses,
+    Evaluated with the same X'y/N expression coordinate descent starts from,
     so `lasso_fit(X, y, alpha)` returns exact zeros for any alpha at or above
     this value.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    return max(abs(float(np.ascontiguousarray(X[:, j]) @ y)) / n for j in range(X.shape[1]))
+    _, c = _moments(X, np.asarray(y, dtype=float).reshape(len(X), -1))
+    return float(np.abs(c).max())
 
 
-def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
-              tol: float = 1e-8, max_sweeps: int = 10_000) -> np.ndarray:
-    """Minimize (1/2N)||y - Xw||^2 + alpha*||w||_1 by cyclic coordinate descent.
+def lasso_fit(X: np.ndarray, y: np.ndarray, alpha, tol: float = 1e-8,
+              max_sweeps: int = 10_000, folds=None) -> np.ndarray:
+    """Minimize (1/2n)||y - Xw||^2 + alpha*||w||_1 for a stack of lasso problems.
 
-    Converged when no coordinate moved by more than tol in a full sweep.
+    Covariance coordinate descent (Friedman, Hastie & Tibshirani 2010): a
+    fold's rows give G = X'X/n and c = X'y/n, and coordinate j of every live
+    problem moves to soft_threshold(c_j - G_j.w + G_jj w_j, alpha) / G_jj;
+    columns with G_jj == 0 stay zero. A problem stops after its first full
+    sweep in which no coordinate moved by tol or more. y is (N,) or (N, K);
+    alpha broadcasts against y's factor axis, so (K,) gives each factor its
+    own and (A, 1) crosses A alphas with K factors. folds, if given, lists F
+    row-index arrays, each of which every problem is solved on. Returns
+    ([F,] *broadcast shape, D) weights: (D,) for a 1-d y and a scalar alpha.
     Inputs are expected standardized; no intercept is fitted.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError("X must be (N, D) and y (N,)")
-    if alpha < 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if X.ndim != 2 or y.ndim not in (1, 2) or y.shape[0] != X.shape[0]:
+        raise ValueError("X must be (N, D) and y (N,) or (N, K)")
+    if np.any(alpha < 0):
         raise ValueError("alpha must be >= 0")
     n, d = X.shape
-    col_sq = (X * X).sum(axis=0) / n
-    cols = [np.ascontiguousarray(X[:, j]) for j in range(d)]
-    w = np.zeros(d)
-    r = y.copy()
+    Y = y.reshape(n, -1)
+    shape = np.broadcast_shapes(alpha.shape, y.shape[1:])
+    alphas = np.broadcast_to(alpha, shape).ravel()
+    factor = np.broadcast_to(np.arange(Y.shape[1]).reshape(y.shape[1:]), shape).ravel()
+    moments = [_moments(X[rows], Y[rows]) for rows in ([slice(None)] if folds is None else folds)]
+    G = np.stack([g for g, _ in moments])  # (F, D, D)
+    C = np.stack([c[:, factor] for _, c in moments])  # (F, D, problems per fold)
+    diag = np.diagonal(G, axis1=1, axis2=2)[..., None]  # (F, D, 1)
+    W = np.zeros(C.shape)
+    live = np.ones((C.shape[0], C.shape[2]), dtype=bool)
     for _ in range(max_sweeps):
-        max_delta = 0.0
+        moved = np.zeros(live.shape)
         for j in range(d):
-            if col_sq[j] == 0.0:
-                continue
-            old = w[j]
-            if old != 0.0:
-                r += cols[j] * old
-            rho = float(cols[j] @ r) / n
-            new = soft_threshold(rho, alpha) / col_sq[j]
-            if new != 0.0:
-                r -= cols[j] * new
-            w[j] = new
-            max_delta = max(max_delta, abs(new - old))
-        if max_delta < tol:
+            old = W[:, j]
+            rho = C[:, j] - (G[:, j, None] @ W)[:, 0] + diag[:, j] * old
+            new = np.divide(soft_threshold(rho, alphas), diag[:, j], out=old.copy(),
+                            where=live & (diag[:, j] != 0.0))
+            np.maximum(moved, np.abs(new - old), out=moved)
+            W[:, j] = new
+        live &= moved >= tol
+        if not live.any():
             break
     else:
         warnings.warn(
-            "lasso coordinate descent did not converge: "
-            f"last sweep moved {max_delta:.3e}, residual norm {np.linalg.norm(r):.3e}"
+            f"lasso coordinate descent did not converge: {int(live.sum())} of {live.size} "
+            f"problems still moved after {max_sweeps} sweeps, by up to {moved.max():.3e}"
         )
-    return w
+    lead = () if folds is None else (len(moments),)
+    return W.transpose(0, 2, 1).reshape(lead + shape + (d,))
 
 
 def lasso_cv(X: np.ndarray, y: np.ndarray, seed: int,
              grid=DEFAULT_ALPHA_GRID, folds: int = 10):
     """Pick alpha by k-fold cross validation, then refit on all rows.
 
-    Folds are contiguous blocks of a seeded shuffle. Ties in mean held-out
-    MSE go to the larger (sparser) alpha. Returns (best_alpha, weights).
+    Folds are contiguous blocks of a seeded shuffle, shared by all columns
+    (factors) of an (N, K) y. One lasso_fit pass solves every (fold, alpha,
+    factor) problem, a second refits each factor at its alpha. Ties in mean
+    held-out MSE go to the larger (sparser) alpha. Returns (best_alpha,
+    weights): a float and (D,) for a 1-d y, (K,) and (K, D) for an (N, K) y.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -153,22 +172,20 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, seed: int,
         raise ConfigError(f"need at least {folds} rows for {folds}-fold CV, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
     blocks = np.array_split(perm, folds)
-    grid = sorted(grid)
-    best_alpha = grid[0]
-    best_mse = np.inf
-    for alpha in grid:
-        fold_mse = []
-        for block in blocks:
-            mask = np.ones(n, dtype=bool)
-            mask[block] = False
-            w = lasso_fit(X[mask], y[mask], alpha)
-            resid = y[block] - X[block] @ w
-            fold_mse.append(float(resid @ resid / block.size))
-        mse = float(np.mean(fold_mse))
-        if mse <= best_mse:
-            best_mse = mse
-            best_alpha = alpha
-    return best_alpha, lasso_fit(X, y, best_alpha)
+    grid = np.asarray(sorted(grid), dtype=float)
+    Y = y.reshape(n, -1)
+    W = lasso_fit(X, Y, grid[:, None], folds=[np.delete(np.arange(n), b) for b in blocks])
+    mse = np.zeros((grid.size, Y.shape[1]))
+    for block, w in zip(blocks, W):  # w: (A, K, D)
+        resid = Y[block].T - w @ X[block].T
+        mse += (resid * resid).sum(axis=-1) / block.size
+    # the index of the largest alpha among those tied at the least error
+    best = np.where(mse == mse.min(axis=0), np.arange(grid.size)[:, None], -1).max(axis=0)
+    alphas = grid[best]
+    weights = lasso_fit(X, Y, alphas)
+    if y.ndim == 1:
+        return float(alphas[0]), weights[0]
+    return alphas, weights
 
 
 @dataclass
@@ -182,6 +199,7 @@ class FactorRegressors:
         return codes @ self.weights.T
 
     def importance(self) -> np.ndarray:
+        """R[a, i] = |W[i, a]|: how much code a counts in predicting factor i."""
         return np.abs(self.weights).T
 
 
@@ -189,18 +207,8 @@ def fit_factor_regressors(table: CodeFactorTable, seed: int,
                           grid=DEFAULT_ALPHA_GRID, folds: int = 10) -> FactorRegressors:
     if not table.standardized:
         raise ValueError("fit on a standardized table")
-    k = table.factors.shape[1]
-    weights = np.zeros((k, table.codes.shape[1]))
-    alphas = np.zeros(k)
-    for j in range(k):
-        alphas[j], weights[j] = lasso_cv(table.codes, table.factors[:, j], seed, grid, folds)
+    alphas, weights = lasso_cv(table.codes, table.factors, seed, grid, folds)
     return FactorRegressors(weights, alphas)
-
-
-def importance_matrix(table: CodeFactorTable, seed: int,
-                      grid=DEFAULT_ALPHA_GRID, folds: int = 10) -> np.ndarray:
-    """R[a, i] = |W[i, a]| from the per-factor cross-validated lasso fits."""
-    return fit_factor_regressors(table, seed, grid, folds).importance()
 
 
 # -- metric formulas --------------------------------------------------------------
@@ -304,21 +312,7 @@ class DciReport:
     flags: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "disentanglement": self.disentanglement,
-            "completeness": self.completeness,
-            "informativeness": self.informativeness,
-            "dc_score": self.dc_score,
-            "per_code_disentanglement": self.per_code_disentanglement,
-            "per_factor_completeness": self.per_factor_completeness,
-            "code_weights": self.code_weights,
-            "rank": self.rank,
-            "n_codes": self.n_codes,
-            "n_factors": self.n_factors,
-            "n_rows": self.n_rows,
-            "alphas": self.alphas,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
 DCI_REPORT_SCHEMA = {
@@ -354,12 +348,6 @@ class DciEvaluation:
     report: DciReport
     importance: np.ndarray
     regressors: FactorRegressors
-
-
-def evaluate_dci(codes: np.ndarray, factors: np.ndarray, split_seed: int,
-                 grid=DEFAULT_ALPHA_GRID, folds: int = 10,
-                 holdout_fraction: float = 0.2) -> DciReport:
-    return run_dci(codes, factors, split_seed, grid, folds, holdout_fraction).report
 
 
 def run_dci(codes: np.ndarray, factors: np.ndarray, split_seed: int,

@@ -162,7 +162,7 @@ def test_criterion_7_identity_pipeline_sanity(criterion):
             rng.uniform(-1, 1, size=2000),
         ])
         codes, _ = m.standardize_columns(factors)
-        report = m.evaluate_dci(codes, factors, split_seed=99)
+        report = m.run_dci(codes, factors, split_seed=99).report
         assert report.disentanglement > 0.95, f"D = {report.disentanglement}"
         assert report.completeness > 0.95, f"C = {report.completeness}"
         assert report.informativeness < 0.01, f"I = {report.informativeness}"
@@ -178,7 +178,7 @@ def _train_and_score(mode, dim, seed, dataset, epochs, hidden, input_scale):
     x = dataset.samples[val_rows]
     if input_scale == engine.SCALE_UNIT:
         x = 2.0 * x - 1.0
-    report = m.evaluate_dci(model.codes(x), dataset.factors[val_rows], split_seed=99)
+    report = m.run_dci(model.codes(x), dataset.factors[val_rows], split_seed=99).report
     return report.dc_score
 
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from torusvae import cli, datasets as ds, metrics
+from torusvae.errors import FormatError
 
 
 def base_config(out_dir, kind="synthetic", epochs=3):
@@ -294,6 +296,20 @@ class TestExitCodes:
     def test_unknown_subcommand(self, tmp_path):
         config = write_config(tmp_path, base_config(tmp_path / "out"))
         assert run("explode", "--config", str(config)) == 1
+
+    @pytest.mark.parametrize("spec_blob", [b"[1]", b"{}", b'"x"'])
+    def test_non_list_factor_spec_is_validation_error(self, tmp_path, spec_blob):
+        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert run("generate", "--config", str(config)) == 0
+        path = tmp_path / "out" / "data.tdds"
+        blob = path.read_bytes()
+        spec_at = 5 + 5 * 4  # magic, then N, width, height, channels, K
+        (spec_len,) = struct.unpack_from("<I", blob, spec_at)
+        path.write_bytes(blob[:spec_at] + struct.pack("<I", len(spec_blob)) + spec_blob
+                         + blob[spec_at + 4 + spec_len:])
+        with pytest.raises(FormatError, match="factor spec"):
+            ds.load_dataset(path)
+        assert run("train", "--config", str(config)) == 1
 
     def test_runtime_failure_is_two(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusvae import metrics as m
 from torusvae.errors import ConfigError
@@ -66,6 +67,12 @@ class TestLassoFit:
         with pytest.raises(ValueError):
             m.lasso_fit(rng.standard_normal((5, 2)), rng.standard_normal(5), -0.1)
 
+    def test_unconverged_problems_warn_with_count_and_delta(self, rng):
+        X, _ = m.standardize_columns(rng.standard_normal((40, 4)) @ rng.standard_normal((4, 4)))
+        Y = rng.standard_normal((40, 3))
+        with pytest.warns(UserWarning, match=r"3 of 3 problems still moved after 1 sweeps, by up to"):
+            m.lasso_fit(X, Y, 1e-3, max_sweeps=1)
+
 
 class TestLassoCv:
     def test_noiseless_linear_recovers_weights(self, rng):
@@ -93,12 +100,66 @@ class TestLassoCv:
         with pytest.raises(ConfigError):
             m.lasso_cv(rng.standard_normal((6, 2)), rng.standard_normal(6), seed=1, folds=10)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(20, 60), d=st.integers(1, 5), k=st.integers(2, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_problems_match_one_problem_fits(self, n, d, k, seed):
+        rng = np.random.default_rng(seed)
+        X, _ = m.standardize_columns(rng.standard_normal((n, d)))
+        Y, _ = m.standardize_columns(X @ rng.standard_normal((d, k)) + rng.standard_normal((n, k)))
+        grid = (1e-4, 0.01, 0.1, 0.5)
+        one_problem = m.lasso_fit
+        passes = []
+
+        def recording(*args, **kwargs):
+            weights = one_problem(*args, **kwargs)
+            passes.append((kwargs.get("folds"), weights))
+            return weights
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(m, "lasso_fit", recording)
+            alphas, weights = m.lasso_cv(X, Y, seed=seed, grid=grid, folds=3)
+        (fold_rows, cv_weights), (_, refit) = passes
+        assert cv_weights.shape == (3, len(grid), k, d)
+        blocks = np.array_split(np.random.default_rng(seed).permutation(n), 3)
+        for f, block in enumerate(blocks):
+            rows = np.delete(np.arange(n), block)
+            assert np.array_equal(fold_rows[f], rows)
+            for a, alpha in enumerate(grid):
+                for j in range(k):
+                    w = cv_weights[f, a, j]
+                    assert np.abs(w - one_problem(X[rows], Y[rows, j], alpha)).max() < 1e-9
+                    oracle_obj, _ = kkt_lasso_oracle(X[rows], Y[rows, j], alpha)
+                    assert abs(m.lasso_objective(X[rows], Y[rows, j], w, alpha) - oracle_obj) < 1e-6
+        assert np.array_equal(refit, weights)
+        for j in range(k):
+            assert np.abs(weights[j] - one_problem(X, Y[:, j], alphas[j])).max() < 1e-9
+
+    def test_ties_go_to_the_largest_alpha(self, rng):
+        X, _ = m.standardize_columns(rng.standard_normal((50, 3)))
+        Y = np.column_stack([np.zeros(50), X[:, 0]])  # every alpha fits factor 0 exactly
+        alphas, weights = m.lasso_cv(X, Y, seed=2)
+        assert alphas[0] == max(m.DEFAULT_ALPHA_GRID)
+        assert alphas[1] == min(m.DEFAULT_ALPHA_GRID)
+        assert np.all(weights[0] == 0.0)
+
+    def test_all_zero_code_column_gets_exact_zero_weight(self, rng):
+        X, dead = m.standardize_columns(
+            np.column_stack([rng.standard_normal(80), np.full(80, 3.0), rng.standard_normal(80)])
+        )
+        assert dead.tolist() == [False, True, False]
+        Y = np.column_stack([X[:, 0] - X[:, 2], X[:, 2]]) + 0.1 * rng.standard_normal((80, 2))
+        alphas, weights = m.lasso_cv(X, Y, seed=4, folds=5)
+        assert alphas.shape == (2,)
+        assert np.all(weights[:, 1] == 0.0)
+        assert np.abs(weights[0, [0, 2]]).min() > 0.5
+
 
 class TestImportanceMatrix:
     def test_identity_map_is_diagonal_dominant(self, rng):
         z = rng.standard_normal((300, 4))
         table = m.standardize(m.CodeFactorTable(z.copy(), z.copy()))
-        R = m.importance_matrix(table, seed=5)
+        R = m.fit_factor_regressors(table, seed=5).importance()
         off_diagonal = R.sum() - np.trace(R)
         assert off_diagonal < 0.05 * np.trace(R)
 
@@ -106,14 +167,14 @@ class TestImportanceMatrix:
         table = m.standardize(
             m.CodeFactorTable(rng.standard_normal((300, 3)), rng.standard_normal((300, 2)))
         )
-        R = m.importance_matrix(table, seed=5)
+        R = m.fit_factor_regressors(table, seed=5).importance()
         assert R.max() < 0.15
 
     def test_shape(self, rng):
         table = m.standardize(
             m.CodeFactorTable(rng.standard_normal((50, 6)), rng.standard_normal((50, 2)))
         )
-        assert m.importance_matrix(table, seed=1).shape == (6, 2)
+        assert m.fit_factor_regressors(table, seed=1).importance().shape == (6, 2)
 
 
 class TestDisentanglement:
@@ -227,7 +288,7 @@ class TestDcScore:
 class TestEvaluateDci:
     def test_identity_pipeline(self, rng):
         z = rng.standard_normal((800, 3))
-        report = m.evaluate_dci(z.copy(), z.copy(), split_seed=13)
+        report = m.run_dci(z.copy(), z.copy(), split_seed=13).report
         assert report.disentanglement > 0.95
         assert report.completeness > 0.95
         assert report.informativeness < 1e-3
@@ -238,27 +299,27 @@ class TestEvaluateDci:
     def test_independent_codes_uninformative(self, rng):
         codes = rng.standard_normal((600, 4))
         factors = rng.standard_normal((600, 3))
-        report = m.evaluate_dci(codes, factors, split_seed=13)
+        report = m.run_dci(codes, factors, split_seed=13).report
         assert report.informativeness == pytest.approx(1.0, abs=0.15)
 
     def test_report_schema(self, rng):
         import jsonschema
 
         z = rng.standard_normal((200, 2))
-        report = m.evaluate_dci(z, z + 0.01 * rng.standard_normal((200, 2)), split_seed=3)
+        report = m.run_dci(z, z + 0.01 * rng.standard_normal((200, 2)), split_seed=3).report
         payload = json.loads(json.dumps(report.to_dict()))
         jsonschema.validate(payload, m.DCI_REPORT_SCHEMA)
 
     def test_deterministic(self, rng):
         codes = rng.standard_normal((150, 3))
         factors = rng.standard_normal((150, 2))
-        a = m.evaluate_dci(codes, factors, split_seed=7).to_dict()
-        b = m.evaluate_dci(codes, factors, split_seed=7).to_dict()
+        a = m.run_dci(codes, factors, split_seed=7).report.to_dict()
+        b = m.run_dci(codes, factors, split_seed=7).report.to_dict()
         assert a == b
 
     def test_nonnegative_informativeness(self, rng):
         codes = rng.standard_normal((120, 2))
-        report = m.evaluate_dci(codes, rng.standard_normal((120, 2)), split_seed=1)
+        report = m.run_dci(codes, rng.standard_normal((120, 2)), split_seed=1).report
         assert report.informativeness >= 0.0
 
 
