@@ -5,6 +5,11 @@ closure that routes the output gradient back to them. backward() replays the
 closures in reverse topological order. Only the operations the networks in
 this package need are implemented; accumulation order is fixed by graph
 construction order, so gradients are bit-reproducible.
+
+Constants (a leaf made with requires_grad=False, such as the data batch, the
+sampling noise or a scalar an operation wraps) never receive a gradient, and
+neither does a node computed from constants only. A tensor's .grad is None
+until its first gradient contribution arrives.
 """
 from __future__ import annotations
 
@@ -21,12 +26,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+def _constant(value) -> "Tensor":
+    return value if isinstance(value, Tensor) else Tensor(value, requires_grad=False)
 
-    def __init__(self, data, parents=()):
+
+class Tensor:
+    """An array on the tape. requires_grad is set for leaves; a node requires
+    a gradient when any of its parents does."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, data, parents=(), requires_grad=True):
         self.data = np.asarray(data, dtype=float)
-        self.grad = np.zeros_like(self.data)
+        self.grad = None
+        self.requires_grad = (
+            any(p.requires_grad for p in parents) if parents else requires_grad
+        )
         self._parents = parents
         self._backward = None
 
@@ -34,8 +49,17 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
+    def _accumulate(self, grad: np.ndarray, owned: bool = True) -> None:
+        """Add one gradient contribution.
+
+        The first contribution becomes .grad itself when the caller owns it
+        (a freshly computed array); an array that aliases another tensor's
+        gradient, or a broadcast view, is copied first.
+        """
+        if self.grad is None:
+            self.grad = grad if owned else grad.copy()
+        else:
+            self.grad += grad
 
     def backward(self):
         if self.data.size != 1:
@@ -56,49 +80,54 @@ class Tensor:
                 stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None:
+            if node._backward is not None and node.grad is not None:
                 node._backward()
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _constant(other)
         out = Tensor(self.data + other.data, (self, other))
 
         def backward():
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad += _unbroadcast(out.grad, other.data.shape)
+            for t in (self, other):
+                if t.requires_grad:
+                    g = _unbroadcast(out.grad, t.data.shape)
+                    t._accumulate(g, owned=g is not out.grad)
 
         out._backward = backward
         return out
 
     def __mul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _constant(other)
         out = Tensor(self.data * other.data, (self, other))
 
         def backward():
-            self.grad += _unbroadcast(out.grad * other.data, self.data.shape)
-            other.grad += _unbroadcast(out.grad * self.data, other.data.shape)
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
 
         out._backward = backward
         return out
 
     def __neg__(self):
-        return self * Tensor(-1.0)
+        return self * Tensor(-1.0, requires_grad=False)
 
     def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
+        return self + (-_constant(other))
 
     def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _constant(other)
         out = Tensor(self.data / other.data, (self, other))
 
         def backward():
-            self.grad += _unbroadcast(out.grad / other.data, self.data.shape)
-            other.grad += _unbroadcast(
-                -out.grad * self.data / (other.data * other.data), other.data.shape
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad / other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(
+                    -out.grad * self.data / (other.data * other.data), other.data.shape
+                ))
 
         out._backward = backward
         return out
@@ -110,8 +139,10 @@ class Tensor:
         out = Tensor(self.data @ other.data, (self, other))
 
         def backward():
-            self.grad += out.grad @ other.data.T
-            other.grad += self.data.T @ out.grad
+            if self.requires_grad:
+                self._accumulate(out.grad @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ out.grad)
 
         out._backward = backward
         return out
@@ -123,7 +154,7 @@ class Tensor:
         out = Tensor(np.sqrt(self.data), (self,))
 
         def backward():
-            self.grad += out.grad * 0.5 / out.data
+            self._accumulate(out.grad * 0.5 / out.data)
 
         out._backward = backward
         return out
@@ -132,7 +163,7 @@ class Tensor:
         out = Tensor(np.exp(self.data), (self,))
 
         def backward():
-            self.grad += out.grad * out.data
+            self._accumulate(out.grad * out.data)
 
         out._backward = backward
         return out
@@ -141,7 +172,7 @@ class Tensor:
         out = Tensor(np.maximum(self.data, 0.0), (self,))
 
         def backward():
-            self.grad += out.grad * (self.data > 0.0)
+            self._accumulate(out.grad * (self.data > 0.0))
 
         out._backward = backward
         return out
@@ -150,7 +181,7 @@ class Tensor:
         out = Tensor(np.tanh(self.data), (self,))
 
         def backward():
-            self.grad += out.grad * (1.0 - out.data * out.data)
+            self._accumulate(out.grad * (1.0 - out.data * out.data))
 
         out._backward = backward
         return out
@@ -164,7 +195,7 @@ class Tensor:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self.grad += np.broadcast_to(g, self.data.shape)
+            self._accumulate(np.broadcast_to(g, self.data.shape), owned=False)
 
         out._backward = backward
         return out
@@ -173,7 +204,7 @@ class Tensor:
         out = Tensor(self.data.reshape(*shape), (self,))
 
         def backward():
-            self.grad += out.grad.reshape(self.data.shape)
+            self._accumulate(out.grad.reshape(self.data.shape), owned=False)
 
         out._backward = backward
         return out
@@ -182,6 +213,8 @@ class Tensor:
         out = Tensor(self.data[key], (self,))
 
         def backward():
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
             self.grad[key] += out.grad
 
         out._backward = backward
@@ -196,9 +229,10 @@ def concat(tensors, axis=1):
 
     def backward():
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * out.grad.ndim
-            index[axis] = slice(lo, hi)
-            t.grad += out.grad[tuple(index)]
+            if t.requires_grad:
+                index = [slice(None)] * out.grad.ndim
+                index[axis] = slice(lo, hi)
+                t._accumulate(out.grad[tuple(index)], owned=False)
 
     out._backward = backward
     return out

@@ -66,23 +66,6 @@ def _resolve(out_dir: Path, name) -> Path:
     return path if path.is_absolute() else out_dir / path
 
 
-def _atomic_bytes(path: Path, blob: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_json(path: Path, obj) -> None:
-    _atomic_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-
-
 def _atomic_file(path: Path, write_fn) -> None:
     """Run write_fn(tmp_path) and atomically rename the result into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -95,6 +78,11 @@ def _atomic_file(path: Path, write_fn) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_json(path: Path, obj) -> None:
+    blob = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    _atomic_file(path, lambda tmp: Path(tmp).write_bytes(blob))
 
 
 # -- dataset plumbing --------------------------------------------------------------
@@ -139,21 +127,6 @@ def _train_config(config: dict, beta=None, latent_dim=None, seed=None) -> engine
         val_fraction=float(block.get("val_fraction", 0.2)),
         input_scale=_input_scale_for(kind),
     )
-
-
-def split_indices(seed: int, n: int, val_fraction: float):
-    """The train/validation row split used by engine.train, recomputed.
-
-    Must stay in lockstep with engine.train so evaluation reads exactly the
-    rows that training held out.
-    """
-    streams = np.random.SeedSequence(seed).spawn(4)
-    split_rng = np.random.default_rng(streams[1])
-    perm = split_rng.permutation(n)
-    n_val = int(round(n * val_fraction))
-    if n_val == 0 or n_val == n:
-        return perm, perm
-    return perm[n_val:], perm[:n_val]
 
 
 # -- commands ------------------------------------------------------------------------
@@ -207,10 +180,7 @@ def _evaluation_codes(model, dataset, config: dict, rows) -> np.ndarray:
         return dataset.factors[rows]
     if source != "encoder":
         raise ConfigError(f"unknown codes_source {source!r}")
-    x = dataset.samples[rows]
-    if model.input_scale == engine.SCALE_UNIT:
-        x = 2.0 * x - 1.0
-    return model.codes(x)
+    return model.codes(engine.scale_in(dataset.samples[rows], model.input_scale))
 
 
 def _run_dci(config: dict, codes: np.ndarray, factors: np.ndarray) -> metrics.DciEvaluation:
@@ -249,7 +219,7 @@ def cmd_evaluate(config: dict, args) -> int:
                 f"checkpoint is {model.latent.mode}/{model.latent.dim} but config says "
                 f"{train_config.mode}/{train_config.latent_dim}"
             )
-    _, val_rows = split_indices(train_config.seed, dataset.n, train_config.val_fraction)
+    _, val_rows = engine.split_rows(train_config.seed, dataset.n, train_config.val_fraction)
 
     codes = _evaluation_codes(model, dataset, config, val_rows)
     factors = dataset.factors[val_rows]
@@ -315,7 +285,7 @@ def _sweep_cell(job):
         dataset = datasets.load_dataset(dataset_path)
         train_config = _train_config(config, beta=beta, latent_dim=dim)
         model, report = engine.train(train_config, dataset.samples)
-        _, val_rows = split_indices(train_config.seed, dataset.n, train_config.val_fraction)
+        _, val_rows = engine.split_rows(train_config.seed, dataset.n, train_config.val_fraction)
         codes = _evaluation_codes(model, dataset, config, val_rows)
         dci = _run_dci(config, codes, dataset.factors[val_rows]).report
         mse = report.val_mse[report.best_epoch]

@@ -59,13 +59,17 @@ class Factor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Factor":
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            lo=data.get("lo", 0.0),
-            hi=data.get("hi", 1.0),
-            n=data.get("n", 0),
-        )
+        """A factor from its JSON object; wrong-typed fields raise ValueError."""
+        name, kind = data["name"], data["kind"]
+        lo, hi, n = data.get("lo", 0.0), data.get("hi", 1.0), data.get("n", 0)
+        if not isinstance(name, str) or not isinstance(kind, str):
+            raise ValueError("factor name and kind must be strings")
+        for key, value in (("lo", lo), ("hi", hi)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"factor {name!r} field {key} must be a number")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"factor {name!r} field n must be an integer")
+        return cls(name=name, kind=kind, lo=lo, hi=hi, n=n)
 
 
 @dataclass(frozen=True)

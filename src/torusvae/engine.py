@@ -103,6 +103,16 @@ class DenseNetwork:
         ]
 
 
+def param_views(vector: np.ndarray, params) -> list:
+    """Views of a flat params-ordered vector, one per parameter, shaped like its data."""
+    views = []
+    offset = 0
+    for p in params:
+        views.append(vector[offset : offset + p.data.size].reshape(p.data.shape))
+        offset += p.data.size
+    return views
+
+
 @dataclass
 class EncoderOutput:
     """Posterior parameters; mu/logvar are (N, D, 2) for circles, (N, L) otherwise."""
@@ -117,6 +127,13 @@ class EncoderOutput:
 
 
 class VaeModel:
+    """Encoder, latent layout and decoder over one flat parameter vector.
+
+    flat holds every parameter in parameters() order (the TDVAE1 payload
+    order) and flat_grad their gradients; each weight and bias .data/.grad
+    is a reshaped view into them.
+    """
+
     def __init__(self, latent: LatentSpec, encoder: DenseNetwork, decoder: DenseNetwork,
                  input_scale: str = SCALE_SYMMETRIC):
         if encoder.output_dim != latent.encoder_out_dim:
@@ -129,6 +146,12 @@ class VaeModel:
         self.encoder = encoder
         self.decoder = decoder
         self.input_scale = input_scale
+        params = self.parameters()
+        self.flat = np.concatenate([p.data.ravel() for p in params])
+        self.flat_grad = np.zeros_like(self.flat)
+        views = zip(param_views(self.flat, params), param_views(self.flat_grad, params))
+        for p, (data, grad) in zip(params, views):
+            p.data, p.grad = data, grad
 
     # -- graph builders -----------------------------------------------------
 
@@ -146,7 +169,7 @@ class VaeModel:
 
     def _latent_input(self, mu: Tensor, logvar: Tensor, noise: np.ndarray) -> Tensor:
         sigma = (logvar * 0.5).exp()
-        m_hat = mu + sigma * Tensor(noise)
+        m_hat = mu + sigma * Tensor(noise, requires_grad=False)
         if self.latent.mode == EUCLIDEAN:
             return m_hat
         norm_sq = m_hat.square().sum(axis=2, keepdims=True)
@@ -164,7 +187,7 @@ class VaeModel:
         return concat([v, v_orient], axis=1)
 
     def _forward_graph(self, x: np.ndarray, noise: np.ndarray):
-        xt = Tensor(x)
+        xt = Tensor(x, requires_grad=False)
         mu, logvar = self._split_encoder_output(self.encoder.forward(xt))
         v = self._latent_input(mu, logvar, noise)
         recon = self.decoder.forward(v)
@@ -211,12 +234,11 @@ class VaeModel:
     def parameters(self):
         return self.encoder.parameters() + self.decoder.parameters()
 
-    def snapshot(self):
-        return [p.data.copy() for p in self.parameters()]
+    def snapshot(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def restore(self, snapshot):
-        for p, saved in zip(self.parameters(), snapshot):
-            p.data[...] = saved
+    def restore(self, snapshot: np.ndarray) -> None:
+        np.copyto(self.flat, snapshot)
 
 
 def build_vae(latent: LatentSpec, input_dim: int, hidden, rng: np.random.Generator,
@@ -241,7 +263,7 @@ class ElboResult:
     loss: float
     reconstruction: float
     kl: float
-    grads: list
+    grads: list  # per-parameter views of one copy of the model's gradient vector
 
 
 def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) -> ElboResult:
@@ -254,8 +276,7 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
     if x.ndim != 2:
         raise ValueError("expected a (N, input_dim) batch")
     n = x.shape[0]
-    for p in model.parameters():
-        p.zero_grad()
+    model.flat_grad.fill(0.0)
     xt, mu, logvar, recon = model._forward_graph(x, noise)
     recon_term = (recon - xt).square().sum() * (1.0 / n)
     var = logvar.exp()
@@ -268,7 +289,7 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
             f"batch of {n}; offending rows: {bad.tolist()[:8]}"
         )
     loss.backward()
-    grads = [p.grad.copy() for p in model.parameters()]
+    grads = param_views(model.flat_grad.copy(), model.parameters())
     return ElboResult(float(loss.data), float(recon_term.data), float(kl_term.data), grads)
 
 
@@ -277,30 +298,58 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Flat first and second moments in params order, plus preallocated scratch."""
+
+    m: np.ndarray
+    v: np.ndarray
+    update: np.ndarray
+    updates: list  # per-parameter views of update
+    scratch: np.ndarray
+    finite: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params):
+        size = sum(p.data.size for p in params)
+        update = np.zeros(size)
         return cls(
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
+            m=np.zeros(size),
+            v=np.zeros(size),
+            update=update,
+            updates=param_views(update, params),
+            scratch=np.zeros(size),
+            finite=np.zeros(size, dtype=bool),
         )
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
-    """One bias-corrected Adam update, applied in place to the parameter data."""
+    """One bias-corrected Adam update, applied in place to the parameter data.
+
+    grads is one flat vector holding the gradient of every parameter in
+    params order (VaeModel.flat_grad). The update allocates no arrays.
+    """
+    if not np.isfinite(grads, out=state.finite).all():
+        raise NumericsError("non-finite gradient")
     state.step += 1
     t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not np.isfinite(g).all():
-            raise NumericsError("non-finite gradient")
-        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v, m_hat, s = state.m, state.v, state.update, state.scratch
+    # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+    m *= ADAM_BETA1
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=s)
+    m += s
+    v *= ADAM_BETA2
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=s)
+    s *= grads
+    v += s
+    # update = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=m_hat)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPS
+    m_hat *= lr
+    m_hat /= s
+    for p, update in zip(params, state.updates):
+        p.data -= update
     return state
 
 
@@ -359,13 +408,29 @@ class TrainReport:
         }
 
 
-def _scale_in(x: np.ndarray, input_scale: str) -> np.ndarray:
+def scale_in(x: np.ndarray, input_scale: str) -> np.ndarray:
+    """Map dataset values to the model's [-1, 1] input range."""
     return 2.0 * x - 1.0 if input_scale == SCALE_UNIT else x
 
 
 def scale_out(y: np.ndarray, input_scale: str) -> np.ndarray:
     """Map decoder output back to the dataset's value range."""
     return np.clip((y + 1.0) / 2.0, 0.0, 1.0) if input_scale == SCALE_UNIT else y
+
+
+def split_rows(seed: int, n: int, val_fraction: float):
+    """(train rows, validation rows) of the split train() makes for a seed.
+
+    The split comes from the second of four streams spawned off the seed.
+    When the validation share rounds to none or to every row, both sets are
+    all rows in their original order.
+    """
+    split_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[1])
+    perm = split_rng.permutation(n)
+    n_val = int(round(n * val_fraction))
+    if n_val == 0 or n_val == n:
+        return np.arange(n), np.arange(n)
+    return perm[n_val:], perm[:n_val]
 
 
 def _noise_shape(latent: LatentSpec, n: int):
@@ -393,20 +458,17 @@ def train(config: TrainConfig, samples: np.ndarray):
         raise ConfigError("dataset must be a nonempty (N, input_dim) array")
     n, input_dim = samples.shape
 
-    streams = np.random.SeedSequence(config.seed).spawn(4)
-    init_rng, split_rng, shuffle_rng, noise_rng = (np.random.default_rng(s) for s in streams)
+    init_seq, _, shuffle_seq, noise_seq = np.random.SeedSequence(config.seed).spawn(4)
+    init_rng, shuffle_rng, noise_rng = (
+        np.random.default_rng(s) for s in (init_seq, shuffle_seq, noise_seq)
+    )
 
     latent = config.latent()
     model = build_vae(latent, input_dim, config.hidden, init_rng, config.input_scale)
 
-    x = _scale_in(samples, config.input_scale)
-    perm = split_rng.permutation(n)
-    n_val = int(round(n * config.val_fraction))
-    if n_val == 0 or n_val == n:
-        train_x = val_x = x
-    else:
-        val_x = x[perm[:n_val]]
-        train_x = x[perm[n_val:]]
+    x = scale_in(samples, config.input_scale)
+    train_rows, val_rows = split_rows(config.seed, n, config.val_fraction)
+    train_x, val_x = x[train_rows], x[val_rows]
 
     params = model.parameters()
     state = AdamState.for_params(params)
@@ -423,7 +485,7 @@ def train(config: TrainConfig, samples: np.ndarray):
             batch = train_x[order[lo : lo + config.batch_size]]
             noise = noise_rng.standard_normal(_noise_shape(latent, batch.shape[0]))
             result = elbo_loss(model, batch, config.beta, noise)
-            adam_step(params, result.grads, state, config.learning_rate)
+            adam_step(params, model.flat_grad, state, config.learning_rate)
             total += result.loss * batch.shape[0]
         train_loss.append(total / n_train)
         val_mse.append(validation_mse(model, val_x))
@@ -485,22 +547,18 @@ def save_checkpoint(model: VaeModel, path) -> None:
         _pack_layers(model.encoder),
         _pack_layers(model.decoder),
     ]
-    blocks = []
-    for net in (model.encoder, model.decoder):
-        for w, b in zip(net.weights, net.biases):
-            blocks.append(np.ascontiguousarray(w.data, dtype="<f8").tobytes())
-            blocks.append(np.ascontiguousarray(b.data, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(b"".join(header + blocks))
+        fh.write(b"".join(header))
+        fh.write(model.flat.astype("<f8", copy=False).tobytes())
 
 
 class _Reader:
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)  # take() hands out views, not copies
         self.offset = 0
         self.path = path
 
-    def take(self, size: int) -> bytes:
+    def take(self, size: int) -> memoryview:
         if self.offset + size > len(self.blob):
             raise FormatError(f"truncated file: {self.path}")
         out = self.blob[self.offset : self.offset + size]
@@ -517,11 +575,15 @@ class _Reader:
 
 def _read_layers(reader: _Reader):
     (count,) = reader.unpack("<B")
+    if count == 0:
+        raise FormatError(f"network without layers in {reader.path}")
     specs = []
     for _ in range(count):
         fan_in, fan_out, tag = reader.unpack("<IIB")
         if tag not in _TAG_ACTS:
             raise FormatError(f"unknown activation tag {tag} in {reader.path}")
+        if specs and fan_in != specs[-1][1]:
+            raise FormatError(f"layer shapes do not chain in {reader.path}")
         specs.append((fan_in, fan_out, _TAG_ACTS[tag]))
     return specs
 
@@ -537,21 +599,18 @@ def load_checkpoint(path) -> VaeModel:
     latent = LatentSpec(_TAG_MODES[mode_tag], latent_dim)
     enc_specs = _read_layers(reader)
     dec_specs = _read_layers(reader)
+    # The declared sizes are checked against the bytes present before any
+    # parameter array is allocated.
+    count = sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in enc_specs + dec_specs)
+    payload = reader.take(8 * count)
+    reader.done()
+    if enc_specs[0][0] != input_dim:
+        raise FormatError(f"encoder input dim mismatch in {path}")
 
     def rebuild(specs):
         dims = [specs[0][0]] + [s[1] for s in specs]
-        acts = [s[2] for s in specs]
-        net = DenseNetwork(dims, acts, np.random.default_rng(0))
-        for w, b, (fan_in, fan_out, _) in zip(net.weights, net.biases, specs):
-            w.data[...] = np.frombuffer(reader.take(fan_in * fan_out * 8), dtype="<f8").reshape(
-                fan_in, fan_out
-            )
-            b.data[...] = np.frombuffer(reader.take(fan_out * 8), dtype="<f8")
-        return net
+        return DenseNetwork(dims, [s[2] for s in specs], np.random.default_rng(0))
 
-    encoder = rebuild(enc_specs)
-    decoder = rebuild(dec_specs)
-    reader.done()
-    if encoder.input_dim != input_dim:
-        raise FormatError(f"encoder input dim mismatch in {path}")
-    return VaeModel(latent, encoder, decoder, _TAG_SCALES[scale_tag])
+    model = VaeModel(latent, rebuild(enc_specs), rebuild(dec_specs), _TAG_SCALES[scale_tag])
+    model.flat[...] = np.frombuffer(payload, dtype="<f8")
+    return model

@@ -174,10 +174,8 @@ def _train_and_score(mode, dim, seed, dataset, epochs, hidden, input_scale):
         epochs=epochs, seed=seed, hidden=hidden, input_scale=input_scale,
     )
     model, _ = engine.train(config, dataset.samples)
-    _, val_rows = cli.split_indices(seed, dataset.n, config.val_fraction)
-    x = dataset.samples[val_rows]
-    if input_scale == engine.SCALE_UNIT:
-        x = 2.0 * x - 1.0
+    _, val_rows = engine.split_rows(seed, dataset.n, config.val_fraction)
+    x = engine.scale_in(dataset.samples[val_rows], input_scale)
     report = m.run_dci(model.codes(x), dataset.factors[val_rows], split_seed=99).report
     return report.dc_score
 

@@ -86,3 +86,48 @@ def test_value_reuse_accumulates(rng):
 def test_backward_requires_scalar(rng):
     with pytest.raises(ValueError):
         Tensor(rng.standard_normal(3)).backward()
+
+
+def test_constant_leaf_gets_no_gradient(rng):
+    x = Tensor(rng.standard_normal(4))
+    c = Tensor(rng.standard_normal(4), requires_grad=False)
+    loss = ((x * c + c) * 2.0 - c).sum()
+    loss.backward()
+    assert c.grad is None
+    assert np.array_equal(x.grad, 2.0 * c.data)
+
+
+def test_node_of_constants_only_gets_no_gradient(rng):
+    x = Tensor(rng.standard_normal(3))
+    c = Tensor(rng.standard_normal(3), requires_grad=False)
+    folded = -c
+    assert not folded.requires_grad
+    (x - c).sum().backward()
+    assert folded.grad is None and c.grad is None
+    assert np.array_equal(x.grad, np.ones(3))
+
+
+def test_diamond_self_add(rng):
+    arrays = [rng.standard_normal((3, 4))]
+    check_scalar_graph(lambda t: (t[0] + t[0]).square().sum(), arrays)
+
+
+def test_diamond_sum_times_operand(rng):
+    arrays = [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]
+    check_scalar_graph(lambda t: ((t[0] + t[1]) * t[0]).sum(), arrays)
+
+
+def test_diamond_slice_and_whole(rng):
+    arrays = [rng.standard_normal((4, 5))]
+    check_scalar_graph(
+        lambda t: (t[0][:, 1:3].square().sum() + (t[0] * t[0][:, 2:3]).sum()), arrays
+    )
+
+
+def test_shared_first_gradient_is_not_aliased(rng):
+    # a and b both take their first gradient from one add node; a then
+    # receives more, which must not leak into b
+    arrays = [rng.standard_normal(4), rng.standard_normal(4)]
+    check_scalar_graph(lambda t: ((t[0] * 3.0) + (t[0] + t[1]).tanh()).square().sum(), arrays)
+    check_scalar_graph(lambda t: ((t[0] + t[1]) + t[0].reshape(2, 2).reshape(4)).square().sum(),
+                       arrays)

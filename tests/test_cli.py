@@ -297,8 +297,9 @@ class TestExitCodes:
         config = write_config(tmp_path, base_config(tmp_path / "out"))
         assert run("explode", "--config", str(config)) == 1
 
-    @pytest.mark.parametrize("spec_blob", [b"[1]", b"{}", b'"x"'])
-    def test_non_list_factor_spec_is_validation_error(self, tmp_path, spec_blob):
+    @staticmethod
+    def _dataset_with_spec(tmp_path, spec_blob):
+        """Generate the base dataset, then swap in another factor-spec block."""
         config = write_config(tmp_path, base_config(tmp_path / "out"))
         assert run("generate", "--config", str(config)) == 0
         path = tmp_path / "out" / "data.tdds"
@@ -307,6 +308,26 @@ class TestExitCodes:
         (spec_len,) = struct.unpack_from("<I", blob, spec_at)
         path.write_bytes(blob[:spec_at] + struct.pack("<I", len(spec_blob)) + spec_blob
                          + blob[spec_at + 4 + spec_len:])
+        return config, path
+
+    @pytest.mark.parametrize("spec_blob", [b"[1]", b"{}", b'"x"'])
+    def test_non_list_factor_spec_is_validation_error(self, tmp_path, spec_blob):
+        config, path = self._dataset_with_spec(tmp_path, spec_blob)
+        with pytest.raises(FormatError, match="factor spec"):
+            ds.load_dataset(path)
+        assert run("train", "--config", str(config)) == 1
+
+    @pytest.mark.parametrize("factor", [
+        {"name": "a", "kind": "uniform", "lo": "x", "hi": 1},
+        {"name": "a", "kind": "uniform", "lo": True, "hi": 1},
+        {"name": "c", "kind": "categorical", "n": "3"},
+        {"name": "c", "kind": "categorical", "n": 3.0},
+        {"name": 1, "kind": "angle"},
+        {"name": "a", "kind": ["angle"]},
+    ])
+    def test_wrong_typed_factor_field_is_validation_error(self, tmp_path, factor):
+        spec_blob = json.dumps([factor, {"name": "b", "kind": "angle"}]).encode()
+        config, path = self._dataset_with_spec(tmp_path, spec_blob)
         with pytest.raises(FormatError, match="factor spec"):
             ds.load_dataset(path)
         assert run("train", "--config", str(config)) == 1

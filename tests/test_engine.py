@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,7 @@ class TestAdam:
         params = [type("P", (), {"data": rng.standard_normal((3, 3))})()]
         before = params[0].data.copy()
         state = e.AdamState.for_params(params)
-        e.adam_step(params, [np.zeros((3, 3))], state, lr=0.1)
+        e.adam_step(params, np.zeros(9), state, lr=0.1)
         assert np.array_equal(params[0].data, before)
 
     def test_first_step_is_signed_lr(self, rng):
@@ -170,7 +172,7 @@ class TestAdam:
         before = params[0].data.copy()
         grad = rng.standard_normal(5)
         state = e.AdamState.for_params(params)
-        e.adam_step(params, [grad], state, lr=0.01)
+        e.adam_step(params, grad, state, lr=0.01)
         delta = params[0].data - before
         assert np.allclose(delta, -0.01 * np.sign(grad), atol=1e-6)
 
@@ -181,7 +183,7 @@ class TestAdam:
             p = [type("P", (), {"data": np.ones((4, 2))})()]
             s = e.AdamState.for_params(p)
             for grad in grads:
-                e.adam_step(p, [grad], s, lr=0.05)
+                e.adam_step(p, grad.ravel(), s, lr=0.05)
             return p[0].data
 
         assert np.array_equal(run(), run())
@@ -190,7 +192,63 @@ class TestAdam:
         params = [type("P", (), {"data": np.ones(2)})()]
         state = e.AdamState.for_params(params)
         with pytest.raises(e.NumericsError):
-            e.adam_step(params, [np.array([1.0, np.nan])], state, lr=0.1)
+            e.adam_step(params, np.array([1.0, np.nan]), state, lr=0.1)
+
+    def test_flat_state_matches_per_array_formula_bit_for_bit(self, rng):
+        model = tiny_model(hidden=(8, 6))
+        params = model.parameters()
+        oracle = [p.data.copy() for p in params]
+        m = [np.zeros_like(p) for p in oracle]
+        v = [np.zeros_like(p) for p in oracle]
+        state = e.AdamState.for_params(params)
+        b1, b2, eps, lr = e.ADAM_BETA1, e.ADAM_BETA2, e.ADAM_EPS, 3e-3
+        for t in range(1, 21):
+            flat_grad = rng.standard_normal(model.flat.size) * rng.uniform(1e-3, 1e3)
+            e.adam_step(params, flat_grad, state, lr)
+            for i, g in enumerate(e.param_views(flat_grad, params)):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                oracle[i] = oracle[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for p, expected in zip(params, oracle):
+                assert p.data.tobytes() == expected.tobytes()
+        assert state.step == 20
+
+
+class TestFlatParameters:
+    def test_parameters_are_views_of_the_flat_vectors(self):
+        model = tiny_model(hidden=(8, 6))
+        params = model.parameters()
+        assert model.flat.size == sum(p.data.size for p in params)
+        model.flat[:] = np.arange(model.flat.size, dtype=float)
+        model.flat_grad[:] = -model.flat
+        offset = 0
+        for p in params:
+            size = p.data.size
+            assert np.array_equal(p.data.ravel(), np.arange(offset, offset + size))
+            assert np.array_equal(p.grad.ravel(), -np.arange(offset, offset + size))
+            offset += size
+
+    def test_snapshot_and_restore(self, rng):
+        model = tiny_model()
+        saved = model.snapshot()
+        before = [p.data.copy() for p in model.parameters()]
+        model.flat += rng.standard_normal(model.flat.size)
+        model.restore(saved)
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p.data, b)
+
+    def test_elbo_grads_survive_the_next_call(self, rng):
+        model = tiny_model()
+        x = rng.uniform(-0.5, 0.5, size=(4, 5))
+        first = e.elbo_loss(model, x, 1.0, rng.standard_normal((4, 2, 2)))
+        kept = [g.copy() for g in first.grads]
+        e.elbo_loss(model, x, 1.0, rng.standard_normal((4, 2, 2)))
+        for g, k in zip(first.grads, kept):
+            assert np.array_equal(g, k)
+        for g, p in zip(first.grads, model.parameters()):
+            assert g.shape == p.data.shape
 
 
 class TestTrain:
@@ -324,6 +382,43 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
+            e.load_checkpoint(path)
+
+    def test_oversized_header_fails_before_allocating(self, tmp_path):
+        import tracemalloc
+
+        # one 2^20 x 2^20 encoder layer and a 1 x 4 decoder layer, no payload
+        blob = (e.CHECKPOINT_MAGIC + struct.pack("<BBII", 0, 0, 1, 2**20)
+                + struct.pack("<BIIB", 1, 2**20, 2**20, 0)
+                + struct.pack("<BIIB", 1, 6, 4, 2))
+        path = tmp_path / "huge.tdvae"
+        path.write_bytes(blob)
+        assert len(blob) < 100
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                e.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_layers_that_do_not_chain(self, tmp_path):
+        model = tiny_model(hidden=(8, 4))
+        path = tmp_path / "model.tdvae"
+        e.save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        # second encoder layer: fan_in 8 -> 7
+        at = len(e.CHECKPOINT_MAGIC) + struct.calcsize("<BBII") + 1 + 9
+        blob[at : at + 4] = struct.pack("<I", 7)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="chain"):
+            e.load_checkpoint(path)
+
+    def test_network_without_layers(self, tmp_path):
+        path = tmp_path / "empty.tdvae"
+        path.write_bytes(e.CHECKPOINT_MAGIC + struct.pack("<BBII", 0, 0, 1, 5) + b"\x00\x00")
+        with pytest.raises(FormatError, match="without layers"):
             e.load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
