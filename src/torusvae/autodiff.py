@@ -2,7 +2,10 @@
 
 A Tensor wraps an ndarray, remembers the tensors it was computed from and a
 closure that routes the output gradient back to them. backward() replays the
-closures in reverse topological order. Only the operations the networks in
+closures in reverse topological order, passing each its output node: a
+closure that captured the node itself would make every node a reference
+cycle, so graphs would wait for the cyclic garbage collector and peak memory
+would depend on its timing. Only the operations the networks in
 this package need are implemented; accumulation order is fixed by graph
 construction order, so gradients are bit-reproducible.
 
@@ -81,7 +84,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -89,7 +92,7 @@ class Tensor:
         other = _constant(other)
         out = Tensor(self.data + other.data, (self, other))
 
-        def backward():
+        def backward(out):
             for t in (self, other):
                 if t.requires_grad:
                     g = _unbroadcast(out.grad, t.data.shape)
@@ -102,7 +105,7 @@ class Tensor:
         other = _constant(other)
         out = Tensor(self.data * other.data, (self, other))
 
-        def backward():
+        def backward(out):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
             if other.requires_grad:
@@ -121,7 +124,7 @@ class Tensor:
         other = _constant(other)
         out = Tensor(self.data / other.data, (self, other))
 
-        def backward():
+        def backward(out):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(out.grad / other.data, self.data.shape))
             if other.requires_grad:
@@ -138,7 +141,7 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         out = Tensor(self.data @ other.data, (self, other))
 
-        def backward():
+        def backward(out):
             if self.requires_grad:
                 self._accumulate(out.grad @ other.data.T)
             if other.requires_grad:
@@ -153,7 +156,7 @@ class Tensor:
     def sqrt(self):
         out = Tensor(np.sqrt(self.data), (self,))
 
-        def backward():
+        def backward(out):
             self._accumulate(out.grad * 0.5 / out.data)
 
         out._backward = backward
@@ -162,7 +165,7 @@ class Tensor:
     def exp(self):
         out = Tensor(np.exp(self.data), (self,))
 
-        def backward():
+        def backward(out):
             self._accumulate(out.grad * out.data)
 
         out._backward = backward
@@ -171,7 +174,7 @@ class Tensor:
     def relu(self):
         out = Tensor(np.maximum(self.data, 0.0), (self,))
 
-        def backward():
+        def backward(out):
             self._accumulate(out.grad * (self.data > 0.0))
 
         out._backward = backward
@@ -180,7 +183,7 @@ class Tensor:
     def tanh(self):
         out = Tensor(np.tanh(self.data), (self,))
 
-        def backward():
+        def backward(out):
             self._accumulate(out.grad * (1.0 - out.data * out.data))
 
         out._backward = backward
@@ -191,7 +194,7 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
-        def backward():
+        def backward(out):
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
@@ -203,7 +206,7 @@ class Tensor:
     def reshape(self, *shape):
         out = Tensor(self.data.reshape(*shape), (self,))
 
-        def backward():
+        def backward(out):
             self._accumulate(out.grad.reshape(self.data.shape), owned=False)
 
         out._backward = backward
@@ -212,7 +215,7 @@ class Tensor:
     def __getitem__(self, key):
         out = Tensor(self.data[key], (self,))
 
-        def backward():
+        def backward(out):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
             self.grad[key] += out.grad
@@ -227,7 +230,7 @@ def concat(tensors, axis=1):
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
+    def backward(out):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 index = [slice(None)] * out.grad.ndim

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, engine, metrics
+from . import datasets, engine, geometry, metrics
 from .errors import ConfigError, FormatError
 
 EXIT_OK = 0
@@ -52,6 +53,29 @@ def _require(section: dict, key: str, context: str):
     if key not in section:
         raise ConfigError(f"{context}.{key} is required (seeds are never defaulted)")
     return section[key]
+
+
+def _number(value, name: str, kind=float):
+    """A numeric config value as kind (int or float).
+
+    Bools, non-numbers, non-finite values and, for int, fractional values
+    are ConfigErrors; an int is a valid float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if kind is int and not value.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _numbers(values, name: str, kind=float) -> list:
+    """A config list of numbers, each read by _number."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return [_number(v, name, kind) for v in values]
 
 
 def _out_dir(config: dict, args) -> Path:
@@ -90,17 +114,21 @@ def _atomic_json(path: Path, obj) -> None:
 
 def _build_dataset(block: dict) -> datasets.Dataset:
     kind = _require(block, "kind", "dataset")
-    count = int(_require(block, "count", "dataset"))
-    seed = int(_require(block, "seed", "dataset"))
+    count = _number(_require(block, "count", "dataset"), "dataset.count", int)
+    seed = _number(_require(block, "seed", "dataset"), "dataset.seed", int)
     if kind == "2dshapes":
-        width = int(block.get("width", 16))
-        height = int(block.get("height", 16))
-        return datasets.make_2dshapes_dataset(count, seed, width, height)
+        return datasets.make_2dshapes_dataset(count, seed, *_image_size(block))
     if kind == "synthetic":
-        k = int(_require(block, "factors", "dataset"))
-        noise = float(block.get("noise_sigma", 0.0))
+        k = _number(_require(block, "factors", "dataset"), "dataset.factors", int)
+        noise = _number(block.get("noise_sigma", 0.0), "dataset.noise_sigma")
         return datasets.make_synthetic_dataset(k, count, seed, noise)
     raise ConfigError(f"unknown dataset kind {kind!r}")
+
+
+def _image_size(block: dict) -> tuple:
+    """(width, height) of a 2dshapes dataset block."""
+    return (_number(block.get("width", 16), "dataset.width", int),
+            _number(block.get("height", 16), "dataset.height", int))
 
 
 def _input_scale_for(kind: str) -> str:
@@ -112,20 +140,26 @@ def _dataset_path(config: dict, out_dir: Path) -> Path:
     return _resolve(out_dir, block.get("path", "dataset.tdds"))
 
 
-def _train_config(config: dict, beta=None, latent_dim=None, seed=None) -> engine.TrainConfig:
+def _train_config(config: dict, beta=None, latent_dim=None) -> engine.TrainConfig:
+    """The model block as a TrainConfig; a sweep cell passes its own beta and latent_dim."""
     block = _section(config, "model")
-    kind = _require(_section(config, "dataset"), "kind", "dataset")
+    dataset_kind = _require(_section(config, "dataset"), "kind", "dataset")
+
+    def number(key, kind=float, default=None):  # default None: the key is required
+        value = _require(block, key, "model") if default is None else block.get(key, default)
+        return _number(value, f"model.{key}", kind)
+
     return engine.TrainConfig(
         mode=block.get("mode", "torus"),
-        latent_dim=int(latent_dim if latent_dim is not None else _require(block, "latent_dim", "model")),
-        beta=float(beta if beta is not None else block.get("beta", 1.0)),
-        learning_rate=float(block.get("learning_rate", 0.0001)),
-        batch_size=int(block.get("batch_size", 144)),
-        epochs=int(block.get("epochs", 50)),
-        seed=int(seed if seed is not None else _require(block, "seed", "model")),
-        hidden=tuple(int(h) for h in block.get("hidden", (256, 128))),
-        val_fraction=float(block.get("val_fraction", 0.2)),
-        input_scale=_input_scale_for(kind),
+        latent_dim=latent_dim if latent_dim is not None else number("latent_dim", int),
+        beta=beta if beta is not None else number("beta", default=1.0),
+        learning_rate=number("learning_rate", default=0.0001),
+        batch_size=number("batch_size", int, 144),
+        epochs=number("epochs", int, 50),
+        seed=number("seed", int),
+        hidden=tuple(_numbers(block.get("hidden", (256, 128)), "model.hidden", int)),
+        val_fraction=number("val_fraction", default=0.2),
+        input_scale=_input_scale_for(dataset_kind),
     )
 
 
@@ -189,10 +223,11 @@ def _run_dci(config: dict, codes: np.ndarray, factors: np.ndarray) -> metrics.Dc
     return metrics.run_dci(
         codes,
         factors,
-        split_seed=int(_require(block, "split_seed", "metrics")),
-        grid=tuple(block.get("alpha_grid", metrics.DEFAULT_ALPHA_GRID)),
-        folds=int(block.get("folds", 10)),
-        holdout_fraction=float(block.get("holdout_fraction", 0.2)),
+        split_seed=_number(_require(block, "split_seed", "metrics"), "metrics.split_seed", int),
+        grid=tuple(_numbers(block.get("alpha_grid", metrics.DEFAULT_ALPHA_GRID),
+                            "metrics.alpha_grid")),
+        folds=_number(block.get("folds", 10), "metrics.folds", int),
+        holdout_fraction=_number(block.get("holdout_fraction", 0.2), "metrics.holdout_fraction"),
     )
 
 
@@ -247,13 +282,13 @@ def cmd_sweep(config: dict, args) -> int:
     if not dataset_path.exists():
         raise ConfigError(f"dataset file not found: {dataset_path} (run generate first)")
     sweep_block = _section(config, "sweep")
-    betas = list(sweep_block.get("betas", (0.0, 1.0, 3.0, 6.0, 9.0)))
-    dims = list(sweep_block.get("dims", (4, 5, 6, 8)))
+    betas = _numbers(sweep_block.get("betas", (0.0, 1.0, 3.0, 6.0, 9.0)), "sweep.betas")
+    dims = _numbers(sweep_block.get("dims", (4, 5, 6, 8)), "sweep.dims", int)
     if not betas or not dims:
         raise ConfigError("sweep grids must be non-empty")
-    workers = max(1, int(getattr(args, "workers", 1) or 1))
+    workers = max(1, getattr(args, "workers", 1) or 1)
 
-    cells = [(float(beta), int(dim)) for beta in betas for dim in dims]
+    cells = [(beta, dim) for beta in betas for dim in dims]
     jobs = [(config, str(dataset_path), beta, dim) for beta, dim in cells]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -300,11 +335,11 @@ def _sweep_cell(job):
 def cmd_traverse(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
     block = _section(config, "model")
-    traverse_block = config.get("traverse", {})
-    circle = int(getattr(args, "circle", None) if getattr(args, "circle", None) is not None
-                 else traverse_block.get("circle", 0))
-    steps = int(getattr(args, "steps", None) if getattr(args, "steps", None) is not None
-                else traverse_block.get("steps", 12))
+    traverse_block = _section(config, "traverse") if "traverse" in config else {}
+    circle = _number(args.circle if getattr(args, "circle", None) is not None
+                     else traverse_block.get("circle", 0), "traverse.circle", int)
+    steps = _number(args.steps if getattr(args, "steps", None) is not None
+                    else traverse_block.get("steps", 12), "traverse.steps", int)
     if steps < 1:
         raise ConfigError("steps must be >= 1")
 
@@ -318,7 +353,7 @@ def cmd_traverse(config: dict, args) -> int:
     if not 0 <= circle < d:
         raise ConfigError(f"circle index {circle} out of range for {d} circles")
 
-    anchor = np.asarray(traverse_block.get("anchor", [0.0] * d), dtype=float)
+    anchor = np.array(_numbers(traverse_block.get("anchor", [0.0] * d), "traverse.anchor"))
     if anchor.shape != (d,):
         raise ConfigError(f"anchor must list {d} angles")
 
@@ -326,7 +361,7 @@ def cmd_traverse(config: dict, args) -> int:
     width, height = _image_dims(config, model)
     for step in range(steps):
         angles = anchor.copy()
-        angles[circle] = datasets.TWO_PI * step / steps
+        angles[circle] = geometry.TWO_PI * step / steps
         sample = engine.scale_out(engine.generate(model, angles), model.input_scale)
         image = sample.reshape(height, width, 3)
         path = out_dir / f"{prefix}_{step:03d}.ppm"
@@ -339,8 +374,7 @@ def _image_dims(config: dict, model) -> tuple:
     block = _section(config, "dataset")
     if _require(block, "kind", "dataset") != "2dshapes":
         raise ConfigError("traverse writes PPM frames and needs an image dataset (2dshapes)")
-    width = int(block.get("width", 16))
-    height = int(block.get("height", 16))
+    width, height = _image_size(block)
     if width * height * 3 != model.encoder.input_dim:
         raise ConfigError(
             f"dataset dims {width}x{height}x3 do not match the checkpoint input "

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
+from .geometry import TWO_PI
 
 DATASET_MAGIC = b"TDDS1"
-TWO_PI = 2.0 * np.pi
 
 KIND_UNIFORM = "uniform"
 KIND_ANGLE = "angle"

@@ -2,8 +2,9 @@
 
 Implements the circle-product latent model and a plain Euclidean-latent
 beta-VAE baseline on top of the reverse-mode Tensor in autodiff.py: encoder
-MLP, reparameterized sampling, per-circle normalization, the rank-1 latent
-assembly, decoder MLP, the beta-weighted loss and Adam. Training is
+MLP, reparameterized sampling, the latent geometry of geometry.py (per-circle
+normalization, rank-1 latent assembly, KL), decoder MLP, the beta-weighted
+loss and Adam. Training is
 single-threaded and fully determined by the config seed.
 """
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .errors import ConfigError, FormatError, NumericsError
-from .geometry import DegenerateInputError, _product_from_components, embed_angles
+from .geometry import TWO_PI, DegenerateInputError, embed, embed_angles, gaussian_kl, unit_tuples
 
 ACTIVATIONS = ("identity", "relu", "tanh")
 
@@ -50,10 +51,6 @@ class LatentSpec:
     @property
     def decoder_in_dim(self) -> int:
         return 2**self.dim + self.dim if self.mode == TORUS else self.dim
-
-    @property
-    def code_dim(self) -> int:
-        return self.dim
 
 
 class DenseNetwork:
@@ -121,10 +118,6 @@ class EncoderOutput:
     mu: np.ndarray
     logvar: np.ndarray
 
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(0.5 * self.logvar)
-
 
 class VaeModel:
     """Encoder, latent layout and decoder over one flat parameter vector.
@@ -172,19 +165,7 @@ class VaeModel:
         m_hat = mu + sigma * Tensor(noise, requires_grad=False)
         if self.latent.mode == EUCLIDEAN:
             return m_hat
-        norm_sq = m_hat.square().sum(axis=2, keepdims=True)
-        if np.any(norm_sq.data == 0.0):
-            rows = np.unique(np.argwhere(norm_sq.data == 0.0)[:, 0])
-            raise DegenerateInputError(
-                f"sampled circle tuple collapsed to zero for batch rows {rows.tolist()}"
-            )
-        m = m_hat / norm_sq.sqrt()
-        n, d = m.data.shape[0], self.latent.dim
-        v = m[:, 0, :]
-        for a in range(1, d):
-            v = (v.reshape(n, -1, 1) * m[:, a, :].reshape(n, 1, 2)).reshape(n, -1)
-        v_orient = m[:, :, 0]
-        return concat([v, v_orient], axis=1)
+        return embed(unit_tuples(m_hat))
 
     def _forward_graph(self, x: np.ndarray, noise: np.ndarray):
         xt = Tensor(x, requires_grad=False)
@@ -210,12 +191,7 @@ class VaeModel:
         enc = self.encode(x)
         if self.latent.mode == EUCLIDEAN:
             return self.decode(enc.mu)
-        norms = np.linalg.norm(enc.mu, axis=2, keepdims=True)
-        if np.any(norms == 0.0):
-            raise DegenerateInputError("posterior mean tuple collapsed to zero")
-        m = enc.mu / norms
-        v = _product_from_components(m[:, :, 0], m[:, :, 1])
-        return self.decode(np.concatenate([v, m[:, :, 0]], axis=1))
+        return self.decode(embed(unit_tuples(Tensor(enc.mu, requires_grad=False))).data)
 
     def codes(self, x: np.ndarray) -> np.ndarray:
         """Per-sample latent codes for the metrics pipeline.
@@ -229,7 +205,7 @@ class VaeModel:
         norms = np.linalg.norm(enc.mu, axis=2)
         if np.any(norms == 0.0):
             raise DegenerateInputError("posterior mean tuple collapsed to zero")
-        return np.mod(np.arctan2(enc.mu[:, :, 1], enc.mu[:, :, 0]), 2.0 * np.pi)
+        return np.mod(np.arctan2(enc.mu[:, :, 1], enc.mu[:, :, 0]), TWO_PI)
 
     def parameters(self):
         return self.encoder.parameters() + self.decoder.parameters()
@@ -279,8 +255,7 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
     model.flat_grad.fill(0.0)
     xt, mu, logvar, recon = model._forward_graph(x, noise)
     recon_term = (recon - xt).square().sum() * (1.0 / n)
-    var = logvar.exp()
-    kl_term = (var + mu.square() - logvar + (-1.0)).sum() * (0.5 / n)
+    kl_term = gaussian_kl(mu, logvar)
     loss = recon_term + kl_term * beta
     if not np.isfinite(loss.data):
         bad = np.unique(np.argwhere(~np.isfinite(recon.data))[:, 0])
@@ -513,8 +488,7 @@ def generate(model: VaeModel, angles) -> np.ndarray:
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.shape != (model.latent.dim,):
         raise ValueError(f"expected {model.latent.dim} angles, got shape {angles.shape}")
-    v = embed_angles(angles).as_vector()
-    return model.decode(v[None, :])[0]
+    return model.decode(embed_angles(angles[None, :]))[0]
 
 
 # -- checkpoint io ---------------------------------------------------------------

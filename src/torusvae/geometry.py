@@ -2,14 +2,16 @@
 
 Angles live on D unit circles; their tuples are combined into a rank-1
 tensor plus the vector of cosine components, which together form the
-decoder input. Everything here is pure and side-effect free.
+decoder input. Training, inference and generation build that input, and
+the KL term, with the one implementation here on autodiff Tensors; ndarray
+callers wrap their input as a constant Tensor and read .data. Everything
+here is pure and side-effect free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
 import numpy as np
+
+from .autodiff import Tensor, concat
 
 TWO_PI = 2.0 * np.pi
 
@@ -20,71 +22,6 @@ class DegenerateInputError(ValueError):
 
 class ReconstructionError(ValueError):
     """Raised when an embedding is not consistent with any rank-1 unit structure."""
-
-
-class CircleTuple(NamedTuple):
-    m0: float
-    m1: float
-
-
-@dataclass(frozen=True)
-class GaussianPairParams:
-    """Per-circle Gaussian parameters, one (mu, sigma) pair of 2-vectors each.
-
-    mu and sigma have shape (D, 2); sigma must be strictly positive.
-    """
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if mu.shape != sigma.shape or mu.ndim != 2 or mu.shape[1] != 2:
-            raise ValueError(f"expected (D, 2) parameter arrays, got {mu.shape} / {sigma.shape}")
-        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-            raise ValueError("non-finite Gaussian parameters")
-        if np.any(sigma <= 0.0):
-            raise ValueError("sigma must be strictly positive")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def n_circles(self) -> int:
-        return self.mu.shape[0]
-
-
-@dataclass(frozen=True)
-class LatentEmbedding:
-    """Flattened rank-1 product of D circle tuples plus their cosine components."""
-
-    v_prod: np.ndarray
-    v_orient: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        v_prod = np.asarray(self.v_prod, dtype=float)
-        v_orient = np.asarray(self.v_orient, dtype=float)
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if v_prod.shape != (2**self.d,) or v_orient.shape != (self.d,):
-            raise ValueError(
-                f"expected lengths ({2**self.d},) and ({self.d},), "
-                f"got {v_prod.shape} and {v_orient.shape}"
-            )
-        if not (np.isfinite(v_prod).all() and np.isfinite(v_orient).all()):
-            raise ValueError("non-finite embedding")
-        object.__setattr__(self, "v_prod", v_prod)
-        object.__setattr__(self, "v_orient", v_orient)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.v_prod, self.v_orient])
-
-    def validate(self, atol: float = 1e-10) -> None:
-        if abs(np.linalg.norm(self.v_prod) - 1.0) > atol:
-            raise ValueError("v_prod is not unit norm")
-        if np.any(np.abs(self.v_orient) > 1.0 + atol):
-            raise ValueError("v_orient component outside [-1, 1]")
 
 
 def canonical_angle(theta):
@@ -98,100 +35,53 @@ def canonical_angle(theta):
     return out if out.ndim else float(out)
 
 
-def make_circle_point(theta: float) -> CircleTuple:
-    """Map an angle to its unit tuple (cos theta, sin theta)."""
-    if not np.isfinite(theta):
-        raise ValueError(f"non-finite angle: {theta!r}")
-    t = canonical_angle(theta)
-    return CircleTuple(float(np.cos(t)), float(np.sin(t)))
+def unit_tuples(raw: Tensor) -> Tensor:
+    """Project (N, D, 2) pairs onto their unit circles.
 
-
-def normalize_pair(raw: Sequence[float]) -> CircleTuple:
-    """Project a nonzero 2-vector onto the unit circle."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise ValueError("non-finite components")
-    norm = float(np.hypot(raw[0], raw[1]))
-    if norm == 0.0:
-        raise DegenerateInputError("cannot normalize the zero vector")
-    return CircleTuple(float(raw[0] / norm), float(raw[1] / norm))
-
-
-def tensor_product(tuples: Sequence[CircleTuple]) -> np.ndarray:
-    """Flattened outer product of D unit tuples.
-
-    The linear index is sum_a alpha_a * 2**(D - a), i.e. the first tuple's
-    component index is the most significant bit.
+    Raises DegenerateInputError naming the rows that hold a zero pair.
     """
-    if len(tuples) == 0:
-        raise ValueError("need at least one circle tuple")
-    v = np.asarray(tuples[0], dtype=float)
-    for m in tuples[1:]:
-        v = np.outer(v, np.asarray(m, dtype=float)).ravel()
-    return v
+    norm_sq = raw.square().sum(axis=2, keepdims=True)
+    zero = norm_sq.data == 0.0
+    if zero.any():
+        rows = np.flatnonzero(zero.any(axis=(1, 2)))
+        raise DegenerateInputError(f"circle tuple collapsed to zero in rows {rows.tolist()}")
+    return raw / norm_sq.sqrt()
 
 
-def embed(tuples: Sequence[CircleTuple]) -> LatentEmbedding:
-    """Combine D circle tuples into the decoder-facing latent vector."""
-    v_prod = tensor_product(tuples)
-    v_orient = np.array([m[0] for m in tuples], dtype=float)
-    return LatentEmbedding(v_prod=v_prod, v_orient=v_orient, d=len(tuples))
+def embed(m: Tensor) -> Tensor:
+    """Decoder input rows (N, 2**D + D) from (N, D, 2) unit tuples.
+
+    The first 2**D columns are the flattened rank-1 product: the entry that
+    takes component alpha_a of tuple a sits at sum_a alpha_a * 2**(D - 1 - a),
+    so the first tuple's component index is the most significant bit. The
+    last D columns are the tuples' cosine components.
+    """
+    n, d = m.shape[0], m.shape[1]
+    v = m[:, 0, :]
+    for a in range(1, d):
+        v = (v.reshape(n, -1, 1) * m[:, a, :].reshape(n, 1, 2)).reshape(n, -1)
+    return concat([v, m[:, :, 0]], axis=1)
 
 
-def embed_angles(angles) -> LatentEmbedding:
-    """embed() starting from raw angles instead of tuples."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    return embed([make_circle_point(t) for t in angles])
-
-
-def embed_batch(angles: np.ndarray) -> np.ndarray:
-    """Vectorized embedding of an (N, D) angle array into (N, 2**D + D) rows."""
+def embed_angles(angles) -> np.ndarray:
+    """embed() of the unit tuples at (N, D) angles, reduced mod 2*pi first."""
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] < 1:
         raise ValueError(f"expected an (N, D) array, got shape {angles.shape}")
-    c = np.cos(angles)
-    s = np.sin(angles)
-    v = _product_from_components(c, s)
-    return np.concatenate([v, c], axis=1)
+    angles = canonical_angle(angles)
+    m = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    return embed(Tensor(m, requires_grad=False)).data
 
 
-def _product_from_components(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rank-1 product rows built from (N, D) cosine and sine arrays."""
-    n, d = c.shape
-    v = np.stack([c[:, 0], s[:, 0]], axis=1)
-    for a in range(1, d):
-        m = np.stack([c[:, a], s[:, a]], axis=1)
-        v = (v[:, :, None] * m[:, None, :]).reshape(n, -1)
-    return v
-
-
-def sample_circle(mu: Sequence[float], sigma: Sequence[float], noise: Sequence[float]) -> CircleTuple:
-    """Reparameterized draw for one circle: normalize(mu + sigma * noise).
-
-    Deterministic given the externally supplied standard-normal noise pair.
-    """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    if mu.shape != (2,) or sigma.shape != (2,) or noise.shape != (2,):
-        raise ValueError("mu, sigma and noise must all be 2-vectors")
-    if np.any(sigma <= 0.0):
-        raise ValueError("sigma must be strictly positive")
-    raw = mu + sigma * noise
-    return normalize_pair(raw)
-
-
-def gaussian_kl(params: GaussianPairParams) -> float:
+def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
     """KL divergence of the pre-normalization Gaussians from N(0, 1).
 
-    Summed over all 2D components: 0.5 * (sigma^2 + mu^2 - 1 - ln sigma^2).
-    Zero exactly when every component has mu = 0 and sigma = 1.
+    mu and logvar hold one row per sample; the result is the mean over rows
+    of the sum over every component of 0.5 * (e^logvar + mu^2 - logvar - 1),
+    which is zero exactly when every mu and logvar is zero.
     """
-    var = params.sigma**2
-    kl = 0.5 * np.sum(var + params.mu**2 - 1.0 - np.log(var))
-    return float(max(kl, 0.0))
+    n = mu.shape[0]
+    return (logvar.exp() + mu.square() - logvar + (-1.0)).sum() * (0.5 / n)
 
 
 def _mode_sine_norms(prod: np.ndarray, d: int) -> np.ndarray:
@@ -211,7 +101,7 @@ def _mode_sine_norms(prod: np.ndarray, d: int) -> np.ndarray:
 
 
 def recover_angles_batch(vectors: np.ndarray, d: int, check_tol: float = 1e-4) -> np.ndarray:
-    """Invert embed_batch: (N, 2**D + D) rows back to (N, D) angles in [0, 2*pi).
+    """Invert embed_angles: (N, 2**D + D) rows back to (N, D) angles in [0, 2*pi).
 
     Cosines come straight from the orientation block. Sine magnitudes come
     from the mode-wise unfolding norms of the product block, which keeps the
@@ -282,7 +172,8 @@ def recover_angles_batch(vectors: np.ndarray, d: int, check_tol: float = 1e-4) -
         signs[deferred] = 1.0
         signs[rows[has_deferred], first[has_deferred]] = required[has_deferred]
 
-    rebuilt = _product_from_components(c, signs * t)
+    tuples = Tensor(np.stack([c, signs * t], axis=2), requires_grad=False)
+    rebuilt = embed(tuples).data[:, : 2**d]
     rebuild_err = np.abs(rebuilt - prod).max(axis=1)
     if np.any(rebuild_err > check_tol):
         raise ReconstructionError(
@@ -292,7 +183,3 @@ def recover_angles_batch(vectors: np.ndarray, d: int, check_tol: float = 1e-4) -
 
     return canonical_angle(np.arctan2(signs * t, c))
 
-
-def recover_angles(emb: LatentEmbedding, check_tol: float = 1e-4) -> np.ndarray:
-    """Invert embed(); returns the D angles in [0, 2*pi)."""
-    return recover_angles_batch(emb.as_vector()[None, :], emb.d, check_tol=check_tol)[0]

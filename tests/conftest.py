@@ -1,16 +1,31 @@
-"""Shared test helpers: circular error, finite differences, the KKT lasso oracle."""
+"""Shared test helpers: circular error, circle sampling, finite differences, the KKT lasso oracle."""
 import itertools
 
 import numpy as np
 import pytest
 
-from torusvae import metrics
+from torusvae import engine, metrics
+from torusvae.autodiff import Tensor
 
 
 def circular_error(a, b):
     """Elementwise distance on the circle, in [0, pi]."""
     d = np.abs(np.asarray(a) - np.asarray(b)) % (2.0 * np.pi)
     return np.minimum(d, 2.0 * np.pi - d)
+
+
+def sample_circles(mu, logvar, noise):
+    """(N, 2) unit tuples drawn for one circle by the training latent path.
+
+    Each row is the normalized mu + exp(logvar / 2) * noise; mu and logvar
+    are 2-vectors and noise holds one 2-vector per row.
+    """
+    model = engine.build_vae(engine.LatentSpec(engine.TORUS, 1), 1, (), np.random.default_rng(0))
+    mu, logvar, noise = (np.reshape(np.asarray(a, dtype=float), (-1, 1, 2))
+                         for a in (mu, logvar, noise))
+    rows = model._latent_input(Tensor(mu, requires_grad=False),
+                               Tensor(logvar, requires_grad=False), noise)
+    return rows.data[:, :2]
 
 
 def finite_diff_grads(f, arrays, h=1e-5):

@@ -13,7 +13,8 @@ import pytest
 import scipy.stats
 
 from torusvae import cli, datasets as ds, engine, geometry as g, metrics as m
-from conftest import circular_error, finite_diff_grads, kkt_lasso_oracle, max_relative_error
+from conftest import (circular_error, finite_diff_grads, kkt_lasso_oracle, max_relative_error,
+                      sample_circles)
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ def test_criterion_2_embedding_round_trip(criterion):
             thetas[rows, cols] = rng.choice(
                 [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], size=n_axis
             )
-            recovered = g.recover_angles_batch(g.embed_batch(thetas), d)
+            recovered = g.recover_angles_batch(g.embed_angles(thetas), d)
             worst = max(worst, float(circular_error(recovered, thetas).max()))
         elapsed = time.monotonic() - start
         assert worst < 1e-9, f"max circular error {worst:.3e}"
@@ -67,13 +68,8 @@ def test_criterion_3_circle_sampling_uniformity(criterion):
     with criterion(3, "KS statistic < 0.02 for angles of prior samples, N=1e5"):
         rng = np.random.default_rng(777)
         noise = rng.standard_normal(size=(100_000, 2))
-        angles = np.empty(100_000)
-        mu = np.zeros(2)
-        sigma = np.ones(2)
-        for i in range(100_000):
-            point = g.sample_circle(mu, sigma, noise[i])
-            angles[i] = np.arctan2(point.m1, point.m0)
-        angles = np.mod(angles, 2.0 * np.pi)
+        points = sample_circles(np.zeros(2), np.zeros(2), noise)
+        angles = np.mod(np.arctan2(points[:, 1], points[:, 0]), 2.0 * np.pi)
         stat = scipy.stats.kstest(angles / (2.0 * np.pi), "uniform").statistic
         assert stat < 0.02, f"KS statistic {stat:.4f}"
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusvae import cli, datasets as ds, metrics
-from torusvae.errors import FormatError
+from torusvae.errors import ConfigError, FormatError
 
 
 def base_config(out_dir, kind="synthetic", epochs=3):
@@ -38,6 +38,17 @@ def write_config(tmp_path, config, name="config.json"):
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def trained_2dshapes(tmp_path):
+    """Config of a small 2dshapes model, generated and trained under tmp_path/out."""
+    cfg = base_config(tmp_path / "out", kind="2dshapes", epochs=2)
+    cfg["dataset"]["count"] = 80
+    cfg["model"]["batch_size"] = 16
+    config = write_config(tmp_path, cfg)
+    run("generate", "--config", str(config))
+    run("train", "--config", str(config))
+    return config
 
 
 def tree_hashes(root):
@@ -186,17 +197,8 @@ class TestEvaluate:
 
 
 class TestTraverse:
-    def make_trained(self, tmp_path):
-        cfg = base_config(tmp_path / "out", kind="2dshapes", epochs=2)
-        cfg["dataset"]["count"] = 80
-        cfg["model"]["batch_size"] = 16
-        config = write_config(tmp_path, cfg)
-        run("generate", "--config", str(config))
-        run("train", "--config", str(config))
-        return config
-
     def test_frames_written(self, tmp_path):
-        config = self.make_trained(tmp_path)
+        config = trained_2dshapes(tmp_path)
         assert run("traverse", "--config", str(config)) == 0
         frames = sorted((tmp_path / "out").glob("strip_*.ppm"))
         assert len(frames) == 5
@@ -206,7 +208,7 @@ class TestTraverse:
             assert len(blob) == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
 
     def test_full_turn_matches_step_zero(self, tmp_path):
-        config = self.make_trained(tmp_path)
+        config = trained_2dshapes(tmp_path)
         run("traverse", "--config", str(config))
         first = (tmp_path / "out" / "strip_000.ppm").read_bytes()
         # one full turn later: steps * (2pi / steps) folds back to angle 0
@@ -217,7 +219,7 @@ class TestTraverse:
         assert (tmp_path / "out" / "strip_000.ppm").read_bytes() == first
 
     def test_circle_index_validated(self, tmp_path):
-        config = self.make_trained(tmp_path)
+        config = trained_2dshapes(tmp_path)
         assert run("traverse", "--config", str(config), "--circle", "9") == 1
 
     def test_synthetic_checkpoint_rejected(self, tmp_path):
@@ -331,6 +333,42 @@ class TestExitCodes:
         with pytest.raises(FormatError, match="factor spec"):
             ds.load_dataset(path)
         assert run("train", "--config", str(config)) == 1
+
+    @pytest.mark.parametrize("command,where,value,message", [
+        ("traverse", ("traverse", "anchor"), ["x", 0], "traverse.anchor"),
+        ("traverse", ("traverse", "anchor"), {"a": 1}, "traverse.anchor"),
+        ("traverse", ("traverse", "anchor"), [0, float("nan")], "traverse.anchor"),
+        ("traverse", ("traverse", "steps"), "many", "traverse.steps"),
+        ("traverse", ("traverse", "circle"), "x", "traverse.circle"),
+        ("traverse", ("traverse", "circle"), 0.7, "traverse.circle"),
+        ("traverse", ("traverse", "circle"), True, "traverse.circle"),
+        ("traverse", ("traverse",), [1], "'traverse' object"),
+        ("generate", ("dataset", "count"), "x", "dataset.count"),
+        ("generate", ("dataset", "width"), [1], "dataset.width"),
+    ])
+    def test_wrong_typed_config_value_is_validation_error(self, tmp_path, capsys, command,
+                                                          where, value, message):
+        if command == "traverse":
+            trained_2dshapes(tmp_path)  # the checkpoint the bad config points at
+        cfg = base_config(tmp_path / "out", kind="2dshapes", epochs=2)
+        block = cfg
+        for key in where[:-1]:
+            block = block[key]
+        block[where[-1]] = value
+        config = write_config(tmp_path, cfg, "bad.json")
+        capsys.readouterr()
+        assert run(command, "--config", str(config)) == 1
+        assert message in capsys.readouterr().err
+
+    def test_number_reader_types(self):
+        assert cli._number(3, "x") == 3.0 and isinstance(cli._number(3, "x"), float)
+        assert cli._number(4.0, "x", int) == 4 and isinstance(cli._number(4.0, "x", int), int)
+        assert cli._numbers([0, 1, 3], "sweep.betas") == [0.0, 1.0, 3.0]
+        for bad in (True, "1", None, [1], float("inf")):
+            with pytest.raises(ConfigError):
+                cli._number(bad, "x")
+        with pytest.raises(ConfigError):
+            cli._number(0.5, "x", int)
 
     def test_runtime_failure_is_two(self, tmp_path):
         blocker = tmp_path / "blocker"

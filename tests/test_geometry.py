@@ -2,106 +2,122 @@ import numpy as np
 import pytest
 
 from torusvae import geometry as g
-from conftest import circular_error
+from torusvae.autodiff import Tensor
+from conftest import circular_error, sample_circles
+
+
+def constant(array):
+    return Tensor(array, requires_grad=False)
+
+
+def circle_point(theta):
+    """The unit tuple embed_angles gives one angle: its D = 1 product block."""
+    return g.embed_angles([[theta]])[0, :2]
+
+
+def normalize(raw):
+    return g.unit_tuples(constant(np.reshape(raw, (1, 1, 2)))).data[0, 0]
+
+
+def product(tuples):
+    """Rank-1 product block of one row of unit tuples."""
+    return g.embed(constant(np.asarray(tuples, dtype=float)[None])).data[0, : 2 ** len(tuples)]
+
+
+def kl(mu, sigma):
+    """gaussian_kl of one (D, 2) row, with logvar = 2 log sigma."""
+    return float(g.gaussian_kl(constant(mu[None]), constant(2.0 * np.log(sigma)[None])).data)
 
 
 class TestCirclePoint:
     def test_zero_angle(self):
-        assert g.make_circle_point(0.0) == (1.0, 0.0)
+        assert np.array_equal(circle_point(0.0), [1.0, 0.0])
 
     def test_quarter_turn(self):
-        m = g.make_circle_point(np.pi / 2)
-        assert m.m1 == 1.0 and abs(m.m0) < 1e-15
+        m = circle_point(np.pi / 2)
+        assert m[1] == 1.0 and abs(m[0]) < 1e-15
 
     def test_periodicity(self):
-        a = g.make_circle_point(0.3)
-        b = g.make_circle_point(2.0 * np.pi + 0.3)
-        assert abs(a.m0 - b.m0) < 1e-12 and abs(a.m1 - b.m1) < 1e-12
+        a = circle_point(0.3)
+        b = circle_point(2.0 * np.pi + 0.3)
+        assert np.abs(a - b).max() < 1e-12
 
     def test_unit_norm(self, rng):
-        for theta in rng.uniform(-20, 20, size=50):
-            m = g.make_circle_point(theta)
-            assert abs(m.m0**2 + m.m1**2 - 1.0) < 1e-12
+        rows = g.embed_angles(rng.uniform(-20, 20, size=(50, 1)))
+        assert np.abs(rows[:, 0] ** 2 + rows[:, 1] ** 2 - 1.0).max() < 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            g.make_circle_point(float("nan"))
+            circle_point(float("nan"))
         with pytest.raises(ValueError):
-            g.make_circle_point(float("inf"))
+            circle_point(float("inf"))
 
 
 class TestNormalizePair:
     def test_three_four_five(self):
-        assert g.normalize_pair([3.0, 4.0]) == (0.6, 0.8)
+        assert np.array_equal(normalize([3.0, 4.0]), [0.6, 0.8])
 
     def test_idempotent_on_unit(self):
-        assert g.normalize_pair([1.0, 0.0]) == (1.0, 0.0)
+        assert np.array_equal(normalize([1.0, 0.0]), [1.0, 0.0])
 
     def test_negative_axis(self):
-        assert g.normalize_pair([-2.0, 0.0]) == (-1.0, 0.0)
+        assert np.array_equal(normalize([-2.0, 0.0]), [-1.0, 0.0])
 
     def test_zero_vector_is_hard_error(self):
         with pytest.raises(g.DegenerateInputError):
-            g.normalize_pair([0.0, 0.0])
+            normalize([0.0, 0.0])
 
 
 class TestTensorProduct:
     def test_single_circle_identity(self):
-        v = g.tensor_product([g.CircleTuple(0.6, 0.8)])
-        assert np.allclose(v, [0.6, 0.8], atol=0)
+        assert np.allclose(product([(0.6, 0.8)]), [0.6, 0.8], atol=0)
 
     def test_one_hot_factors(self):
-        v = g.tensor_product([g.CircleTuple(1, 0), g.CircleTuple(0, 1)])
-        assert np.array_equal(v, [0.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(product([(1, 0), (0, 1)]), [0.0, 1.0, 0.0, 0.0])
 
     def test_joint_sign_flip_collides(self, rng):
         t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
-        m1, m2 = g.make_circle_point(t1), g.make_circle_point(t2)
-        neg = lambda m: g.CircleTuple(-m.m0, -m.m1)
-        assert np.allclose(
-            g.tensor_product([m1, m2]), g.tensor_product([neg(m1), neg(m2)]), atol=1e-15
-        )
+        m1, m2 = circle_point(t1), circle_point(t2)
+        assert np.allclose(product([m1, m2]), product([-m1, -m2]), atol=1e-15)
 
     def test_unit_norm_invariant(self, rng):
         for _ in range(200):
             d = rng.integers(1, 9)
-            tuples = [g.make_circle_point(t) for t in rng.uniform(0, 2 * np.pi, size=d)]
-            assert abs(np.linalg.norm(g.tensor_product(tuples)) - 1.0) < 1e-10
+            tuples = [circle_point(t) for t in rng.uniform(0, 2 * np.pi, size=d)]
+            assert abs(np.linalg.norm(product(tuples)) - 1.0) < 1e-10
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            g.tensor_product([])
+            g.embed_angles(np.zeros((3, 0)))
 
     def test_flattening_order(self):
         # index = alpha_1 * 2 + alpha_2 for D=2: first tuple is the high bit
-        m1, m2 = g.CircleTuple(2.0, 3.0), g.CircleTuple(5.0, 7.0)
-        v = g.tensor_product([m1, m2])
+        v = product([(2.0, 3.0), (5.0, 7.0)])
         assert np.array_equal(v, [10.0, 14.0, 15.0, 21.0])
 
 
 class TestEmbed:
     def test_single_circle(self):
-        assert np.array_equal(g.embed_angles([0.0]).as_vector(), [1.0, 0.0, 1.0])
+        assert np.array_equal(g.embed_angles([[0.0]])[0], [1.0, 0.0, 1.0])
 
     def test_two_circles(self):
-        v = g.embed_angles([0.0, np.pi / 2]).as_vector()
+        v = g.embed_angles([[0.0, np.pi / 2]])[0]
         assert np.allclose(v, [0, 1, 0, 0, 1, 0], atol=1e-15)
 
-    def test_batch_matches_scalar(self, rng):
-        thetas = rng.uniform(0, 2 * np.pi, size=(20, 3))
-        batch = g.embed_batch(thetas)
-        for row, theta in zip(batch, thetas):
-            assert np.allclose(row, g.embed_angles(theta).as_vector(), atol=0)
+    def test_angles_are_reduced_before_cos_and_sin(self, rng):
+        # out-of-range angles, such as traverse anchors, embed bit for bit like
+        # their canonical form
+        theta = rng.uniform(-30.0, 30.0, size=(200, 3))
+        assert np.array_equal(g.embed_angles(theta), g.embed_angles(g.canonical_angle(theta)))
 
     def test_injectivity_including_joint_flip(self, rng):
-        # the paired flip m -> -m collides in v_prod alone but not in v
+        # the paired flip m -> -m collides in the product block alone but not in v
         for d in (2, 4):
             theta = rng.uniform(0.2, np.pi / 2 - 0.2, size=d)
-            a = g.embed_angles(theta)
-            b = g.embed_angles((theta + np.pi) % (2 * np.pi))
+            a, b = g.embed_angles([theta, (theta + np.pi) % (2 * np.pi)])
             if d % 2 == 0:
-                assert np.allclose(a.v_prod, b.v_prod, atol=1e-12)
-            assert np.abs(a.v_orient - b.v_orient).max() > 0.1
+                assert np.allclose(a[: 2**d], b[: 2**d], atol=1e-12)
+            assert np.abs(a[2**d :] - b[2**d :]).max() > 0.1
 
     def test_distinct_angles_distinct_embeddings(self, rng):
         for _ in range(100):
@@ -110,24 +126,23 @@ class TestEmbed:
             t2 = rng.uniform(0, 2 * np.pi, size=d)
             if circular_error(t1, t2).min() <= 1e-6:
                 continue
-            diff = np.abs(g.embed_angles(t1).as_vector() - g.embed_angles(t2).as_vector())
-            assert diff.max() > 1e-9
+            a, b = g.embed_angles([t1, t2])
+            assert np.abs(a - b).max() > 1e-9
 
 
 class TestRecoverAngles:
     def test_single_circle_origin(self):
-        emb = g.LatentEmbedding(np.array([1.0, 0.0]), np.array([1.0]), 1)
-        assert np.array_equal(g.recover_angles(emb), [0.0])
+        assert np.array_equal(g.recover_angles_batch(np.array([[1.0, 0.0, 1.0]]), 1), [[0.0]])
 
     def test_exact_zero_cosines(self):
         # both circles at +pi/2: the cos = 0 branch plus the parity convention
-        emb = g.LatentEmbedding(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(2), 2)
-        assert np.allclose(g.recover_angles(emb), [np.pi / 2, np.pi / 2], atol=0)
+        rows = np.array([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+        assert np.allclose(g.recover_angles_batch(rows, 2), [[np.pi / 2, np.pi / 2]], atol=0)
 
     def test_round_trip_random(self, rng):
         for d in range(1, 9):
             thetas = rng.uniform(0, 2 * np.pi, size=(2000, d))
-            rec = g.recover_angles_batch(g.embed_batch(thetas), d)
+            rec = g.recover_angles_batch(g.embed_angles(thetas), d)
             assert circular_error(rec, thetas).max() < 1e-9
 
     def test_round_trip_axis_aligned(self, rng):
@@ -137,7 +152,7 @@ class TestRecoverAngles:
             cols = rng.integers(0, d, size=500)
             vals = rng.choice([0.0, np.pi / 2, np.pi, 3 * np.pi / 2], size=500)
             thetas[np.arange(500), cols] = vals
-            rec = g.recover_angles_batch(g.embed_batch(thetas), d)
+            rec = g.recover_angles_batch(g.embed_angles(thetas), d)
             assert circular_error(rec, thetas).max() < 1e-9
 
     def test_garbage_rejected(self, rng):
@@ -148,41 +163,45 @@ class TestRecoverAngles:
             g.recover_angles_batch(emb, 4)
 
     def test_wrong_norm_rejected(self):
-        emb = g.LatentEmbedding(np.array([2.0, 0.0]), np.array([1.0]), 1)
         with pytest.raises(g.ReconstructionError):
-            g.recover_angles(emb)
+            g.recover_angles_batch(np.array([[2.0, 0.0, 1.0]]), 1)
 
     def test_tolerates_small_noise(self, rng):
         thetas = rng.uniform(0, 2 * np.pi, size=(50, 3))
-        rows = g.embed_batch(thetas) + rng.uniform(-1e-7, 1e-7, size=(50, 11))
+        rows = g.embed_angles(thetas) + rng.uniform(-1e-7, 1e-7, size=(50, 11))
         rec = g.recover_angles_batch(rows, 3)
         assert circular_error(rec, thetas).max() < 1e-4
 
 
 class TestSampleCircle:
+    @staticmethod
+    def sample(mu, sigma, noise):
+        return sample_circles(mu, 2.0 * np.log(sigma), noise)[0]
+
     def test_zero_noise_is_normalized_mean(self):
-        assert g.sample_circle([3.0, 4.0], [1.0, 1.0], [0.0, 0.0]) == (0.6, 0.8)
+        assert np.array_equal(self.sample([3.0, 4.0], [1.0, 1.0], [0.0, 0.0]), [0.6, 0.8])
 
     def test_unit_noise_diagonal(self):
-        m = g.sample_circle([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+        m = self.sample([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
         assert np.allclose(m, [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-15)
 
     def test_sigma_to_zero_limit(self, rng):
         mu = rng.standard_normal(2) * 2
         noise = rng.standard_normal(2)
-        target = np.asarray(g.normalize_pair(mu))
+        target = normalize(mu)
         for sigma in (1e-4, 1e-8, 1e-12):
-            m = np.asarray(g.sample_circle(mu, [sigma, sigma], noise))
+            m = self.sample(mu, [sigma, sigma], noise)
             assert np.abs(m - target).max() < 1e-3
 
     def test_degenerate_sample(self):
         with pytest.raises(g.DegenerateInputError):
-            g.sample_circle([1.0, 0.0], [1.0, 1.0], [-1.0, 0.0])
+            self.sample([1.0, 0.0], [1.0, 1.0], [-1.0, 0.0])
 
     def test_angles_look_uniform(self, rng):
         # full-strength KS check lives in the acceptance suite
         noise = rng.standard_normal(size=(20_000, 2))
-        angles = np.mod(np.arctan2(noise[:, 1], noise[:, 0]), 2 * np.pi)
+        m = sample_circles(np.zeros(2), np.zeros(2), noise)
+        angles = np.mod(np.arctan2(m[:, 1], m[:, 0]), 2 * np.pi)
         sorted_angles = np.sort(angles) / (2 * np.pi)
         n = sorted_angles.size
         ecdf_hi = np.arange(1, n + 1) / n
@@ -193,36 +212,28 @@ class TestSampleCircle:
 
 class TestGaussianKl:
     def test_standard_prior_is_zero(self):
-        params = g.GaussianPairParams(np.zeros((3, 2)), np.ones((3, 2)))
-        assert g.gaussian_kl(params) == 0.0
+        assert kl(np.zeros((3, 2)), np.ones((3, 2))) == 0.0
 
     def test_single_shifted_component(self):
         mu = np.zeros((1, 2))
         mu[0, 0] = 1.0
-        params = g.GaussianPairParams(mu, np.ones((1, 2)))
-        assert abs(g.gaussian_kl(params) - 0.5) < 1e-15
+        assert abs(kl(mu, np.ones((1, 2))) - 0.5) < 1e-15
 
     def test_permutation_invariance(self, rng):
         mu = rng.standard_normal((4, 2))
         sigma = rng.uniform(0.3, 2.0, size=(4, 2))
         perm = rng.permutation(4)
-        a = g.gaussian_kl(g.GaussianPairParams(mu, sigma))
-        b = g.gaussian_kl(g.GaussianPairParams(mu[perm], sigma[perm]))
-        assert abs(a - b) < 1e-12
+        assert abs(kl(mu, sigma) - kl(mu[perm], sigma[perm])) < 1e-12
 
     def test_monte_carlo_oracle(self, rng):
         mu = rng.uniform(-1.5, 1.5, size=(2, 2))
         sigma = rng.uniform(0.5, 1.8, size=(2, 2))
-        closed = g.gaussian_kl(g.GaussianPairParams(mu, sigma))
+        closed = kl(mu, sigma)
         samples = mu[None] + sigma[None] * rng.standard_normal((1_000_000, 2, 2))
         log_q = -0.5 * ((samples - mu[None]) / sigma[None]) ** 2 - np.log(sigma[None])
         log_p = -0.5 * samples**2
         mc = float(np.mean(np.sum(log_q - log_p, axis=(1, 2))))
         assert abs(closed - mc) / closed < 0.01
-
-    def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            g.GaussianPairParams(np.zeros((1, 2)), np.array([[1.0, 0.0]]))
 
 
 class TestCanonicalAngle:
