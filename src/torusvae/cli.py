@@ -16,6 +16,7 @@ import tempfile
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,6 +141,22 @@ def _dataset_path(config: dict, out_dir: Path) -> Path:
     return _resolve(out_dir, block.get("path", "dataset.tdds"))
 
 
+def _checkpoint_path(config: dict, out_dir: Path) -> Path:
+    block = _section(config, "model")
+    return _resolve(out_dir, block.get("checkpoint", "model.tdvae"))
+
+
+def _input_file(path: Path, writer: str) -> Path:
+    """path, if the file exists; writer names the command that makes it."""
+    if not path.exists():
+        raise ConfigError(f"input file not found: {path} (run {writer} first)")
+    return path
+
+
+def _load_dataset(config: dict, out_dir: Path) -> datasets.Dataset:
+    return datasets.load_dataset(_input_file(_dataset_path(config, out_dir), "generate"))
+
+
 def _train_config(config: dict, beta=None, latent_dim=None) -> engine.TrainConfig:
     """The model block as a TrainConfig; a sweep cell passes its own beta and latent_dim."""
     block = _section(config, "model")
@@ -163,6 +180,35 @@ def _train_config(config: dict, beta=None, latent_dim=None) -> engine.TrainConfi
     )
 
 
+class MetricsSettings(NamedTuple):
+    """The checked metrics block: the run_dci arguments and where codes come from."""
+
+    split_seed: int
+    grid: tuple
+    folds: int
+    holdout_fraction: float
+    codes_source: str  # "encoder" (model codes) or "factors" (identity bypass)
+
+
+def _metrics_settings(config: dict) -> MetricsSettings:
+    block = _section(config, "metrics")
+    split_seed = _number(_require(block, "split_seed", "metrics"), "metrics.split_seed", int)
+    grid = tuple(_numbers(block.get("alpha_grid", metrics.DEFAULT_ALPHA_GRID),
+                          "metrics.alpha_grid"))
+    if not grid or min(grid) < 0:
+        raise ConfigError(f"metrics.alpha_grid must list alphas >= 0, got {list(grid)}")
+    folds = _number(block.get("folds", 10), "metrics.folds", int)
+    if folds < 2:
+        raise ConfigError(f"metrics.folds must be >= 2, got {folds}")
+    holdout = _number(block.get("holdout_fraction", 0.2), "metrics.holdout_fraction")
+    if not 0.0 < holdout < 1.0:
+        raise ConfigError(f"metrics.holdout_fraction must be in (0, 1), got {holdout}")
+    source = block.get("codes_source", "encoder")
+    if source not in ("encoder", "factors"):
+        raise ConfigError(f"unknown metrics.codes_source {source!r}")
+    return MetricsSettings(split_seed, grid, folds, holdout, source)
+
+
 # -- commands ------------------------------------------------------------------------
 
 
@@ -181,23 +227,15 @@ def cmd_generate(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _load_dataset_checked(config: dict, out_dir: Path) -> datasets.Dataset:
-    path = _dataset_path(config, out_dir)
-    if not path.exists():
-        raise ConfigError(f"dataset file not found: {path} (run generate first)")
-    return datasets.load_dataset(path)
-
-
 def cmd_train(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
-    dataset = _load_dataset_checked(config, out_dir)
+    dataset = _load_dataset(config, out_dir)
     train_config = _train_config(config)
     model, report = engine.train(train_config, dataset.samples)
 
-    block = _section(config, "model")
-    ckpt_path = _resolve(out_dir, block.get("checkpoint", "model.tdvae"))
-    report_path = _resolve(out_dir, block.get("report", "train_report.json"))
-    _atomic_file(ckpt_path, lambda tmp: engine.save_checkpoint(model, tmp))
+    report_path = _resolve(out_dir, config["model"].get("report", "train_report.json"))
+    _atomic_file(_checkpoint_path(config, out_dir),
+                 lambda tmp: engine.save_checkpoint(model, tmp))
     _atomic_json(report_path, report.to_dict())
     print(
         f"trained {train_config.mode} latent_dim={train_config.latent_dim} "
@@ -207,66 +245,44 @@ def cmd_train(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _evaluation_codes(model, dataset, config: dict, rows) -> np.ndarray:
-    metrics_block = _section(config, "metrics")
-    source = metrics_block.get("codes_source", "encoder")
-    if source == "factors":
-        return dataset.factors[rows]
-    if source != "encoder":
-        raise ConfigError(f"unknown codes_source {source!r}")
-    return model.codes(engine.scale_in(dataset.samples[rows], model.input_scale))
-
-
-def _run_dci(config: dict, codes: np.ndarray, factors: np.ndarray) -> metrics.DciEvaluation:
-    """The DCI metric with the settings of the config's metrics block."""
-    block = _section(config, "metrics")
-    return metrics.run_dci(
-        codes,
-        factors,
-        split_seed=_number(_require(block, "split_seed", "metrics"), "metrics.split_seed", int),
-        grid=tuple(_numbers(block.get("alpha_grid", metrics.DEFAULT_ALPHA_GRID),
-                            "metrics.alpha_grid")),
-        folds=_number(block.get("folds", 10), "metrics.folds", int),
-        holdout_fraction=_number(block.get("holdout_fraction", 0.2), "metrics.holdout_fraction"),
-    )
+def _validation_dci(model, dataset, train_config: engine.TrainConfig,
+                    settings: MetricsSettings) -> metrics.DciEvaluation:
+    """DCI of the validation rows that train held out, coded by the model or the factors."""
+    _, rows = engine.split_rows(train_config.seed, dataset.n, train_config.val_fraction)
+    factors = dataset.factors[rows]
+    if settings.codes_source == "factors":
+        codes = factors
+    else:
+        codes = model.codes(engine.scale_in(dataset.samples[rows], model.input_scale))
+    return metrics.run_dci(codes, factors, settings.split_seed, settings.grid,
+                           settings.folds, settings.holdout_fraction)
 
 
 def cmd_evaluate(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
-    dataset = _load_dataset_checked(config, out_dir)
-    block = _section(config, "model")
-    metrics_block = _section(config, "metrics")
-
-    ckpt_path = _resolve(out_dir, block.get("checkpoint", "model.tdvae"))
-    if not ckpt_path.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt_path} (run train first)")
-    model = engine.load_checkpoint(ckpt_path)
+    train_config = _train_config(config)
+    settings = _metrics_settings(config)
+    dataset = _load_dataset(config, out_dir)
+    model = engine.load_checkpoint(_input_file(_checkpoint_path(config, out_dir), "train"))
     if model.encoder.input_dim != dataset.samples.shape[1]:
         raise ConfigError(
             f"checkpoint expects {model.encoder.input_dim}-dim samples, "
             f"dataset provides {dataset.samples.shape[1]}"
         )
-
-    train_config = _train_config(config)
-    if metrics_block.get("codes_source", "encoder") == "encoder":
+    if settings.codes_source == "encoder":
         if model.latent.mode != train_config.mode or model.latent.dim != train_config.latent_dim:
             raise ConfigError(
                 f"checkpoint is {model.latent.mode}/{model.latent.dim} but config says "
                 f"{train_config.mode}/{train_config.latent_dim}"
             )
-    _, val_rows = engine.split_rows(train_config.seed, dataset.n, train_config.val_fraction)
 
-    codes = _evaluation_codes(model, dataset, config, val_rows)
-    factors = dataset.factors[val_rows]
-    evaluation = _run_dci(config, codes, factors)
+    evaluation = _validation_dci(model, dataset, train_config, settings)
     report = evaluation.report
-
+    metrics_block = config["metrics"]
     report_path = _resolve(out_dir, metrics_block.get("report", "dci_report.json"))
     _atomic_json(report_path, report.to_dict())
 
-    codes_std, _ = metrics.standardize_columns(codes)
-    factors_std, _ = metrics.standardize_columns(factors)
-    bundle = metrics.heatmap_export(codes_std, factors_std, evaluation.importance)
+    bundle = metrics.heatmap_export(evaluation.codes, evaluation.factors, evaluation.importance)
     heatmap_dir = _resolve(out_dir, metrics_block.get("heatmap_dir", "heatmaps"))
     metrics.write_heatmap_bundle(bundle, heatmap_dir)
     print(
@@ -277,19 +293,22 @@ def cmd_evaluate(config: dict, args) -> int:
 
 
 def cmd_sweep(config: dict, args) -> int:
+    """Train and score every (beta, latent_dim) cell.
+
+    The whole config is read before the first cell starts, so a bad value is
+    a validation error; a cell that fails at run time becomes an error row.
+    """
     out_dir = _out_dir(config, args)
-    dataset_path = _dataset_path(config, out_dir)
-    if not dataset_path.exists():
-        raise ConfigError(f"dataset file not found: {dataset_path} (run generate first)")
     sweep_block = _section(config, "sweep")
     betas = _numbers(sweep_block.get("betas", (0.0, 1.0, 3.0, 6.0, 9.0)), "sweep.betas")
     dims = _numbers(sweep_block.get("dims", (4, 5, 6, 8)), "sweep.dims", int)
     if not betas or not dims:
         raise ConfigError("sweep grids must be non-empty")
+    settings = _metrics_settings(config)
+    dataset_path = str(_input_file(_dataset_path(config, out_dir), "generate"))
+    jobs = [(_train_config(config, beta=beta, latent_dim=dim), settings, dataset_path)
+            for beta in betas for dim in dims]
     workers = max(1, getattr(args, "workers", 1) or 1)
-
-    cells = [(beta, dim) for beta in betas for dim in dims]
-    jobs = [(config, str(dataset_path), beta, dim) for beta, dim in cells]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, jobs))
@@ -314,15 +333,13 @@ def cmd_sweep(config: dict, args) -> int:
 
 
 def _sweep_cell(job):
-    config, dataset_path, beta, dim = job
+    train_config, settings, dataset_path = job
+    beta, dim = train_config.beta, train_config.latent_dim
     fmt = metrics.FLOAT_FORMAT
     try:
         dataset = datasets.load_dataset(dataset_path)
-        train_config = _train_config(config, beta=beta, latent_dim=dim)
         model, report = engine.train(train_config, dataset.samples)
-        _, val_rows = engine.split_rows(train_config.seed, dataset.n, train_config.val_fraction)
-        codes = _evaluation_codes(model, dataset, config, val_rows)
-        dci = _run_dci(config, codes, dataset.factors[val_rows]).report
+        dci = _validation_dci(model, dataset, train_config, settings).report
         mse = report.val_mse[report.best_epoch]
         return [
             fmt % beta, str(dim), fmt % dci.dc_score, fmt % dci.disentanglement,
@@ -334,7 +351,6 @@ def _sweep_cell(job):
 
 def cmd_traverse(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
-    block = _section(config, "model")
     traverse_block = _section(config, "traverse") if "traverse" in config else {}
     circle = _number(args.circle if getattr(args, "circle", None) is not None
                      else traverse_block.get("circle", 0), "traverse.circle", int)
@@ -343,10 +359,7 @@ def cmd_traverse(config: dict, args) -> int:
     if steps < 1:
         raise ConfigError("steps must be >= 1")
 
-    ckpt_path = _resolve(out_dir, block.get("checkpoint", "model.tdvae"))
-    if not ckpt_path.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt_path}")
-    model = engine.load_checkpoint(ckpt_path)
+    model = engine.load_checkpoint(_input_file(_checkpoint_path(config, out_dir), "train"))
     if model.latent.mode != engine.TORUS:
         raise ConfigError("traverse needs a circle-latent checkpoint")
     d = model.latent.dim

@@ -265,9 +265,6 @@ class Dataset:
     def n(self) -> int:
         return self.samples.shape[0]
 
-    def image(self, index: int) -> np.ndarray:
-        return self.samples[index].reshape(self.height, self.width, self.channels)
-
 
 def save_dataset(dataset: Dataset, path) -> None:
     spec_blob = dataset.spec.to_json().encode("utf-8")

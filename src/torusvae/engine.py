@@ -114,7 +114,6 @@ def param_views(vector: np.ndarray, params) -> list:
 class EncoderOutput:
     """Posterior parameters; mu/logvar are (N, D, 2) for circles, (N, L) otherwise."""
 
-    mode: str
     mu: np.ndarray
     logvar: np.ndarray
 
@@ -180,7 +179,7 @@ class VaeModel:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = self.encoder.forward(Tensor(x))
         mu, logvar = self._split_encoder_output(out)
-        return EncoderOutput(self.latent.mode, mu.data.copy(), logvar.data.copy())
+        return EncoderOutput(mu.data.copy(), logvar.data.copy())
 
     def decode(self, v: np.ndarray) -> np.ndarray:
         v = np.atleast_2d(np.asarray(v, dtype=float))

@@ -21,31 +21,6 @@ RANK_REL_TOL = 1e-8
 FLOAT_FORMAT = "%.9g"
 
 
-@dataclass(frozen=True)
-class CodeFactorTable:
-    """Paired per-sample latent codes (N, D_codes) and ground-truth factors (N, K)."""
-
-    codes: np.ndarray
-    factors: np.ndarray
-    standardized: bool = False
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=float)
-        factors = np.asarray(self.factors, dtype=float)
-        if codes.ndim != 2 or factors.ndim != 2:
-            raise ValueError("codes and factors must be 2-d arrays")
-        if codes.shape[0] != factors.shape[0]:
-            raise ValueError(
-                f"row count mismatch: {codes.shape[0]} codes vs {factors.shape[0]} factors"
-            )
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def n_rows(self) -> int:
-        return self.codes.shape[0]
-
-
 def standardize_columns(arr: np.ndarray):
     """Zero-mean unit-variance columns; constant columns pass through as zeros."""
     arr = np.asarray(arr, dtype=float)
@@ -56,16 +31,6 @@ def standardize_columns(arr: np.ndarray):
     out = (arr - mean) / safe
     out[:, dead] = 0.0
     return out, dead
-
-
-def standardize(table: CodeFactorTable) -> CodeFactorTable:
-    codes, dead_codes = standardize_columns(table.codes)
-    factors, dead_factors = standardize_columns(table.factors)
-    for idx in np.flatnonzero(dead_codes):
-        warnings.warn(f"code column {idx} is constant; passed through as zeros")
-    for idx in np.flatnonzero(dead_factors):
-        warnings.warn(f"factor column {idx} is constant; passed through as zeros")
-    return CodeFactorTable(codes, factors, standardized=True)
 
 
 # -- lasso ----------------------------------------------------------------------
@@ -168,6 +133,8 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, seed: int,
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
+    if folds < 2:
+        raise ConfigError(f"cross validation needs at least 2 folds, got {folds}")
     if n < folds:
         raise ConfigError(f"need at least {folds} rows for {folds}-fold CV, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
@@ -186,29 +153,6 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, seed: int,
     if y.ndim == 1:
         return float(alphas[0]), weights[0]
     return alphas, weights
-
-
-@dataclass
-class FactorRegressors:
-    """One fitted lasso per factor: weights is (K, D_codes), alphas is (K,)."""
-
-    weights: np.ndarray
-    alphas: np.ndarray
-
-    def predict(self, codes: np.ndarray) -> np.ndarray:
-        return codes @ self.weights.T
-
-    def importance(self) -> np.ndarray:
-        """R[a, i] = |W[i, a]|: how much code a counts in predicting factor i."""
-        return np.abs(self.weights).T
-
-
-def fit_factor_regressors(table: CodeFactorTable, seed: int,
-                          grid=DEFAULT_ALPHA_GRID, folds: int = 10) -> FactorRegressors:
-    if not table.standardized:
-        raise ValueError("fit on a standardized table")
-    alphas, weights = lasso_cv(table.codes, table.factors, seed, grid, folds)
-    return FactorRegressors(weights, alphas)
 
 
 # -- metric formulas --------------------------------------------------------------
@@ -268,7 +212,6 @@ def disentanglement(R) -> DisentanglementResult:
 class CompletenessResult:
     score: float
     per_factor: np.ndarray
-    degenerate: bool = False
 
 
 def completeness(R) -> CompletenessResult:
@@ -281,7 +224,7 @@ def completeness(R) -> CompletenessResult:
         if col_sums[j] > 0.0:
             per_factor[j] = _entropy_complement(R[:, j] / col_sums[j], d_codes)
     score = min(max(float(per_factor.mean()), 0.0), 1.0)
-    return CompletenessResult(score, per_factor, bool(np.all(col_sums == 0.0)))
+    return CompletenessResult(score, per_factor)
 
 
 def dc_score(d: float, c: float) -> float:
@@ -343,41 +286,54 @@ DCI_REPORT_SCHEMA = {
 
 @dataclass
 class DciEvaluation:
-    """Full pipeline result: the JSON-facing report plus the fitted internals."""
+    """Full pipeline result: the JSON-facing report, the importance matrix R
+    (D_codes, K) and the standardized codes and factors it was fitted on."""
 
     report: DciReport
     importance: np.ndarray
-    regressors: FactorRegressors
+    codes: np.ndarray
+    factors: np.ndarray
 
 
 def run_dci(codes: np.ndarray, factors: np.ndarray, split_seed: int,
             grid=DEFAULT_ALPHA_GRID, folds: int = 10,
             holdout_fraction: float = 0.2) -> DciEvaluation:
-    """Run the whole metric pipeline on an evaluation set.
+    """Run the whole metric pipeline on paired codes (N, D_codes) and factors (N, K).
 
-    Both blocks are standardized with this set's statistics, the regressors
-    are fitted on the non-holdout rows and informativeness is the mean
-    squared error of their predictions on the holdout rows.
+    Both blocks are standardized with this set's statistics (constant columns
+    warn and become zeros), one lasso per factor is fitted on the non-holdout
+    rows, R[a, i] = |W[i, a]| is how much code a counts in predicting factor
+    i, and informativeness is the mean squared error of the lasso predictions
+    on the holdout rows.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ConfigError("holdout_fraction must be in (0, 1)")
-    table = standardize(CodeFactorTable(codes, factors))
-    n = table.n_rows
+    codes = np.asarray(codes, dtype=float)
+    factors = np.asarray(factors, dtype=float)
+    if codes.ndim != 2 or factors.ndim != 2:
+        raise ValueError("codes and factors must be 2-d arrays")
+    n = codes.shape[0]
+    if factors.shape[0] != n:
+        raise ValueError(f"row count mismatch: {n} codes vs {factors.shape[0]} factors")
+    codes, dead_codes = standardize_columns(codes)
+    factors, dead_factors = standardize_columns(factors)
+    for name, dead in (("code", dead_codes), ("factor", dead_factors)):
+        for idx in np.flatnonzero(dead):
+            warnings.warn(f"{name} column {idx} is constant; passed through as zeros")
+
     holdout_rng, cv_seed_seq = np.random.SeedSequence(split_seed).spawn(2)
     perm = np.random.default_rng(holdout_rng).permutation(n)
     n_hold = max(1, int(round(n * holdout_fraction)))
     if n_hold >= n:
         raise ConfigError("holdout split leaves no rows to fit on")
     hold_idx, fit_idx = perm[:n_hold], perm[n_hold:]
-
-    fit_table = CodeFactorTable(table.codes[fit_idx], table.factors[fit_idx], standardized=True)
     cv_seed = int(np.random.default_rng(cv_seed_seq).integers(2**31 - 1))
-    regressors = fit_factor_regressors(fit_table, cv_seed, grid, folds)
-    R = regressors.importance()
+    alphas, weights = lasso_cv(codes[fit_idx], factors[fit_idx], cv_seed, grid, folds)
+    R = np.abs(weights).T
 
     dis = disentanglement(R)
     comp = completeness(R)
-    resid = table.factors[hold_idx] - regressors.predict(table.codes[hold_idx])
+    resid = factors[hold_idx] - codes[hold_idx] @ weights.T
     info = float(np.mean(resid**2))
 
     flags = []
@@ -400,10 +356,10 @@ def run_dci(codes: np.ndarray, factors: np.ndarray, split_seed: int,
         n_codes=int(codes.shape[1]),
         n_factors=int(factors.shape[1]),
         n_rows=int(n),
-        alphas=regressors.alphas.tolist(),
+        alphas=alphas.tolist(),
         flags=flags,
     )
-    return DciEvaluation(report=report, importance=R, regressors=regressors)
+    return DciEvaluation(report, R, codes, factors)
 
 
 # -- heatmaps -------------------------------------------------------------------------

@@ -345,20 +345,33 @@ class TestExitCodes:
         ("traverse", ("traverse",), [1], "'traverse' object"),
         ("generate", ("dataset", "count"), "x", "dataset.count"),
         ("generate", ("dataset", "width"), [1], "dataset.width"),
+        ("sweep", ("model", "epochs"), "x", "model.epochs"),
+        ("sweep", ("metrics", "folds"), "five", "metrics.folds"),
+        ("evaluate", ("metrics", "folds"), 0, "metrics.folds"),
+        ("evaluate", ("metrics", "folds"), 1, "metrics.folds"),
+        ("evaluate", ("metrics", "alpha_grid"), [], "metrics.alpha_grid"),
+        ("evaluate", ("metrics", "alpha_grid"), [-1, 0.1], "metrics.alpha_grid"),
+        ("sweep", ("metrics", "folds"), 0, "metrics.folds"),
+        ("sweep", ("metrics", "folds"), 1, "metrics.folds"),
+        ("sweep", ("metrics", "alpha_grid"), [], "metrics.alpha_grid"),
+        ("sweep", ("metrics", "alpha_grid"), [-1, 0.1], "metrics.alpha_grid"),
     ])
     def test_wrong_typed_config_value_is_validation_error(self, tmp_path, capsys, command,
                                                           where, value, message):
-        if command == "traverse":
-            trained_2dshapes(tmp_path)  # the checkpoint the bad config points at
+        if command in ("traverse", "evaluate"):
+            trained_2dshapes(tmp_path)  # the dataset and checkpoint the bad config points at
         cfg = base_config(tmp_path / "out", kind="2dshapes", epochs=2)
         block = cfg
         for key in where[:-1]:
             block = block[key]
         block[where[-1]] = value
         config = write_config(tmp_path, cfg, "bad.json")
+        if command == "sweep":
+            assert run("generate", "--config", str(config)) == 0
         capsys.readouterr()
         assert run(command, "--config", str(config)) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_number_reader_types(self):
         assert cli._number(3, "x") == 3.0 and isinstance(cli._number(3, "x"), float)

@@ -24,15 +24,19 @@ class TestStandardize:
         assert np.abs(out - x).max() < 1e-12
 
     def test_constant_column_zeroed_with_warning(self):
-        table = m.CodeFactorTable(np.ones((5, 2)), np.arange(10.0).reshape(5, 2))
         with pytest.warns(UserWarning, match="constant"):
-            out = m.standardize(table)
+            out = m.run_dci(np.ones((5, 2)), np.arange(10.0).reshape(5, 2), split_seed=0, folds=2)
         assert np.all(out.codes == 0.0)
-        assert out.standardized
+        assert np.abs(out.factors.mean(axis=0)).max() < 1e-12
+        assert np.abs(out.factors.var(axis=0) - 1.0).max() < 1e-12
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            m.CodeFactorTable(np.ones((4, 2)), np.ones((5, 2)))
+            m.run_dci(np.ones((4, 2)), np.ones((5, 2)), split_seed=0)
+
+    def test_one_dimensional_block_rejected(self):
+        with pytest.raises(ValueError):
+            m.run_dci(np.ones(20), np.ones((20, 2)), split_seed=0)
 
 
 class TestLassoFit:
@@ -100,6 +104,11 @@ class TestLassoCv:
         with pytest.raises(ConfigError):
             m.lasso_cv(rng.standard_normal((6, 2)), rng.standard_normal(6), seed=1, folds=10)
 
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds_rejected(self, rng, folds):
+        with pytest.raises(ConfigError, match="2 folds"):
+            m.lasso_cv(rng.standard_normal((20, 2)), rng.standard_normal(20), seed=1, folds=folds)
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(20, 60), d=st.integers(1, 5), k=st.integers(2, 3),
            seed=st.integers(0, 2**32 - 1))
@@ -156,25 +165,28 @@ class TestLassoCv:
 
 
 class TestImportanceMatrix:
+    """R = |W|^T of the per-factor lassos that run_dci fits on standardized blocks."""
+
+    @staticmethod
+    def importance(codes, factors, seed):
+        codes, _ = m.standardize_columns(codes)
+        factors, _ = m.standardize_columns(factors)
+        _, weights = m.lasso_cv(codes, factors, seed)
+        return np.abs(weights).T
+
     def test_identity_map_is_diagonal_dominant(self, rng):
         z = rng.standard_normal((300, 4))
-        table = m.standardize(m.CodeFactorTable(z.copy(), z.copy()))
-        R = m.fit_factor_regressors(table, seed=5).importance()
+        R = self.importance(z.copy(), z.copy(), seed=5)
         off_diagonal = R.sum() - np.trace(R)
         assert off_diagonal < 0.05 * np.trace(R)
 
     def test_independent_factors_give_near_zero(self, rng):
-        table = m.standardize(
-            m.CodeFactorTable(rng.standard_normal((300, 3)), rng.standard_normal((300, 2)))
-        )
-        R = m.fit_factor_regressors(table, seed=5).importance()
+        R = self.importance(rng.standard_normal((300, 3)), rng.standard_normal((300, 2)), seed=5)
         assert R.max() < 0.15
 
     def test_shape(self, rng):
-        table = m.standardize(
-            m.CodeFactorTable(rng.standard_normal((50, 6)), rng.standard_normal((50, 2)))
-        )
-        assert m.fit_factor_regressors(table, seed=1).importance().shape == (6, 2)
+        R = self.importance(rng.standard_normal((50, 6)), rng.standard_normal((50, 2)), seed=1)
+        assert R.shape == (6, 2)
 
 
 class TestDisentanglement:
