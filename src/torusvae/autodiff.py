@@ -1,18 +1,17 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""A coarse reverse-mode tape over numpy arrays.
 
 A Tensor wraps an ndarray, remembers the tensors it was computed from and a
-closure that routes the output gradient back to them. backward() replays the
-closures in reverse topological order, passing each its output node: a
-closure that captured the node itself would make every node a reference
-cycle, so graphs would wait for the cyclic garbage collector and peak memory
-would depend on its timing. Only the operations the networks in
-this package need are implemented; accumulation order is fixed by graph
-construction order, so gradients are bit-reproducible.
+vector-Jacobian product (VJP) that maps the output gradient to one gradient
+per parent. backward() runs the VJPs in reverse topological order. The tape
+knows only the dense-layer ops (+, matmul, relu, tanh); every other step of
+the model is one node() whose VJP is written by hand. A VJP captures its
+parents' arrays, never its own output node, so graphs hold no reference
+cycles and are freed as soon as the last reference goes. Accumulation order
+is fixed by graph construction order, so gradients are bit-reproducible.
 
-Constants (a leaf made with requires_grad=False, such as the data batch, the
-sampling noise or a scalar an operation wraps) never receive a gradient, and
-neither does a node computed from constants only. A tensor's .grad is None
-until its first gradient contribution arrives.
+Constants (a leaf made with requires_grad=False, such as the data batch)
+never receive a gradient, and neither does a node computed from constants
+only. A tensor's .grad is None until its first gradient contribution arrives.
 """
 from __future__ import annotations
 
@@ -27,10 +26,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
-
-
-def _constant(value) -> "Tensor":
-    return value if isinstance(value, Tensor) else Tensor(value, requires_grad=False)
 
 
 class Tensor:
@@ -48,16 +43,12 @@ class Tensor:
         self._parents = parents
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def _accumulate(self, grad: np.ndarray, owned: bool = True) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool) -> None:
         """Add one gradient contribution.
 
         The first contribution becomes .grad itself when the caller owns it
         (a freshly computed array); an array that aliases another tensor's
-        gradient, or a broadcast view, is copied first.
+        gradient is copied first.
         """
         if self.grad is None:
             self.grad = grad if owned else grad.copy()
@@ -83,159 +74,44 @@ class Tensor:
                 stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node)
+            if node._backward is None or node.grad is None:
+                continue
+            for parent, grad in zip(node._parents, node._backward(node.grad)):
+                if grad is not None and parent.requires_grad:
+                    parent._accumulate(grad, owned=grad is not node.grad)
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- the dense-layer ops ----------------------------------------------------
 
-    def __add__(self, other):
-        other = _constant(other)
-        out = Tensor(self.data + other.data, (self, other))
+    def __add__(self, other: "Tensor") -> "Tensor":
+        def backward(grad):
+            return tuple(_unbroadcast(grad, t.data.shape) if t.requires_grad else None
+                         for t in (self, other))
 
-        def backward(out):
-            for t in (self, other):
-                if t.requires_grad:
-                    g = _unbroadcast(out.grad, t.data.shape)
-                    t._accumulate(g, owned=g is not out.grad)
-
-        out._backward = backward
-        return out
-
-    def __mul__(self, other):
-        other = _constant(other)
-        out = Tensor(self.data * other.data, (self, other))
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
-
-        out._backward = backward
-        return out
-
-    def __neg__(self):
-        return self * Tensor(-1.0, requires_grad=False)
-
-    def __sub__(self, other):
-        return self + (-_constant(other))
-
-    def __truediv__(self, other):
-        other = _constant(other)
-        out = Tensor(self.data / other.data, (self, other))
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(
-                    -out.grad * self.data / (other.data * other.data), other.data.shape
-                ))
-
-        out._backward = backward
-        return out
-
-    __radd__ = __add__
-    __rmul__ = __mul__
+        return node(self.data + other.data, (self, other), backward)
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        out = Tensor(self.data @ other.data, (self, other))
+        def backward(grad):
+            return (grad @ other.data.T if self.requires_grad else None,
+                    self.data.T @ grad if other.requires_grad else None)
 
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad @ other.data.T)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ out.grad)
+        return node(self.data @ other.data, (self, other), backward)
 
-        out._backward = backward
-        return out
+    def relu(self) -> "Tensor":
+        return node(np.maximum(self.data, 0.0), (self,),
+                    lambda grad: (grad * (self.data > 0.0),))
 
-    def square(self):
-        return self * self
-
-    def sqrt(self):
-        out = Tensor(np.sqrt(self.data), (self,))
-
-        def backward(out):
-            self._accumulate(out.grad * 0.5 / out.data)
-
-        out._backward = backward
-        return out
-
-    def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-
-        def backward(out):
-            self._accumulate(out.grad * out.data)
-
-        out._backward = backward
-        return out
-
-    def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), (self,))
-
-        def backward(out):
-            self._accumulate(out.grad * (self.data > 0.0))
-
-        out._backward = backward
-        return out
-
-    def tanh(self):
-        out = Tensor(np.tanh(self.data), (self,))
-
-        def backward(out):
-            self._accumulate(out.grad * (1.0 - out.data * out.data))
-
-        out._backward = backward
-        return out
-
-    # -- shape manipulation --------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
-        def backward(out):
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape), owned=False)
-
-        out._backward = backward
-        return out
-
-    def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), (self,))
-
-        def backward(out):
-            self._accumulate(out.grad.reshape(self.data.shape), owned=False)
-
-        out._backward = backward
-        return out
-
-    def __getitem__(self, key):
-        out = Tensor(self.data[key], (self,))
-
-        def backward(out):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[key] += out.grad
-
-        out._backward = backward
-        return out
+    def tanh(self) -> "Tensor":
+        y = np.tanh(self.data)
+        return node(y, (self,), lambda grad: (grad * (1.0 - y * y),))
 
 
-def concat(tensors, axis=1):
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def node(data, parents, backward) -> Tensor:
+    """A tape node holding data, computed from the parents Tensors.
 
-    def backward(out):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * out.grad.ndim
-                index[axis] = slice(lo, hi)
-                t._accumulate(out.grad[tuple(index)], owned=False)
-
+    backward(grad) is the node's VJP: given the gradient of data it returns
+    one gradient per parent, in order, or None for a parent that needs none.
+    A returned array may be grad itself; the tape copies it before keeping it.
+    """
+    out = Tensor(data, tuple(parents))
     out._backward = backward
     return out

@@ -80,10 +80,8 @@ def _numbers(values, name: str, kind=float) -> list:
 
 
 def _out_dir(config: dict, args) -> Path:
-    out = args.out if getattr(args, "out", None) else config.get("out_dir", ".")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the writers create it, so a rejected config leaves none."""
+    return Path(args.out if getattr(args, "out", None) else config.get("out_dir", "."))
 
 
 def _resolve(out_dir: Path, name) -> Path:

@@ -305,14 +305,18 @@ def load_dataset(path) -> Dataset:
     if spec.k != k:
         raise FormatError(f"factor spec lists {spec.k} factors, header says {k}")
 
+    # The declared sizes are checked before numpy sees them: a record type
+    # must fit in a C int, and the payload must hold every record.
     pixels = width * height * channels
-    record_dtype = np.dtype([("z", "<f8", (k,)), ("x", "<f4", (pixels,))])
-    expected = n * record_dtype.itemsize
+    record_size = 8 * k + 4 * pixels
     payload = blob[offset:]
-    if len(payload) != expected:
+    if len(payload) != n * record_size:
         raise FormatError(
-            f"payload holds {len(payload)} bytes but header promises {expected} in {path}"
+            f"payload holds {len(payload)} bytes but header promises {n * record_size} in {path}"
         )
+    if record_size > np.iinfo(np.intc).max:
+        raise FormatError(f"header declares {record_size}-byte records in {path}")
+    record_dtype = np.dtype([("z", "<f8", (k,)), ("x", "<f4", (pixels,))])
     records = np.frombuffer(payload, dtype=record_dtype)
     return Dataset(
         samples=records["x"].astype(float).reshape(n, pixels),

@@ -1,11 +1,13 @@
 """Dense-network VAE engine with hand-rolled gradients.
 
 Implements the circle-product latent model and a plain Euclidean-latent
-beta-VAE baseline on top of the reverse-mode Tensor in autodiff.py: encoder
-MLP, reparameterized sampling, the latent geometry of geometry.py (per-circle
-normalization, rank-1 latent assembly, KL), decoder MLP, the beta-weighted
-loss and Adam. Training is
-single-threaded and fully determined by the config seed.
+beta-VAE baseline: encoder MLP, reparameterized sampling, the latent
+geometry of geometry.py (per-circle normalization, rank-1 latent assembly,
+KL), decoder MLP, the beta-weighted loss and Adam. A training step records
+a coarse tape (autodiff.py): the dense layers' ops plus two hand-written
+nodes, the posterior (sample, latent assembly and KL) and the reconstruction
+loss. Inference runs the same ndarray geometry without a gradient. Training
+is single-threaded and fully determined by the config seed.
 """
 from __future__ import annotations
 
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, node
 from .errors import ConfigError, FormatError, NumericsError
-from .geometry import TWO_PI, DegenerateInputError, embed, embed_angles, gaussian_kl, unit_tuples
+from .geometry import (TWO_PI, embed, embed_angles, embed_vjp, gaussian_kl, tuple_norms,
+                       unit_tuples, unit_tuples_vjp)
 
 ACTIVATIONS = ("identity", "relu", "tanh")
 
@@ -145,65 +148,76 @@ class VaeModel:
         for p, (data, grad) in zip(params, views):
             p.data, p.grad = data, grad
 
-    # -- graph builders -----------------------------------------------------
+    # -- the latent step ----------------------------------------------------
 
-    def _split_encoder_output(self, out: Tensor):
-        n = out.data.shape[0]
-        d = self.latent.dim
+    def _split(self, out: np.ndarray):
+        """(mu, logvar) views of encoder output rows; see EncoderOutput."""
+        n, d = out.shape[0], self.latent.dim
         if self.latent.mode == TORUS:
             blocks = out.reshape(n, d, 4)
-            mu = blocks[:, :, 0:2]
-            logvar = blocks[:, :, 2:4]
-        else:
-            mu = out[:, 0:d]
-            logvar = out[:, d : 2 * d]
-        return mu, logvar
+            return blocks[:, :, 0:2], blocks[:, :, 2:4]
+        return out[:, 0:d], out[:, d : 2 * d]
 
-    def _latent_input(self, mu: Tensor, logvar: Tensor, noise: np.ndarray) -> Tensor:
-        sigma = (logvar * 0.5).exp()
-        m_hat = mu + sigma * Tensor(noise, requires_grad=False)
-        if self.latent.mode == EUCLIDEAN:
-            return m_hat
-        return embed(unit_tuples(m_hat))
+    def _posterior(self, out: Tensor, noise: np.ndarray, beta: float):
+        """(decoder input node, KL) of the encoder output node.
 
-    def _forward_graph(self, x: np.ndarray, noise: np.ndarray):
-        xt = Tensor(x, requires_grad=False)
-        mu, logvar = self._split_encoder_output(self.encoder.forward(xt))
-        v = self._latent_input(mu, logvar, noise)
-        recon = self.decoder.forward(v)
-        return xt, mu, logvar, recon
+        The node samples mu + e^(logvar/2) * noise and, for circles,
+        normalizes and embeds the sample. Its VJP also adds beta times the
+        KL gradient, so the encoder output gets one gradient per step. It
+        adds the terms one at a time in a fixed order (the sample's share,
+        then the KL's), which fixes the rounding of every gradient bit;
+        reordering them changes the bytes of trained checkpoints.
+        """
+        mu, logvar = self._split(out.data)
+        sigma = np.exp(logvar * 0.5)
+        m_hat = mu + sigma * noise
+        torus = self.latent.mode == TORUS
+        m = unit_tuples(m_hat) if torus else m_hat
+        c = beta * (0.5 / mu.shape[0])
+
+        def backward(grad):
+            g = unit_tuples_vjp(m_hat, embed_vjp(m, grad)) if torus else grad
+            out_grad = np.zeros_like(out.data)
+            mu_grad, logvar_grad = self._split(out_grad)
+            mu_grad += g
+            mu_grad += c * mu  # the KL's mu * mu, one term per factor
+            mu_grad += c * mu
+            logvar_grad += g * noise * sigma * 0.5
+            logvar_grad += c * np.exp(logvar)
+            logvar_grad -= c
+            return (out_grad,)
+
+        return node(embed(m) if torus else m, (out,), backward), gaussian_kl(mu, logvar)
 
     # -- inference ----------------------------------------------------------
 
     def encode(self, x: np.ndarray) -> EncoderOutput:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = self.encoder.forward(Tensor(x))
-        mu, logvar = self._split_encoder_output(out)
-        return EncoderOutput(mu.data.copy(), logvar.data.copy())
+        mu, logvar = self._split(self.encoder.forward(Tensor(x, requires_grad=False)).data)
+        return EncoderOutput(mu.copy(), logvar.copy())
 
     def decode(self, v: np.ndarray) -> np.ndarray:
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        return self.decoder.forward(Tensor(v)).data.copy()
+        return self.decoder.forward(Tensor(v, requires_grad=False)).data.copy()
 
     def reconstruct_mean(self, x: np.ndarray) -> np.ndarray:
         """Noise-free reconstruction: the decoder sees the normalized posterior mean."""
         enc = self.encode(x)
         if self.latent.mode == EUCLIDEAN:
             return self.decode(enc.mu)
-        return self.decode(embed(unit_tuples(Tensor(enc.mu, requires_grad=False))).data)
+        return self.decode(embed(unit_tuples(enc.mu)))
 
     def codes(self, x: np.ndarray) -> np.ndarray:
         """Per-sample latent codes for the metrics pipeline.
 
         Circle mode reads the angle of each normalized posterior-mean tuple;
-        Euclidean mode reads the posterior means themselves.
+        Euclidean mode reads the posterior means themselves. A zero tuple
+        has no angle and raises DegenerateInputError.
         """
         enc = self.encode(x)
         if self.latent.mode == EUCLIDEAN:
-            return enc.mu.copy()
-        norms = np.linalg.norm(enc.mu, axis=2)
-        if np.any(norms == 0.0):
-            raise DegenerateInputError("posterior mean tuple collapsed to zero")
+            return enc.mu
+        tuple_norms(enc.mu)
         return np.mod(np.arctan2(enc.mu[:, :, 1], enc.mu[:, :, 0]), TWO_PI)
 
     def parameters(self):
@@ -241,6 +255,18 @@ class ElboResult:
     grads: list  # per-parameter views of one copy of the model's gradient vector
 
 
+def _reconstruction_loss(recon: Tensor, x: np.ndarray) -> Tensor:
+    """Node of the batch mean of the squared reconstruction norm."""
+    diff = recon.data - x
+    n = x.shape[0]
+
+    def backward(grad):
+        a = grad * (1.0 / n) * diff
+        return (a + a,)  # one term per factor of diff * diff
+
+    return node((diff * diff).sum() * (1.0 / n), (recon,), backward)
+
+
 def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) -> ElboResult:
     """Batch loss (mean squared reconstruction norm plus beta * KL) and its gradients.
 
@@ -250,21 +276,22 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a (N, input_dim) batch")
-    n = x.shape[0]
     model.flat_grad.fill(0.0)
-    xt, mu, logvar, recon = model._forward_graph(x, noise)
-    recon_term = (recon - xt).square().sum() * (1.0 / n)
-    kl_term = gaussian_kl(mu, logvar)
-    loss = recon_term + kl_term * beta
-    if not np.isfinite(loss.data):
+    out = model.encoder.forward(Tensor(x, requires_grad=False))
+    v, kl = model._posterior(out, noise, beta)
+    recon = model.decoder.forward(v)
+    recon_term = _reconstruction_loss(recon, x)
+    reconstruction = float(recon_term.data)
+    loss = reconstruction + kl * beta
+    if not np.isfinite(loss):
         bad = np.unique(np.argwhere(~np.isfinite(recon.data))[:, 0])
         raise NumericsError(
-            f"non-finite loss (recon={recon_term.data}, kl={kl_term.data}) on a "
-            f"batch of {n}; offending rows: {bad.tolist()[:8]}"
+            f"non-finite loss (recon={reconstruction}, kl={kl}) on a "
+            f"batch of {x.shape[0]}; offending rows: {bad.tolist()[:8]}"
         )
-    loss.backward()
+    recon_term.backward()
     grads = param_views(model.flat_grad.copy(), model.parameters())
-    return ElboResult(float(loss.data), float(recon_term.data), float(kl_term.data), grads)
+    return ElboResult(loss, reconstruction, kl, grads)
 
 
 # -- Adam ----------------------------------------------------------------------

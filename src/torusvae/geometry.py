@@ -3,15 +3,13 @@
 Angles live on D unit circles; their tuples are combined into a rank-1
 tensor plus the vector of cosine components, which together form the
 decoder input. Training, inference and generation build that input, and
-the KL term, with the one implementation here on autodiff Tensors; ndarray
-callers wrap their input as a constant Tensor and read .data. Everything
-here is pure and side-effect free.
+the KL term, with the one implementation here on plain ndarrays; training
+differentiates it with the hand-written VJPs beside each forward
+(unit_tuples_vjp, embed_vjp). Everything here is pure and side-effect free.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .autodiff import Tensor, concat
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,20 +33,47 @@ def canonical_angle(theta):
     return out if out.ndim else float(out)
 
 
-def unit_tuples(raw: Tensor) -> Tensor:
-    """Project (N, D, 2) pairs onto their unit circles.
+def tuple_norms(raw: np.ndarray) -> np.ndarray:
+    """Norms (N, D, 1) of (N, D, 2) pairs.
 
     Raises DegenerateInputError naming the rows that hold a zero pair.
     """
-    norm_sq = raw.square().sum(axis=2, keepdims=True)
-    zero = norm_sq.data == 0.0
+    norm_sq = (raw * raw).sum(axis=2, keepdims=True)
+    zero = norm_sq == 0.0
     if zero.any():
         rows = np.flatnonzero(zero.any(axis=(1, 2)))
         raise DegenerateInputError(f"circle tuple collapsed to zero in rows {rows.tolist()}")
-    return raw / norm_sq.sqrt()
+    return np.sqrt(norm_sq)
 
 
-def embed(m: Tensor) -> Tensor:
+def unit_tuples(raw: np.ndarray) -> np.ndarray:
+    """Project (N, D, 2) pairs onto their unit circles (see tuple_norms)."""
+    return raw / tuple_norms(raw)
+
+
+def unit_tuples_vjp(raw: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient with respect to raw of <grad, unit_tuples(raw)>.
+
+    The norm's share goes in twice, once per factor of raw * raw.
+    """
+    nrm = tuple_norms(raw)
+    share = ((-grad * raw) / (nrm * nrm)).sum(axis=2, keepdims=True) * 0.5 / nrm * raw
+    out = grad / nrm
+    out += share
+    out += share
+    return out
+
+
+def _products(m: np.ndarray) -> list:
+    """Rank-1 products of the first 1..D tuples of m, shaped (N, 2**a) for a = 1..D."""
+    n, d = m.shape[0], m.shape[1]
+    out = [m[:, 0, :]]
+    for a in range(1, d):
+        out.append((out[-1].reshape(n, -1, 1) * m[:, a, :].reshape(n, 1, 2)).reshape(n, -1))
+    return out
+
+
+def embed(m: np.ndarray) -> np.ndarray:
     """Decoder input rows (N, 2**D + D) from (N, D, 2) unit tuples.
 
     The first 2**D columns are the flattened rank-1 product: the entry that
@@ -56,11 +81,27 @@ def embed(m: Tensor) -> Tensor:
     so the first tuple's component index is the most significant bit. The
     last D columns are the tuples' cosine components.
     """
+    return np.concatenate([_products(m)[-1], m[:, :, 0]], axis=1)
+
+
+def embed_vjp(m: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient with respect to m of <grad, embed(m)>.
+
+    Runs back over the partial products, last tuple first, and adds the
+    product block's share to m before the cosine block's; that fixed order
+    fixes the rounding of the training gradients.
+    """
     n, d = m.shape[0], m.shape[1]
-    v = m[:, 0, :]
-    for a in range(1, d):
-        v = (v.reshape(n, -1, 1) * m[:, a, :].reshape(n, 1, 2)).reshape(n, -1)
-    return concat([v, m[:, :, 0]], axis=1)
+    products = _products(m)
+    out = np.zeros_like(m)
+    g = grad[:, : 2**d]
+    for a in range(d - 1, 0, -1):
+        g = g.reshape(n, -1, 2)
+        out[:, a, :] += (g * products[a - 1].reshape(n, -1, 1)).sum(axis=1)
+        g = (g * m[:, a, :].reshape(n, 1, 2)).sum(axis=2)
+    out[:, 0, :] += g
+    out[:, :, 0] += grad[:, 2**d :]
+    return out
 
 
 def embed_angles(angles) -> np.ndarray:
@@ -69,19 +110,19 @@ def embed_angles(angles) -> np.ndarray:
     if angles.ndim != 2 or angles.shape[1] < 1:
         raise ValueError(f"expected an (N, D) array, got shape {angles.shape}")
     angles = canonical_angle(angles)
-    m = np.stack([np.cos(angles), np.sin(angles)], axis=2)
-    return embed(Tensor(m, requires_grad=False)).data
+    return embed(np.stack([np.cos(angles), np.sin(angles)], axis=2))
 
 
-def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
+def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> float:
     """KL divergence of the pre-normalization Gaussians from N(0, 1).
 
     mu and logvar hold one row per sample; the result is the mean over rows
     of the sum over every component of 0.5 * (e^logvar + mu^2 - logvar - 1),
-    which is zero exactly when every mu and logvar is zero.
+    which is zero exactly when every mu and logvar is zero. Its gradient is
+    c * (2 mu) for mu and c * (e^logvar - 1) for logvar, with c = 0.5 / N.
     """
     n = mu.shape[0]
-    return (logvar.exp() + mu.square() - logvar + (-1.0)).sum() * (0.5 / n)
+    return float((np.exp(logvar) + mu * mu - logvar - 1.0).sum() * (0.5 / n))
 
 
 def _mode_sine_norms(prod: np.ndarray, d: int) -> np.ndarray:
@@ -172,8 +213,7 @@ def recover_angles_batch(vectors: np.ndarray, d: int, check_tol: float = 1e-4) -
         signs[deferred] = 1.0
         signs[rows[has_deferred], first[has_deferred]] = required[has_deferred]
 
-    tuples = Tensor(np.stack([c, signs * t], axis=2), requires_grad=False)
-    rebuilt = embed(tuples).data[:, : 2**d]
+    rebuilt = embed(np.stack([c, signs * t], axis=2))[:, : 2**d]
     rebuild_err = np.abs(rebuilt - prod).max(axis=1)
     if np.any(rebuild_err > check_tol):
         raise ReconstructionError(

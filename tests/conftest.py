@@ -21,11 +21,11 @@ def sample_circles(mu, logvar, noise):
     are 2-vectors and noise holds one 2-vector per row.
     """
     model = engine.build_vae(engine.LatentSpec(engine.TORUS, 1), 1, (), np.random.default_rng(0))
-    mu, logvar, noise = (np.reshape(np.asarray(a, dtype=float), (-1, 1, 2))
-                         for a in (mu, logvar, noise))
-    rows = model._latent_input(Tensor(mu, requires_grad=False),
-                               Tensor(logvar, requires_grad=False), noise)
-    return rows.data[:, :2]
+    noise = np.reshape(np.asarray(noise, dtype=float), (-1, 1, 2))
+    row = np.concatenate([np.asarray(mu, dtype=float), np.asarray(logvar, dtype=float)])
+    out = Tensor(np.tile(row, (noise.shape[0], 1)), requires_grad=False)
+    v, _ = model._posterior(out, noise, 0.0)
+    return v.data[:, :2]
 
 
 def finite_diff_grads(f, arrays, h=1e-5):

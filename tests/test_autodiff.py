@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from torusvae.autodiff import Tensor, concat
+from torusvae import engine, geometry
+from torusvae.autodiff import Tensor, node
 from conftest import finite_diff_grads, max_relative_error
+
+
+def sum_of_squares(t):
+    """Scalar node sum(t * t), the readout that seeds each graph's cotangent."""
+    return node((t.data * t.data).sum(), (t,), lambda grad: (2.0 * grad * t.data,))
+
+
+def total(t):
+    """Scalar node sum(t)."""
+    return node(t.data.sum(), (t,), lambda grad: (grad * np.ones_like(t.data),))
 
 
 def check_scalar_graph(build, arrays, tol=1e-6):
@@ -21,66 +32,36 @@ def check_scalar_graph(build, arrays, tol=1e-6):
         assert max_relative_error(a, n) < tol
 
 
+def check_vjp(f, vjp, x, rng, tol=1e-6):
+    """vjp(x, w) against finite differences of <w, f(x)> for a random cotangent w."""
+    w = rng.standard_normal(f(x).shape)
+    analytic = vjp(x, w)
+    numeric = finite_diff_grads(lambda: float(np.sum(w * f(x))), [x])[0]
+    assert max_relative_error(analytic, numeric) < tol
+
+
+# -- the tape's own ops --------------------------------------------------------------
+
+
 def test_add_broadcast(rng):
     arrays = [rng.standard_normal((4, 3)), rng.standard_normal(3)]
-    check_scalar_graph(lambda t: (t[0] + t[1]).square().sum(), arrays)
-
-
-def test_mul_broadcast_3d(rng):
-    arrays = [rng.standard_normal((2, 4, 1)), rng.standard_normal((2, 1, 3))]
-    check_scalar_graph(lambda t: (t[0] * t[1]).sum(), arrays)
+    check_scalar_graph(lambda t: sum_of_squares(t[0] + t[1]), arrays)
 
 
 def test_matmul(rng):
     arrays = [rng.standard_normal((5, 4)), rng.standard_normal((4, 3))]
-    check_scalar_graph(lambda t: t[0].matmul(t[1]).square().sum(), arrays)
+    check_scalar_graph(lambda t: sum_of_squares(t[0].matmul(t[1])), arrays)
 
 
-def test_div_and_sqrt(rng):
-    arrays = [rng.uniform(0.5, 2.0, size=(3, 3)), rng.uniform(0.5, 2.0, size=(3, 3))]
-    check_scalar_graph(lambda t: (t[0] / t[1].sqrt()).sum(), arrays)
-
-
-def test_exp_tanh_relu(rng):
+def test_tanh_relu(rng):
     arrays = [rng.uniform(-1.2, 1.2, size=(4, 4)) + 0.05]
-    check_scalar_graph(lambda t: (t[0].exp().tanh() + t[0].relu()).sum(), arrays)
-
-
-def test_sum_axis_keepdims(rng):
-    arrays = [rng.standard_normal((3, 5))]
-    check_scalar_graph(
-        lambda t: (t[0].sum(axis=1, keepdims=True) * t[0]).sum(), arrays
-    )
-
-
-def test_getitem_and_reshape(rng):
-    arrays = [rng.standard_normal((4, 6))]
-    check_scalar_graph(
-        lambda t: (t[0][:, 1:4].reshape(2, 6) * 2.0).square().sum(), arrays
-    )
-
-
-def test_concat(rng):
-    arrays = [rng.standard_normal((3, 2)), rng.standard_normal((3, 4))]
-    check_scalar_graph(lambda t: concat(t, axis=1).square().sum(), arrays)
-
-
-def test_normalization_chain(rng):
-    # the per-circle normalization pattern used by the engine
-    arrays = [rng.uniform(0.3, 1.5, size=(4, 3, 2))]
-
-    def build(t):
-        norm = t[0].square().sum(axis=2, keepdims=True).sqrt()
-        return (t[0] / norm).sum()
-
-    check_scalar_graph(build, arrays)
+    check_scalar_graph(lambda t: total(t[0].tanh() + t[0].relu()), arrays)
 
 
 def test_value_reuse_accumulates(rng):
     x = Tensor(rng.standard_normal(4))
-    y = (x * x + x).sum()
-    y.backward()
-    assert np.allclose(x.grad, 2 * x.data + 1)
+    total(x.tanh() + x).backward()
+    assert np.allclose(x.grad, 2.0 - np.tanh(x.data) ** 2)
 
 
 def test_backward_requires_scalar(rng):
@@ -89,45 +70,85 @@ def test_backward_requires_scalar(rng):
 
 
 def test_constant_leaf_gets_no_gradient(rng):
-    x = Tensor(rng.standard_normal(4))
-    c = Tensor(rng.standard_normal(4), requires_grad=False)
-    loss = ((x * c + c) * 2.0 - c).sum()
-    loss.backward()
-    assert c.grad is None
-    assert np.array_equal(x.grad, 2.0 * c.data)
+    x = Tensor(rng.standard_normal((3, 2)))
+    c = Tensor(rng.standard_normal((4, 3)), requires_grad=False)
+    d = Tensor(rng.standard_normal((4, 2)), requires_grad=False)
+    total(c.matmul(x) + d).backward()
+    assert c.grad is None and d.grad is None
+    assert np.array_equal(x.grad, c.data.T @ np.ones((4, 2)))
 
 
 def test_node_of_constants_only_gets_no_gradient(rng):
     x = Tensor(rng.standard_normal(3))
     c = Tensor(rng.standard_normal(3), requires_grad=False)
-    folded = -c
-    assert not folded.requires_grad
-    (x - c).sum().backward()
-    assert folded.grad is None and c.grad is None
+    folded = c + c
+    custom = node(c.data * 2.0, (c,), lambda grad: (grad * 2.0,))
+    assert not folded.requires_grad and not custom.requires_grad
+    total((x + folded) + custom).backward()
+    assert folded.grad is None and custom.grad is None and c.grad is None
     assert np.array_equal(x.grad, np.ones(3))
 
 
 def test_diamond_self_add(rng):
     arrays = [rng.standard_normal((3, 4))]
-    check_scalar_graph(lambda t: (t[0] + t[0]).square().sum(), arrays)
+    check_scalar_graph(lambda t: sum_of_squares(t[0] + t[0]), arrays)
 
 
 def test_diamond_sum_times_operand(rng):
-    arrays = [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]
-    check_scalar_graph(lambda t: ((t[0] + t[1]) * t[0]).sum(), arrays)
-
-
-def test_diamond_slice_and_whole(rng):
-    arrays = [rng.standard_normal((4, 5))]
-    check_scalar_graph(
-        lambda t: (t[0][:, 1:3].square().sum() + (t[0] * t[0][:, 2:3]).sum()), arrays
-    )
+    arrays = [rng.standard_normal((4, 4)), rng.standard_normal((4, 4))]
+    check_scalar_graph(lambda t: sum_of_squares((t[0] + t[1]).matmul(t[0])), arrays)
 
 
 def test_shared_first_gradient_is_not_aliased(rng):
     # a and b both take their first gradient from one add node; a then
     # receives more, which must not leak into b
     arrays = [rng.standard_normal(4), rng.standard_normal(4)]
-    check_scalar_graph(lambda t: ((t[0] * 3.0) + (t[0] + t[1]).tanh()).square().sum(), arrays)
-    check_scalar_graph(lambda t: ((t[0] + t[1]) + t[0].reshape(2, 2).reshape(4)).square().sum(),
-                       arrays)
+    check_scalar_graph(lambda t: sum_of_squares((t[0] + t[1]) + t[0].tanh()), arrays)
+    check_scalar_graph(lambda t: sum_of_squares((t[0] + t[1]) + t[0]), arrays)
+
+
+# -- the hand-written VJPs ------------------------------------------------------------
+
+
+def test_normalization_chain(rng):
+    # the per-circle normalization pattern used by the engine
+    raw = rng.uniform(0.3, 1.5, size=(4, 3, 2))
+    check_vjp(geometry.unit_tuples, geometry.unit_tuples_vjp, raw, rng)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_embed_vjp(d, rng):
+    # the product block and the cosine block both read m: per-circle slices
+    # feed the partial products, and one column of every circle the cosines
+    m = rng.standard_normal((3, d, 2))
+    check_vjp(geometry.embed, geometry.embed_vjp, m, rng)
+
+
+def posterior_value(model, out, noise, beta, w):
+    """<w, decoder input> + beta * KL of encoder output rows out."""
+    v, kl = model._posterior(Tensor(out, requires_grad=False), noise, beta)
+    return float(np.sum(w * v.data)) + beta * kl
+
+
+def test_diamond_slice_and_whole(rng):
+    # the posterior node reads the encoder output through its mu and logvar
+    # slices, and each slice feeds both the sample and the KL
+    for mode, dim in (("torus", 1), ("torus", 3), ("euclidean", 2)):
+        latent = engine.LatentSpec(mode, dim)
+        model = engine.build_vae(latent, 1, (), np.random.default_rng(0))
+        out = rng.standard_normal((3, latent.encoder_out_dim))
+        noise = rng.standard_normal(engine._noise_shape(latent, 3))
+        w = rng.standard_normal((3, latent.decoder_in_dim))
+        for beta in (0.0, 0.7):
+            leaf = Tensor(out)
+            v, _ = model._posterior(leaf, noise, beta)
+            node(np.sum(w * v.data), (v,), lambda grad: (grad * w,)).backward()
+            numeric = finite_diff_grads(
+                lambda: posterior_value(model, out, noise, beta, w), [out])[0]
+            assert max_relative_error(leaf.grad, numeric) < 1e-6
+
+
+def test_reconstruction_loss_node(rng):
+    x = rng.standard_normal((4, 5))
+    recon = rng.standard_normal((4, 5))
+    check_scalar_graph(lambda t: engine._reconstruction_loss(t[0], x), [recon])

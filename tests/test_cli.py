@@ -289,6 +289,14 @@ class TestExitCodes:
         config = write_config(tmp_path, cfg)
         assert run("generate", "--config", str(config)) == 1
 
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+    def test_rejected_config_leaves_no_out_dir(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"out_dir": "od/out", "dataset": {"kind": "synthetic", "count": 10, "factors": 2}}
+        config = write_config(tmp_path, cfg)
+        assert run(command, "--config", str(config)) == 1
+        assert not (tmp_path / "od").exists()
+
     def test_unknown_dataset_kind(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         cfg["dataset"]["kind"] = "teapots"

@@ -189,6 +189,27 @@ class TestDatasetIo:
         with pytest.raises(FormatError):
             ds.load_dataset(path)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_oversized_record_fails_before_allocating(self, tmp_path, n):
+        import struct
+        import tracemalloc
+
+        data = ds.make_synthetic_dataset(2, 1, seed=1)
+        path = tmp_path / "data.tdds"
+        ds.save_dataset(data, path)
+        blob = bytearray(path.read_bytes())
+        # width = height = channels = 65535: a record of about 1.1 PB
+        struct.pack_into("<IIII", blob, 5, n, 65535, 65535, 65535)
+        path.write_bytes(bytes(blob[: len(blob) - (8 * 2 + 4 * data.samples.shape[1])]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                ds.load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestPpm:
     def test_header_and_payload(self, tmp_path):
