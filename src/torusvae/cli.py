@@ -308,8 +308,13 @@ def cmd_sweep(config: dict, args) -> int:
             for beta in betas for dim in dims]
     workers = max(1, getattr(args, "workers", 1) or 1)
     if workers > 1:
+        # Longest cells first, so that no worker starts a large cell last while
+        # the others sit idle; the rows then go back into grid order.
+        order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].latent_dim)
+        rows = [None] * len(jobs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, jobs))
+            for i, row in zip(order, pool.map(_sweep_cell, [jobs[i] for i in order])):
+                rows[i] = row
     else:
         rows = [_sweep_cell(job) for job in jobs]
 

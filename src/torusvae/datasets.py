@@ -125,63 +125,71 @@ def sample_factors(spec: FactorSpec, count: int, seed: int) -> np.ndarray:
 _POLYGON_SIDES = {0: 3, 1: 4, 2: 5, 3: 6}  # triangle, square, pentagon, hexagon
 
 
-def _fill_polygon(vx: np.ndarray, vy: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Even-odd coverage of pixel centers (x+0.5, y+0.5), no anti-aliasing."""
-    px = np.arange(width) + 0.5
-    py = (np.arange(height) + 0.5)[:, None]
-    inside = np.zeros((height, width), dtype=bool)
-    n = len(vx)
-    for i in range(n):
-        x1, y1 = vx[i], vy[i]
-        x2, y2 = vx[(i + 1) % n], vy[(i + 1) % n]
-        if y1 == y2:
-            continue
-        crosses_row = (y1 > py) != (y2 > py)
-        x_at_row = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses_row & (px[None, :] < x_at_row)
-    return inside
-
-
-def render_2dshape(z, width: int = 16, height: int = 16) -> np.ndarray:
-    """Rasterize one factor sample to an (H, W, 3) image in [0, 1].
-
-    A regular polygon (3..6 sides by shape index) centered in the image,
-    circumradius scale * width / 64 pixels, rotated by the rotation factor,
-    filled with the RGB color over a white background. Rows grow downward.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (6,):
-        raise ValueError(f"expected 6 factor values, got shape {z.shape}")
-    shape_idx, scale, rotation, red, green, blue = z
-    if shape_idx not in _POLYGON_SIDES:
-        raise ValueError(f"shape index must be one of 0..3, got {shape_idx}")
-    if not 20.0 <= scale <= 40.0:
-        raise ValueError(f"scale outside [20, 40]: {scale}")
-    if not np.isfinite(rotation):
-        raise ValueError("non-finite rotation")
-    for channel in (red, green, blue):
-        if not 0.0 <= channel <= 1.0:
-            raise ValueError("color channels must lie in [0, 1]")
-    if width < 8 or height < 8:
-        raise ValueError("image dimensions must be >= 8")
-
-    sides = _POLYGON_SIDES[shape_idx]
-    radius = scale * width / 64.0
-    angles = rotation + TWO_PI * np.arange(sides) / sides
-    vx = width / 2.0 + radius * np.cos(angles)
-    vy = height / 2.0 + radius * np.sin(angles)
-    inside = _fill_polygon(vx, vy, width, height)
-
-    image = np.ones((height, width, 3))
-    image[inside] = (red, green, blue)
-    return image
+def _reject_first(bad: np.ndarray, what: str, values: np.ndarray) -> None:
+    """Raise ValueError naming the first row flagged in `bad`."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"factor row {row}: {what}, got {values[row]}")
 
 
 def render_batch(factors: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Flattened (N, H*W*3) renders of each factor row."""
-    return np.stack(
-        [render_2dshape(z, width, height).ravel() for z in np.asarray(factors, dtype=float)]
-    )
+    """Rasterize each factor row to one flattened (H*W*3) image in [0, 1].
+
+    A row is (shape, scale, rotation, red, green, blue): a regular polygon
+    (3..6 sides by shape index) centered in the image, circumradius
+    scale * width / 64 pixels, rotated by the rotation factor, filled with
+    the RGB color over a white background. Rows grow downward. Pixel
+    centers (x+0.5, y+0.5) are filled by the even-odd rule without
+    anti-aliasing, one side count at a time over all of its rows, straight
+    into the (N, H*W*3) output.
+    """
+    factors = np.asarray(factors, dtype=float)
+    if factors.ndim != 2 or factors.shape[0] < 1 or factors.shape[1] != 6:
+        raise ValueError(f"expected (N, 6) factor rows with N >= 1, got shape {factors.shape}")
+    shape_idx, scale, rotation = factors[:, 0], factors[:, 1], factors[:, 2]
+    colors = factors[:, 3:]
+    # Written as ~(in range) so that NaN fails every check.
+    _reject_first(~np.isin(shape_idx, tuple(_POLYGON_SIDES)),
+                  "shape index must be one of 0..3", shape_idx)
+    _reject_first(~((scale >= 20.0) & (scale <= 40.0)), "scale outside [20, 40]", scale)
+    _reject_first(~np.isfinite(rotation), "non-finite rotation", rotation)
+    _reject_first(~((colors >= 0.0) & (colors <= 1.0)).all(axis=1),
+                  "color channels must lie in [0, 1]", colors)
+    if width < 8 or height < 8:
+        raise ValueError("image dimensions must be >= 8")
+
+    px = np.arange(width) + 0.5
+    py = (np.arange(height) + 0.5)[:, None]
+    inside = np.empty((len(factors), height, width), dtype=bool)
+    for index, sides in _POLYGON_SIDES.items():
+        rows = np.flatnonzero(shape_idx == index)
+        radius = (scale[rows] * width / 64.0)[:, None]
+        angles = rotation[rows, None] + TWO_PI * np.arange(sides) / sides
+        vx = (width / 2.0 + radius * np.cos(angles))[:, :, None, None]
+        vy = (height / 2.0 + radius * np.sin(angles))[:, :, None, None]
+        group = np.zeros((rows.size, height, width), dtype=bool)
+        hit = np.empty_like(group)
+        # A horizontal edge divides by zero, but it crosses no row, so it
+        # leaves the mask alone.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(sides):
+                x1, y1 = vx[:, i], vy[:, i]
+                x2, y2 = vx[:, (i + 1) % sides], vy[:, (i + 1) % sides]
+                crosses_row = (y1 > py) != (y2 > py)
+                x_at_row = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+                np.less(px, x_at_row, out=hit)
+                hit &= crosses_row
+                group ^= hit
+        inside[rows] = group
+
+    # One channel at a time: a (N, H*W) mask copies several times faster
+    # than one broadcast over the size-3 channel axis.
+    out = np.ones((len(factors), height * width * 3))
+    pixels = out.reshape(len(factors), height * width, 3)
+    inside = inside.reshape(len(factors), height * width)
+    for channel in range(3):
+        np.copyto(pixels[:, :, channel], colors[:, channel, None], where=inside)
+    return out
 
 
 # -- smooth synthetic map ------------------------------------------------------------
@@ -270,16 +278,17 @@ def save_dataset(dataset: Dataset, path) -> None:
     spec_blob = dataset.spec.to_json().encode("utf-8")
     pixels = dataset.width * dataset.height * dataset.channels
     record_dtype = np.dtype([("z", "<f8", (dataset.spec.k,)), ("x", "<f4", (pixels,))])
-    records = np.zeros(dataset.n, dtype=record_dtype)
+    # Packed fields, both assigned in full: no zero fill and no float32 temporary.
+    records = np.empty(dataset.n, dtype=record_dtype)
     records["z"] = dataset.factors
-    records["x"] = dataset.samples.astype("<f4")
+    records["x"] = dataset.samples
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIIII", dataset.n, dataset.width, dataset.height,
                              dataset.channels, dataset.spec.k))
         fh.write(struct.pack("<I", len(spec_blob)))
         fh.write(spec_blob)
-        fh.write(records.tobytes())
+        fh.write(memoryview(records).cast("B"))
 
 
 def load_dataset(path) -> Dataset:

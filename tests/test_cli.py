@@ -84,6 +84,31 @@ class TestGenerate:
         assert run("--config", str(config), "generate") == 0
         assert (tmp_path / "out" / "data.tdds").exists()
 
+    def test_one_call_runs_the_traced_hooks(self, tmp_path, monkeypatch):
+        """One 2dshapes generate is one render_batch of every row and one save_dataset.
+
+        perfbench's traced mode wraps datasets.render_batch (sized by the
+        length of its first argument) and datasets.save_dataset by name to
+        time the generate workload, so a change that renders in pieces or
+        writes through another function fails here, not in a benchmark run.
+        """
+        calls = []
+        render_batch, save_dataset = ds.render_batch, ds.save_dataset
+
+        def counted_render(factors, *args):
+            calls.append(("render_batch", len(factors)))
+            return render_batch(factors, *args)
+
+        def counted_save(dataset, path):
+            calls.append(("save_dataset", dataset.n))
+            return save_dataset(dataset, path)
+
+        monkeypatch.setattr(ds, "render_batch", counted_render)
+        monkeypatch.setattr(ds, "save_dataset", counted_save)
+        config = write_config(tmp_path, base_config(tmp_path / "out", kind="2dshapes"))
+        assert run("generate", "--config", str(config)) == 0
+        assert calls == [("render_batch", 120), ("save_dataset", 120)]
+
     def test_out_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path, base_config(tmp_path / "out"))
         assert run("generate", "--config", str(config), "--out", str(tmp_path / "other")) == 0
@@ -246,21 +271,52 @@ class TestSweep:
         assert csv_path.read_bytes() == first
 
     def test_workers_flag_matches_serial(self, tmp_path):
-        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        cfg = base_config(tmp_path / "out")
+        cfg["sweep"]["dims"] = [2, 3]  # ascending, so the pool gets the cells reordered
+        config = write_config(tmp_path, cfg)
         run("generate", "--config", str(config))
         run("sweep", "--config", str(config))
         serial = (tmp_path / "out" / "sweep.csv").read_bytes()
         run("sweep", "--config", str(config), "--workers", "2")
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == serial
 
-    def test_partial_failure_recorded(self, tmp_path):
+    def test_pool_gets_longest_cells_first(self, tmp_path, monkeypatch):
+        """With workers, cells go out by descending latent_dim, stably."""
+        submitted = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                submitted.extend((job[0].beta, job[0].latent_dim) for job in jobs)
+                return [fn(job) for job in jobs]
+
+        cfg = base_config(tmp_path / "out")
+        cfg["sweep"]["dims"] = [2, 3]
+        config = write_config(tmp_path, cfg)
+        run("generate", "--config", str(config))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        assert run("sweep", "--config", str(config), "--workers", "2") == 0
+        assert submitted == [(0.0, 3), (1.0, 3), (0.0, 2), (1.0, 2)]
+        lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == ["2", "3", "2", "3"]
+
+    @staticmethod
+    def _partial_failure_rows(tmp_path, *flags):
         import csv as csv_mod
 
         cfg = base_config(tmp_path / "out")
         cfg["sweep"]["dims"] = [2, 40]  # 2**40 latent entries cannot be allocated
         config = write_config(tmp_path, cfg)
         run("generate", "--config", str(config))
-        assert run("sweep", "--config", str(config)) == 0
+        assert run("sweep", "--config", str(config), *flags) == 0
         with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
             rows = list(csv_mod.reader(fh))[1:]
         statuses = [row[-1] for row in rows]
@@ -269,6 +325,16 @@ class TestSweep:
         for row in rows:
             if row[-1] != "ok":
                 assert row[2] == ""  # failed cells carry no scores
+        return rows
+
+    def test_partial_failure_recorded(self, tmp_path):
+        self._partial_failure_rows(tmp_path)
+
+    def test_partial_failure_recorded_with_workers(self, tmp_path):
+        """The D=40 cells run first in the pool, but their error rows keep their grid places."""
+        rows = self._partial_failure_rows(tmp_path, "--workers", "2")
+        assert [row[1] for row in rows] == ["2", "40", "2", "40"]
+        assert [row[-1] == "ok" for row in rows] == [True, False, True, False]
 
 
 class TestExitCodes:

@@ -43,9 +43,48 @@ class TestSampleFactors:
         assert np.all((z[:, 3:] >= 0) & (z[:, 3:] <= 1))
 
 
+def render(z, width, height):
+    """One factor row through render_batch, as an (H, W, 3) image."""
+    return ds.render_batch(np.array([z], dtype=float), width, height).reshape(height, width, 3)
+
+
+def _oracle_vertices(z, width, height):
+    sides = int(z[0]) + 3
+    radius = z[1] * width / 64.0
+    angles = z[2] + 2 * np.pi * np.arange(sides) / sides
+    return width / 2.0 + radius * np.cos(angles), height / 2.0 + radius * np.sin(angles)
+
+
+def _oracle_fill(vx, vy, width, height):
+    """Even-odd coverage of pixel centers (x+0.5, y+0.5), one edge at a time."""
+    px = np.arange(width) + 0.5
+    py = (np.arange(height) + 0.5)[:, None]
+    inside = np.zeros((height, width), dtype=bool)
+    n = len(vx)
+    for i in range(n):
+        x1, y1 = vx[i], vy[i]
+        x2, y2 = vx[(i + 1) % n], vy[(i + 1) % n]
+        if y1 == y2:
+            continue
+        crosses_row = (y1 > py) != (y2 > py)
+        x_at_row = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses_row & (px[None, :] < x_at_row)
+    return inside
+
+
+def oracle_batch(factors, width, height):
+    """The per-image rasterizer that render_batch replaced, one polygon per iteration."""
+    images = []
+    for z in np.asarray(factors, dtype=float):
+        image = np.ones((height, width, 3))
+        image[_oracle_fill(*_oracle_vertices(z, width, height), width, height)] = z[3:]
+        images.append(image.ravel())
+    return np.stack(images)
+
+
 class TestRender:
     def test_center_pixel_of_max_square(self):
-        image = ds.render_2dshape([1, 40.0, 0.0, 1.0, 0.0, 0.0], 64, 64)
+        image = render([1, 40.0, 0.0, 1.0, 0.0, 0.0], 64, 64)
         assert np.array_equal(image[32, 32], [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize(
@@ -56,37 +95,113 @@ class TestRender:
             z1 = np.array([shape_idx, 31.7, theta, 0.9, 0.1, 0.4])
             z2 = z1.copy()
             z2[2] += period
-            assert np.array_equal(
-                ds.render_2dshape(z1, 16, 16), ds.render_2dshape(z2, 16, 16)
-            )
+            assert np.array_equal(render(z1, 16, 16), render(z2, 16, 16))
 
     def test_background_is_white(self):
-        image = ds.render_2dshape([0, 20.0, 0.5, 0.2, 0.2, 0.2], 32, 32)
+        image = render([0, 20.0, 0.5, 0.2, 0.2, 0.2], 32, 32)
         assert np.array_equal(image[0, 0], [1.0, 1.0, 1.0])
 
     def test_area_monotone_in_scale(self):
         areas = []
         for scale in np.linspace(20, 40, 9):
-            image = ds.render_2dshape([2, scale, 0.9, 0.0, 0.0, 1.0], 32, 32)
+            image = render([2, scale, 0.9, 0.0, 0.0, 1.0], 32, 32)
             areas.append(int((image != 1.0).any(axis=2).sum()))
         assert all(a <= b for a, b in zip(areas, areas[1:]))
         assert areas[0] < areas[-1]
 
     def test_out_of_support_rejected(self):
         with pytest.raises(ValueError):
-            ds.render_2dshape([4, 30.0, 0.0, 0.5, 0.5, 0.5], 16, 16)
+            render([4, 30.0, 0.0, 0.5, 0.5, 0.5], 16, 16)
         with pytest.raises(ValueError):
-            ds.render_2dshape([1, 45.0, 0.0, 0.5, 0.5, 0.5], 16, 16)
+            render([1, 45.0, 0.0, 0.5, 0.5, 0.5], 16, 16)
         with pytest.raises(ValueError):
-            ds.render_2dshape([1, 30.0, 0.0, 1.5, 0.5, 0.5], 16, 16)
+            render([1, 30.0, 0.0, 1.5, 0.5, 0.5], 16, 16)
 
     def test_minimum_dimensions(self):
         with pytest.raises(ValueError):
-            ds.render_2dshape([1, 30.0, 0.0, 0.5, 0.5, 0.5], 4, 4)
+            render([1, 30.0, 0.0, 0.5, 0.5, 0.5], 4, 4)
 
     def test_values_clamped(self):
-        image = ds.render_2dshape([3, 35.0, 1.2, 0.0, 1.0, 0.3], 16, 16)
+        image = render([3, 35.0, 1.2, 0.0, 1.0, 0.3], 16, 16)
         assert image.min() >= 0.0 and image.max() <= 1.0
+
+    # Rotation 0 triangles put a vertex on the pixel-center row of an odd
+    # height; squares at pi/4 and hexagons at rotation 0 have exactly
+    # horizontal edges.
+    SPECIAL_ROWS = np.array(
+        [[0, s, 0.0, 0.3, 0.6, 0.9] for s in (20.0, 30.0, 40.0)]
+        + [[1, s, r, 0.1, 0.2, 0.3] for s in (20.0, 30.0, 40.0) for r in (0.0, np.pi / 4)]
+        + [[3, s, 0.0, 0.5, 0.5, 0.5] for s in (20.0, 30.0, 40.0)]
+    )
+
+    @pytest.mark.parametrize("width,height", [(8, 8), (16, 16), (64, 64), (17, 23)])
+    def test_matches_per_image_oracle_bit_for_bit(self, width, height):
+        for seed in (0, 1, 2, 501):
+            factors = ds.sample_factors(ds.SHAPES_SPEC, 40, seed)
+            factors = np.concatenate([factors, self.SPECIAL_ROWS])
+            assert set(factors[:, 0]) == {0.0, 1.0, 2.0, 3.0}
+            batch = ds.render_batch(factors, width, height)
+            assert batch.shape == (len(factors), width * height * 3)
+            expected = oracle_batch(factors, width, height)
+            assert np.array_equal(batch.view(np.uint64), expected.view(np.uint64))
+
+    def test_special_rows_cover_the_edge_cases(self):
+        """The parity rows really hold horizontal edges and a pixel-center vertex."""
+        horizontal = center_vertex = 0
+        for width, height in [(8, 8), (16, 16), (64, 64), (17, 23)]:
+            for z in self.SPECIAL_ROWS:
+                vx, vy = _oracle_vertices(z, width, height)
+                horizontal += int(np.sum(vy == np.roll(vy, -1)))
+                center_vertex += int(np.sum(vy - 0.5 == np.floor(vy)))
+        assert horizontal > 0 and center_vertex > 0
+
+    def _rejects(self, row, match, width=16, height=16):
+        """render_batch raises on a batch whose rows 2 and 4 are `row`; the message names row 2."""
+        factors = np.tile([1, 30.0, 0.0, 0.5, 0.5, 0.5], (5, 1))
+        factors[[2, 4]] = row
+        with pytest.raises(ValueError, match=match):
+            ds.render_batch(factors, width, height)
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 5), (3, 7), (0, 6), (2, 3, 6)])
+    def test_rejects_rows_that_are_not_n_by_6(self, shape):
+        with pytest.raises(ValueError, match="N, 6"):
+            ds.render_batch(np.full(shape, 0.5), 16, 16)
+
+    @pytest.mark.parametrize("shape_idx", [4, -1, 1.5, np.nan])
+    def test_rejects_shape_index(self, shape_idx):
+        self._rejects([shape_idx, 30.0, 0.0, 0.5, 0.5, 0.5], "row 2: shape index")
+
+    @pytest.mark.parametrize("scale", [19.99, 40.01, np.nan, np.inf])
+    def test_rejects_scale(self, scale):
+        self._rejects([1, scale, 0.0, 0.5, 0.5, 0.5], r"row 2: scale outside \[20, 40\]")
+
+    @pytest.mark.parametrize("rotation", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rotation(self, rotation):
+        self._rejects([1, 30.0, rotation, 0.5, 0.5, 0.5], "row 2: non-finite rotation")
+
+    @pytest.mark.parametrize("channel", [3, 4, 5])
+    @pytest.mark.parametrize("value", [-0.01, 1.01, np.nan])
+    def test_rejects_color(self, channel, value):
+        row = [1, 30.0, 0.0, 0.5, 0.5, 0.5]
+        row[channel] = value
+        self._rejects(row, r"row 2: color channels must lie in \[0, 1\]")
+
+    @pytest.mark.parametrize("width,height", [(7, 16), (16, 7)])
+    def test_rejects_small_canvas(self, width, height):
+        self._rejects([1, 30.0, 0.0, 0.5, 0.5, 0.5], "dimensions must be >= 8", width, height)
+
+    def test_peak_memory_is_the_output(self):
+        """No per-image list and no stacked copy: the output is the only large buffer."""
+        import tracemalloc
+
+        factors = ds.sample_factors(ds.SHAPES_SPEC, 200, seed=6)
+        tracemalloc.start()
+        try:
+            out = ds.render_batch(factors, 32, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
 
 class TestSyntheticMap:
@@ -188,6 +303,22 @@ class TestDatasetIo:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             ds.load_dataset(path)
+
+    def test_save_peak_memory_is_the_payload(self, tmp_path):
+        """The records are built once and written from their own buffer."""
+        import tracemalloc
+
+        data = ds.make_2dshapes_dataset(200, seed=4, width=32, height=32)
+        payload = data.n * (8 * data.spec.k + 4 * data.samples.shape[1])
+        path = tmp_path / "data.tdds"
+        tracemalloc.start()
+        try:
+            ds.save_dataset(data, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > payload
+        assert peak <= 1.25 * payload
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_oversized_record_fails_before_allocating(self, tmp_path, n):
