@@ -12,6 +12,9 @@ is fixed by graph construction order, so gradients are bit-reproducible.
 Constants (a leaf made with requires_grad=False, such as the data batch)
 never receive a gradient, and neither does a node computed from constants
 only. A tensor's .grad is None until its first gradient contribution arrives.
+A node's .grad is read only by its own VJP, so once that has run the array
+passes to the first parent it is returned for without a copy; only leaf
+gradients are meaningful after backward().
 """
 from __future__ import annotations
 
@@ -46,9 +49,10 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray, owned: bool) -> None:
         """Add one gradient contribution.
 
-        The first contribution becomes .grad itself when the caller owns it
-        (a freshly computed array); an array that aliases another tensor's
-        gradient is copied first.
+        The first contribution becomes .grad itself when the caller hands it
+        over (a freshly computed array, or a node's spent gradient passed to
+        its first parent); any other array is copied first, so no two
+        tensors share one gradient.
         """
         if self.grad is None:
             self.grad = grad if owned else grad.copy()
@@ -76,9 +80,12 @@ class Tensor:
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
+            handed = False
             for parent, grad in zip(node._parents, node._backward(node.grad)):
                 if grad is not None and parent.requires_grad:
-                    parent._accumulate(grad, owned=grad is not node.grad)
+                    spent = grad is node.grad
+                    parent._accumulate(grad, owned=not (spent and handed))
+                    handed = handed or spent
 
     # -- the dense-layer ops ----------------------------------------------------
 
@@ -110,7 +117,8 @@ def node(data, parents, backward) -> Tensor:
 
     backward(grad) is the node's VJP: given the gradient of data it returns
     one gradient per parent, in order, or None for a parent that needs none.
-    A returned array may be grad itself; the tape copies it before keeping it.
+    A returned array may be grad itself; the tape hands it to the first
+    parent it is returned for and copies it for any other.
     """
     out = Tensor(data, tuple(parents))
     out._backward = backward

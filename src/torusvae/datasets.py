@@ -9,7 +9,9 @@ Both ship with a seekable little-endian binary container.
 from __future__ import annotations
 
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +40,7 @@ class Factor:
 
     def __post_init__(self):
         if self.kind == KIND_UNIFORM:
-            if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
+            if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
                 raise ValueError(f"uniform factor {self.name!r} needs finite lo < hi")
         elif self.kind == KIND_ANGLE:
             object.__setattr__(self, "lo", 0.0)
@@ -67,6 +69,8 @@ class Factor:
         for key, value in (("lo", lo), ("hi", hi)):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"factor {name!r} field {key} must be a number")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValueError(f"factor {name!r} field {key} overflows a float")
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"factor {name!r} field n must be an integer")
         return cls(name=name, kind=kind, lo=lo, hi=hi, n=n)
@@ -318,15 +322,16 @@ def load_dataset(path) -> Dataset:
     # must fit in a C int, and the payload must hold every record.
     pixels = width * height * channels
     record_size = 8 * k + 4 * pixels
-    payload = blob[offset:]
-    if len(payload) != n * record_size:
+    payload_size = len(blob) - offset
+    if payload_size != n * record_size:
         raise FormatError(
-            f"payload holds {len(payload)} bytes but header promises {n * record_size} in {path}"
+            f"payload holds {payload_size} bytes but header promises {n * record_size} in {path}"
         )
     if record_size > np.iinfo(np.intc).max:
         raise FormatError(f"header declares {record_size}-byte records in {path}")
     record_dtype = np.dtype([("z", "<f8", (k,)), ("x", "<f4", (pixels,))])
-    records = np.frombuffer(payload, dtype=record_dtype)
+    # Records are read in place: slicing blob would copy the whole payload.
+    records = np.frombuffer(blob, dtype=record_dtype, count=n, offset=offset)
     return Dataset(
         samples=records["x"].astype(float).reshape(n, pixels),
         factors=records["z"].astype(float).reshape(n, k),

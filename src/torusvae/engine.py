@@ -580,6 +580,8 @@ def _read_layers(reader: _Reader):
     specs = []
     for _ in range(count):
         fan_in, fan_out, tag = reader.unpack("<IIB")
+        if fan_in == 0 or fan_out == 0:
+            raise FormatError(f"zero-width layer in {reader.path}")
         if tag not in _TAG_ACTS:
             raise FormatError(f"unknown activation tag {tag} in {reader.path}")
         if specs and fan_in != specs[-1][1]:
@@ -596,7 +598,6 @@ def load_checkpoint(path) -> VaeModel:
     mode_tag, scale_tag, latent_dim, input_dim = reader.unpack("<BBII")
     if mode_tag not in _TAG_MODES or scale_tag not in _TAG_SCALES:
         raise FormatError(f"unknown mode/scale tags in {path}")
-    latent = LatentSpec(_TAG_MODES[mode_tag], latent_dim)
     enc_specs = _read_layers(reader)
     dec_specs = _read_layers(reader)
     # The declared sizes are checked against the bytes present before any
@@ -604,13 +605,21 @@ def load_checkpoint(path) -> VaeModel:
     count = sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in enc_specs + dec_specs)
     payload = reader.take(8 * count)
     reader.done()
-    if enc_specs[0][0] != input_dim:
-        raise FormatError(f"encoder input dim mismatch in {path}")
+    if enc_specs[0][0] != input_dim or dec_specs[-1][1] != input_dim:
+        raise FormatError(f"encoder input or decoder output dim mismatch in {path}")
+    # The decoder input holds at least latent_dim columns, so this bounds
+    # the 2**latent_dim of the layout check by the payload.
+    if not 0 < latent_dim <= dec_specs[0][0]:
+        raise FormatError(f"latent dim {latent_dim} does not fit the decoder in {path}")
 
     def rebuild(specs):
         dims = [specs[0][0]] + [s[1] for s in specs]
         return DenseNetwork(dims, [s[2] for s in specs], np.random.default_rng(0))
 
-    model = VaeModel(latent, rebuild(enc_specs), rebuild(dec_specs), _TAG_SCALES[scale_tag])
+    latent = LatentSpec(_TAG_MODES[mode_tag], latent_dim)
+    try:
+        model = VaeModel(latent, rebuild(enc_specs), rebuild(dec_specs), _TAG_SCALES[scale_tag])
+    except ConfigError as exc:
+        raise FormatError(f"{exc} in {path}") from exc
     model.flat[...] = np.frombuffer(payload, dtype="<f8")
     return model

@@ -64,12 +64,21 @@ def unit_tuples_vjp(raw: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return out
 
 
-def _products(m: np.ndarray) -> list:
-    """Rank-1 products of the first 1..D tuples of m, shaped (N, 2**a) for a = 1..D."""
-    n, d = m.shape[0], m.shape[1]
-    out = [m[:, 0, :]]
-    for a in range(1, d):
-        out.append((out[-1].reshape(n, -1, 1) * m[:, a, :].reshape(n, 1, 2)).reshape(n, -1))
+def _products(mt: np.ndarray) -> list:
+    """Rank-1 products of the first 1..D tuples, shaped (2**a, N) for a = 1..D.
+
+    mt holds the tuples circle-major, (D, 2, N), so each level is two
+    multiplications over contiguous (2**a, N) blocks rather than a pass of
+    2-element inner loops per row.
+    """
+    n = mt.shape[2]
+    out = [mt[0]]
+    for a in range(1, mt.shape[0]):
+        p = out[-1]
+        level = np.empty((p.shape[0], 2, n))
+        np.multiply(p, mt[a, 0], out=level[:, 0])
+        np.multiply(p, mt[a, 1], out=level[:, 1])
+        out.append(level.reshape(-1, n))
     return out
 
 
@@ -81,7 +90,8 @@ def embed(m: np.ndarray) -> np.ndarray:
     so the first tuple's component index is the most significant bit. The
     last D columns are the tuples' cosine components.
     """
-    return np.concatenate([_products(m)[-1], m[:, :, 0]], axis=1)
+    prod = _products(m.transpose(1, 2, 0).copy())[-1]
+    return np.concatenate([prod.T, m[:, :, 0]], axis=1)
 
 
 def embed_vjp(m: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -89,19 +99,23 @@ def embed_vjp(m: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
     Runs back over the partial products, last tuple first, and adds the
     product block's share to m before the cosine block's; that fixed order
-    fixes the rounding of the training gradients.
+    fixes the rounding of the training gradients. Like embed it works
+    circle-major: each sum over the 2**a entries of a level runs over axis 0
+    of a (2**a, 2, N) array, adding the terms in the same order as a sum
+    over the middle axis of the row-major (N, 2**a, 2) layout.
     """
     n, d = m.shape[0], m.shape[1]
-    products = _products(m)
-    out = np.zeros_like(m)
-    g = grad[:, : 2**d]
+    mt = m.transpose(1, 2, 0).copy()
+    products = _products(mt)
+    out = np.zeros_like(mt)
+    g = grad[:, : 2**d].T.copy()
     for a in range(d - 1, 0, -1):
-        g = g.reshape(n, -1, 2)
-        out[:, a, :] += (g * products[a - 1].reshape(n, -1, 1)).sum(axis=1)
-        g = (g * m[:, a, :].reshape(n, 1, 2)).sum(axis=2)
-    out[:, 0, :] += g
-    out[:, :, 0] += grad[:, 2**d :]
-    return out
+        g = g.reshape(-1, 2, n)
+        out[a] += (g * products[a - 1][:, None, :]).sum(axis=0)
+        g = (g * mt[a]).sum(axis=1)
+    out[0] += g
+    out[:, 0, :] += grad[:, 2**d :].T
+    return out.transpose(2, 0, 1).copy()
 
 
 def embed_angles(angles) -> np.ndarray:

@@ -107,6 +107,25 @@ def test_shared_first_gradient_is_not_aliased(rng):
     check_scalar_graph(lambda t: sum_of_squares((t[0] + t[1]) + t[0]), arrays)
 
 
+def test_dense_layer_hands_its_gradient_to_the_matmul(rng, monkeypatch):
+    # the add node of h.matmul(w) + b passes its spent gradient on to the
+    # matmul node, its first parent, instead of copying it
+    adds = []
+    plain_add = Tensor.__add__
+
+    def recording_add(self, other):
+        adds.append(plain_add(self, other))
+        return adds[-1]
+
+    monkeypatch.setattr(Tensor, "__add__", recording_add)
+    model = engine.build_vae(engine.LatentSpec("torus", 2), 6, (5, 4), np.random.default_rng(0))
+    noise = rng.standard_normal(engine._noise_shape(model.latent, 3))
+    engine.elbo_loss(model, rng.uniform(-0.5, 0.5, size=(3, 6)), 1.0, noise)
+    assert len(adds) == 6  # three encoder and three decoder layers
+    for add in adds:
+        assert np.shares_memory(add._parents[0].grad, add.grad)
+
+
 # -- the hand-written VJPs ------------------------------------------------------------
 
 
@@ -116,7 +135,7 @@ def test_normalization_chain(rng):
     check_vjp(geometry.unit_tuples, geometry.unit_tuples_vjp, raw, rng)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
 def test_embed_vjp(d, rng):
     # the product block and the cosine block both read m: per-circle slices
     # feed the partial products, and one column of every circle the cosines

@@ -20,6 +20,13 @@ class TestFactorSpec:
         spec = ds.SHAPES_SPEC
         assert ds.FactorSpec.from_json(spec.to_json()) == spec
 
+    @pytest.mark.parametrize("lo", ["1" + "0" * 400, "1" + "0" * 30],
+                             ids=["beyond-float", "beyond-int64"])
+    def test_huge_integer_bounds_are_value_errors(self, lo):
+        # beyond a float, or beyond int64 where numpy would see an object
+        with pytest.raises(ValueError):
+            ds.FactorSpec.from_json(f'[{{"name": "a", "kind": "uniform", "lo": {lo}, "hi": 2}}]')
+
 
 class TestSampleFactors:
     def test_deterministic(self):
@@ -319,6 +326,21 @@ class TestDatasetIo:
             tracemalloc.stop()
         assert path.stat().st_size > payload
         assert peak <= 1.25 * payload
+
+    def test_load_peak_memory(self, tmp_path):
+        """The records are read in place: no copy of the payload is made."""
+        import tracemalloc
+
+        data = ds.make_2dshapes_dataset(200, seed=4, width=32, height=32)
+        path = tmp_path / "data.tdds"
+        ds.save_dataset(data, path)
+        tracemalloc.start()
+        try:
+            loaded = ds.load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * loaded.samples.nbytes
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_oversized_record_fails_before_allocating(self, tmp_path, n):

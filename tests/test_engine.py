@@ -478,6 +478,40 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="chain"):
             e.load_checkpoint(path)
 
+    def test_zero_width_layer(self, tmp_path):
+        # a 5 -> 0 -> 8 encoder whose payload matches its declared sizes
+        blob = (e.CHECKPOINT_MAGIC + struct.pack("<BBII", 0, 0, 2, 5)
+                + struct.pack("<BIIBIIB", 2, 5, 0, 1, 0, 8, 0)
+                + struct.pack("<BIIB", 1, 6, 5, 2) + b"\x00" * 8 * (8 + 35))
+        path = tmp_path / "zero.tdvae"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="zero-width"):
+            e.load_checkpoint(path)
+
+    @pytest.mark.parametrize("latent_dim", [0, 3, 2**32 - 1])
+    def test_latent_dim_that_does_not_fit_the_layers(self, tmp_path, latent_dim):
+        model = tiny_model()
+        path = tmp_path / "model.tdvae"
+        e.save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(e.CHECKPOINT_MAGIC) + 2, latent_dim)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            e.load_checkpoint(path)
+
+    def test_decoder_output_must_match_the_input(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "model.tdvae"
+        e.save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        # one decoder output unit fewer, with the payload cut to match
+        at = len(e.CHECKPOINT_MAGIC) + struct.calcsize("<BBII") + 1 + 2 * 9 + 1 + 9 + 4
+        assert struct.unpack_from("<I", blob, at) == (5,)
+        struct.pack_into("<I", blob, at, 4)
+        path.write_bytes(bytes(blob[: len(blob) - 8 * (8 + 1)]))
+        with pytest.raises(FormatError, match="decoder output"):
+            e.load_checkpoint(path)
+
     def test_network_without_layers(self, tmp_path):
         path = tmp_path / "empty.tdvae"
         path.write_bytes(e.CHECKPOINT_MAGIC + struct.pack("<BBII", 0, 0, 1, 5) + b"\x00\x00")

@@ -125,6 +125,79 @@ class TestEmbed:
             assert np.abs(a - b).max() > 1e-9
 
 
+# The row-major product loop and its VJP over (N, 2**a, 2) arrays, kept as the
+# oracle for the circle-major code: the layouts differ, the bits may not.
+
+
+def oracle_products(m):
+    n, d = m.shape[0], m.shape[1]
+    out = [m[:, 0, :]]
+    for a in range(1, d):
+        out.append((out[-1].reshape(n, -1, 1) * m[:, a, :].reshape(n, 1, 2)).reshape(n, -1))
+    return out
+
+
+def oracle_embed(m):
+    return np.concatenate([oracle_products(m)[-1], m[:, :, 0]], axis=1)
+
+
+def oracle_embed_vjp(m, grad):
+    n, d = m.shape[0], m.shape[1]
+    products = oracle_products(m)
+    out = np.zeros_like(m)
+    gp = grad[:, : 2**d]
+    for a in range(d - 1, 0, -1):
+        gp = gp.reshape(n, -1, 2)
+        out[:, a, :] += (gp * products[a - 1].reshape(n, -1, 1)).sum(axis=1)
+        gp = (gp * m[:, a, :].reshape(n, 1, 2)).sum(axis=2)
+    out[:, 0, :] += gp
+    out[:, :, 0] += grad[:, 2**d :]
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestOracleParity:
+    """embed, embed_angles and embed_vjp equal the row-major oracle bit for bit.
+
+    N = 1 is where numpy may pick another inner loop for a reduction; exact
+    zeros and -0.0 gradients check that no sum starts from an added +0.0.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 144])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_embed_and_vjp(self, d, n, rng):
+        m = rng.standard_normal((n, d, 2))
+        m[rng.random(m.shape) < 0.15] = 0.0
+        m[rng.random(m.shape) < 0.05] = -0.0
+        grad = rng.standard_normal((n, 2**d + d))
+        grad[rng.random(grad.shape) < 0.2] = -0.0
+        assert_same_bits(g.embed(m), oracle_embed(m))
+        assert_same_bits(g.embed_vjp(m, grad), oracle_embed_vjp(m, grad))
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_signed_zero_gradient(self, d, rng):
+        m = rng.standard_normal((7, d, 2))
+        m[:, 0, 1] = 0.0
+        grad = np.full((7, 2**d + d), -0.0)
+        assert_same_bits(g.embed_vjp(m, grad), oracle_embed_vjp(m, grad))
+        grad[:, : 2**d] = rng.standard_normal((7, 2**d))
+        assert_same_bits(g.embed_vjp(m, grad), oracle_embed_vjp(m, grad))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 144])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_embed_angles(self, d, n, rng):
+        theta = rng.uniform(-10.0, 10.0, size=(n, d))
+        theta[rng.random(theta.shape) < 0.2] = 0.0  # an exactly zero sine
+        c = g.canonical_angle(theta)
+        m = np.stack([np.cos(c), np.sin(c)], axis=2)
+        assert_same_bits(g.embed_angles(theta), oracle_embed(m))
+
+
 class TestRecoverAngles:
     def test_single_circle_origin(self):
         assert np.array_equal(g.recover_angles_batch(np.array([[1.0, 0.0, 1.0]]), 1), [[0.0]])
