@@ -1,13 +1,15 @@
 """Command-line front end: generate, train, evaluate, sweep, traverse.
 
-Every command is a pure function of the JSON config and its input files;
-outputs are written atomically (temp file, then rename) so reruns reproduce
-identical bytes and interruptions never leave truncated artifacts.
+Every command is a pure function of the JSON config and its input files, so
+reruns reproduce identical bytes. Every output but the heatmap CSVs, which
+metrics.write_heatmap_bundle writes in place, is written atomically (temp
+file, then rename), so an interruption never leaves it truncated.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -33,12 +35,12 @@ EXIT_RUNTIME = 2
 
 def load_config(path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config
@@ -145,8 +147,8 @@ def _checkpoint_path(config: dict, out_dir: Path) -> Path:
 
 
 def _input_file(path: Path, writer: str) -> Path:
-    """path, if the file exists; writer names the command that makes it."""
-    if not path.exists():
+    """path, if it is a regular file; writer names the command that makes it."""
+    if not path.is_file():
         raise ConfigError(f"input file not found: {path} (run {writer} first)")
     return path
 
@@ -172,8 +174,9 @@ def _train_config(config: dict, beta=None, latent_dim=None) -> engine.TrainConfi
         batch_size=number("batch_size", int, 144),
         epochs=number("epochs", int, 50),
         seed=number("seed", int),
-        hidden=tuple(_numbers(block.get("hidden", (256, 128)), "model.hidden", int)),
-        val_fraction=number("val_fraction", default=0.2),
+        hidden=tuple(_numbers(block.get("hidden", engine.TrainConfig.hidden),
+                              "model.hidden", int)),
+        val_fraction=number("val_fraction", default=engine.TrainConfig.val_fraction),
         input_scale=_input_scale_for(dataset_kind),
     )
 
@@ -234,7 +237,7 @@ def cmd_train(config: dict, args) -> int:
     report_path = _resolve(out_dir, config["model"].get("report", "train_report.json"))
     _atomic_file(_checkpoint_path(config, out_dir),
                  lambda tmp: engine.save_checkpoint(model, tmp))
-    _atomic_json(report_path, report.to_dict())
+    _atomic_json(report_path, dataclasses.asdict(report))
     print(
         f"trained {train_config.mode} latent_dim={train_config.latent_dim} "
         f"beta={train_config.beta}: best epoch {report.best_epoch}, "

@@ -13,11 +13,10 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, Reader
 from .geometry import TWO_PI
 
 DATASET_MAGIC = b"TDDS1"
@@ -296,42 +295,25 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    path = Path(path)
-    blob = path.read_bytes()
-    offset = len(DATASET_MAGIC)
-    if blob[:offset] != DATASET_MAGIC:
+    reader = Reader(path)
+    if reader.take(len(DATASET_MAGIC)) != DATASET_MAGIC:
         raise FormatError(f"bad dataset magic in {path}")
-    header_size = struct.calcsize("<IIIII")
-    if len(blob) < offset + header_size + 4:
-        raise FormatError(f"truncated dataset header in {path}")
-    n, width, height, channels, k = struct.unpack_from("<IIIII", blob, offset)
-    offset += header_size
-    (spec_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    if len(blob) < offset + spec_len:
-        raise FormatError(f"truncated factor spec block in {path}")
+    n, width, height, channels, k, spec_len = reader.unpack("<IIIIII")
     try:
-        spec = FactorSpec.from_json(blob[offset : offset + spec_len].decode("utf-8"))
+        spec = FactorSpec.from_json(str(reader.take(spec_len), "utf-8"))
     except (ValueError, KeyError) as exc:
         raise FormatError(f"unreadable factor spec in {path}: {exc}") from exc
-    offset += spec_len
     if spec.k != k:
         raise FormatError(f"factor spec lists {spec.k} factors, header says {k}")
-
-    # The declared sizes are checked before numpy sees them: a record type
-    # must fit in a C int, and the payload must hold every record.
+    # A record type must fit in a C int before numpy sees it.
     pixels = width * height * channels
     record_size = 8 * k + 4 * pixels
-    payload_size = len(blob) - offset
-    if payload_size != n * record_size:
-        raise FormatError(
-            f"payload holds {payload_size} bytes but header promises {n * record_size} in {path}"
-        )
     if record_size > np.iinfo(np.intc).max:
         raise FormatError(f"header declares {record_size}-byte records in {path}")
     record_dtype = np.dtype([("z", "<f8", (k,)), ("x", "<f4", (pixels,))])
-    # Records are read in place: slicing blob would copy the whole payload.
-    records = np.frombuffer(blob, dtype=record_dtype, count=n, offset=offset)
+    # Records are read in place, from a view of the file's buffer.
+    records = np.frombuffer(reader.take(n * record_size), dtype=record_dtype, count=n)
+    reader.done()
     return Dataset(
         samples=records["x"].astype(float).reshape(n, pixels),
         factors=records["z"].astype(float).reshape(n, k),

@@ -11,17 +11,16 @@ is single-threaded and fully determined by the config seed.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, node
-from .errors import ConfigError, FormatError, NumericsError
+from .errors import ConfigError, FormatError, NumericsError, Reader
 from .geometry import (TWO_PI, embed, embed_angles, embed_vjp, gaussian_kl, tuple_norms,
                        unit_tuples, unit_tuples_vjp)
-
-ACTIVATIONS = ("identity", "relu", "tanh")
 
 TORUS = "torus"
 EUCLIDEAN = "euclidean"
@@ -56,25 +55,35 @@ class LatentSpec:
         return 2**self.dim + self.dim if self.mode == TORUS else self.dim
 
 
-class DenseNetwork:
-    """A stack of fully connected layers with per-layer activations."""
+def param_count(specs) -> int:
+    """Number of weights and biases of (fan_in, fan_out, activation) layer specs."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in specs)
 
-    def __init__(self, layer_dims, activations, rng: np.random.Generator):
-        if len(layer_dims) < 2 or len(activations) != len(layer_dims) - 1:
-            raise ConfigError("layer dims and activations do not chain")
-        for act in activations:
-            if act not in ACTIVATIONS:
-                raise ConfigError(f"unknown activation {act!r}")
-        self.activations = list(activations)
+
+class DenseNetwork:
+    """A stack of fully connected layers over slices of a model's flat vectors.
+
+    specs holds one (fan_in, fan_out, activation) per layer, as build_vae
+    makes them and load_checkpoint checks them: nonempty, chained, with an
+    activation of _ACT_TAGS. Each weight and bias is a Tensor whose .data and
+    .grad are views of flat and flat_grad, laid out layer by layer, weight
+    before bias.
+    """
+
+    def __init__(self, specs, flat: np.ndarray, flat_grad: np.ndarray):
+        self.specs = list(specs)
         self.weights = []
         self.biases = []
-        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            limit = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-            self.weights.append(Tensor(w))
-            self.biases.append(Tensor(np.zeros(fan_out)))
-        self.input_dim = layer_dims[0]
-        self.output_dim = layer_dims[-1]
+        offset = 0
+        for fan_in, fan_out, _ in specs:
+            for group, shape in ((self.weights, (fan_in, fan_out)), (self.biases, (fan_out,))):
+                size = math.prod(shape)
+                param = Tensor(flat[offset : offset + size].reshape(shape))
+                param.grad = flat_grad[offset : offset + size].reshape(shape)
+                group.append(param)
+                offset += size
+        self.input_dim = specs[0][0]
+        self.output_dim = specs[-1][1]
 
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
@@ -82,7 +91,7 @@ class DenseNetwork:
                 f"expected input shape (N, {self.input_dim}), got {x.data.shape}"
             )
         h = x
-        for w, b, act in zip(self.weights, self.biases, self.activations):
+        for w, b, (_, _, act) in zip(self.weights, self.biases, self.specs):
             h = h.matmul(w) + b
             if act == "relu":
                 h = h.relu()
@@ -95,12 +104,6 @@ class DenseNetwork:
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
         return out
-
-    def layer_specs(self):
-        return [
-            (w.data.shape[0], w.data.shape[1], act)
-            for w, act in zip(self.weights, self.activations)
-        ]
 
 
 def param_views(vector: np.ndarray, params) -> list:
@@ -125,28 +128,27 @@ class VaeModel:
     """Encoder, latent layout and decoder over one flat parameter vector.
 
     flat holds every parameter in parameters() order (the TDVAE1 payload
-    order) and flat_grad their gradients; each weight and bias .data/.grad
-    is a reshaped view into them.
+    order): zeros unless given, as load_checkpoint gives a file's payload.
+    flat_grad holds their gradients; each weight and bias .data/.grad is a
+    reshaped view into them.
     """
 
-    def __init__(self, latent: LatentSpec, encoder: DenseNetwork, decoder: DenseNetwork,
-                 input_scale: str = SCALE_SYMMETRIC):
-        if encoder.output_dim != latent.encoder_out_dim:
+    def __init__(self, latent: LatentSpec, encoder_specs, decoder_specs,
+                 input_scale: str = SCALE_SYMMETRIC, flat: np.ndarray | None = None):
+        split = param_count(encoder_specs)
+        size = split + param_count(decoder_specs)
+        self.flat = np.zeros(size) if flat is None else flat
+        self.flat_grad = np.zeros(size)
+        self.encoder = DenseNetwork(encoder_specs, self.flat[:split], self.flat_grad[:split])
+        self.decoder = DenseNetwork(decoder_specs, self.flat[split:], self.flat_grad[split:])
+        if self.encoder.output_dim != latent.encoder_out_dim:
             raise ConfigError("encoder output does not match the latent layout")
-        if decoder.input_dim != latent.decoder_in_dim:
+        if self.decoder.input_dim != latent.decoder_in_dim:
             raise ConfigError("decoder input does not match the latent layout")
         if input_scale not in (SCALE_SYMMETRIC, SCALE_UNIT):
             raise ConfigError(f"unknown input scale {input_scale!r}")
         self.latent = latent
-        self.encoder = encoder
-        self.decoder = decoder
         self.input_scale = input_scale
-        params = self.parameters()
-        self.flat = np.concatenate([p.data.ravel() for p in params])
-        self.flat_grad = np.zeros_like(self.flat)
-        views = zip(param_views(self.flat, params), param_views(self.flat_grad, params))
-        for p, (data, grad) in zip(params, views):
-            p.data, p.grad = data, grad
 
     # -- the latent step ----------------------------------------------------
 
@@ -232,16 +234,20 @@ class VaeModel:
 
 def build_vae(latent: LatentSpec, input_dim: int, hidden, rng: np.random.Generator,
               input_scale: str = SCALE_SYMMETRIC) -> VaeModel:
+    """A new model: zero biases and weights uniform in +-sqrt(6 / fan_in), drawn
+    layer by layer, encoder first."""
     hidden = list(hidden)
     if input_dim < 1 or any(h < 1 for h in hidden):
         raise ConfigError("dimensions must be positive")
     enc_dims = [input_dim] + hidden + [latent.encoder_out_dim]
-    enc_acts = ["relu"] * len(hidden) + ["identity"]
     dec_dims = [latent.decoder_in_dim] + hidden[::-1] + [input_dim]
-    dec_acts = ["relu"] * len(hidden) + ["tanh"]
-    encoder = DenseNetwork(enc_dims, enc_acts, rng)
-    decoder = DenseNetwork(dec_dims, dec_acts, rng)
-    return VaeModel(latent, encoder, decoder, input_scale)
+    acts = ["relu"] * len(hidden)
+    model = VaeModel(latent, list(zip(enc_dims, enc_dims[1:], acts + ["identity"])),
+                     list(zip(dec_dims, dec_dims[1:], acts + ["tanh"])), input_scale)
+    for w in model.encoder.weights + model.decoder.weights:
+        limit = np.sqrt(6.0 / w.data.shape[0])
+        w.data[...] = rng.uniform(-limit, limit, size=w.data.shape)
+    return model
 
 
 # -- loss ---------------------------------------------------------------------
@@ -397,17 +403,6 @@ class TrainReport:
     latent_dim: int
     beta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "latent_dim": self.latent_dim,
-            "beta": self.beta,
-            "seed": self.seed,
-            "best_epoch": self.best_epoch,
-            "train_loss": self.train_loss,
-            "val_mse": self.val_mse,
-        }
-
 
 def scale_in(x: np.ndarray, input_scale: str) -> np.ndarray:
     """Map dataset values to the model's [-1, 1] input range."""
@@ -528,8 +523,8 @@ _TAG_SCALES = {v: k for k, v in _SCALE_TAGS.items()}
 
 
 def _pack_layers(net: DenseNetwork) -> bytes:
-    parts = [struct.pack("<B", len(net.weights))]
-    for fan_in, fan_out, act in net.layer_specs():
+    parts = [struct.pack("<B", len(net.specs))]
+    for fan_in, fan_out, act in net.specs:
         parts.append(struct.pack("<IIB", fan_in, fan_out, _ACT_TAGS[act]))
     return b"".join(parts)
 
@@ -549,31 +544,10 @@ def save_checkpoint(model: VaeModel, path) -> None:
     ]
     with open(path, "wb") as fh:
         fh.write(b"".join(header))
-        fh.write(model.flat.astype("<f8", copy=False).tobytes())
+        fh.write(memoryview(model.flat.astype("<f8", copy=False)).cast("B"))
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = memoryview(blob)  # take() hands out views, not copies
-        self.offset = 0
-        self.path = path
-
-    def take(self, size: int) -> memoryview:
-        if self.offset + size > len(self.blob):
-            raise FormatError(f"truncated file: {self.path}")
-        out = self.blob[self.offset : self.offset + size]
-        self.offset += size
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def done(self):
-        if self.offset != len(self.blob):
-            raise FormatError(f"{len(self.blob) - self.offset} trailing bytes in {self.path}")
-
-
-def _read_layers(reader: _Reader):
+def _read_layers(reader: Reader):
     (count,) = reader.unpack("<B")
     if count == 0:
         raise FormatError(f"network without layers in {reader.path}")
@@ -591,8 +565,8 @@ def _read_layers(reader: _Reader):
 
 
 def load_checkpoint(path) -> VaeModel:
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
+    """The model a TDVAE1 file holds; its payload, uncopied, becomes the model's flat."""
+    reader = Reader(path)
     if reader.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic in {path}")
     mode_tag, scale_tag, latent_dim, input_dim = reader.unpack("<BBII")
@@ -602,8 +576,7 @@ def load_checkpoint(path) -> VaeModel:
     dec_specs = _read_layers(reader)
     # The declared sizes are checked against the bytes present before any
     # parameter array is allocated.
-    count = sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in enc_specs + dec_specs)
-    payload = reader.take(8 * count)
+    payload = reader.take(8 * param_count(enc_specs + dec_specs))
     reader.done()
     if enc_specs[0][0] != input_dim or dec_specs[-1][1] != input_dim:
         raise FormatError(f"encoder input or decoder output dim mismatch in {path}")
@@ -611,15 +584,9 @@ def load_checkpoint(path) -> VaeModel:
     # the 2**latent_dim of the layout check by the payload.
     if not 0 < latent_dim <= dec_specs[0][0]:
         raise FormatError(f"latent dim {latent_dim} does not fit the decoder in {path}")
-
-    def rebuild(specs):
-        dims = [specs[0][0]] + [s[1] for s in specs]
-        return DenseNetwork(dims, [s[2] for s in specs], np.random.default_rng(0))
-
     latent = LatentSpec(_TAG_MODES[mode_tag], latent_dim)
     try:
-        model = VaeModel(latent, rebuild(enc_specs), rebuild(dec_specs), _TAG_SCALES[scale_tag])
+        return VaeModel(latent, enc_specs, dec_specs, _TAG_SCALES[scale_tag],
+                        flat=np.frombuffer(payload, dtype="<f8"))
     except ConfigError as exc:
         raise FormatError(f"{exc} in {path}") from exc
-    model.flat[...] = np.frombuffer(payload, dtype="<f8")
-    return model

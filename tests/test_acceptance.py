@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from torusvae import cli, datasets as ds, engine, geometry as g, metrics as m
-from conftest import (circular_error, finite_diff_grads, kkt_lasso_oracle, max_relative_error,
+from helpers import (circular_error, finite_diff_grads, kkt_lasso_oracle, max_relative_error,
                       sample_circles)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from torusvae import engine, geometry
 from torusvae.autodiff import Tensor, node
-from conftest import finite_diff_grads, max_relative_error
+from helpers import finite_diff_grads, max_relative_error
 
 
 def sum_of_squares(t):

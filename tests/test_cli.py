@@ -457,6 +457,24 @@ class TestExitCodes:
         with pytest.raises(ConfigError):
             cli._number(0.5, "x", int)
 
+    def test_config_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"out_dir": "caf\u00e9"}'.encode("latin-1"))
+        assert run("generate", "--config", str(path)) == 1
+
+    def test_config_path_that_is_a_directory(self, tmp_path):
+        assert run("generate", "--config", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("command,key", [("train", ("dataset", "path")),
+                                             ("evaluate", ("model", "checkpoint"))])
+    def test_input_path_that_is_a_directory(self, tmp_path, command, key):
+        cfg = base_config(tmp_path / "out")
+        config = write_config(tmp_path, cfg)
+        assert run("generate", "--config", str(config)) == 0
+        cfg[key[0]][key[1]] = str(tmp_path)
+        config = write_config(tmp_path, cfg)
+        assert run(command, "--config", str(config)) == 1
+
     def test_runtime_failure_is_two(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where a directory must go")

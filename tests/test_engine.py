@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -7,7 +9,7 @@ from torusvae import engine as e
 from torusvae import geometry as g
 from torusvae.autodiff import Tensor, node
 from torusvae.errors import ConfigError, FormatError
-from conftest import finite_diff_grads, max_relative_error
+from helpers import finite_diff_grads, max_relative_error
 
 
 def tiny_model(mode="torus", dim=2, input_dim=5, hidden=(8,), seed=3):
@@ -273,6 +275,23 @@ class TestFlatParameters:
             assert np.array_equal(p.grad.ravel(), -np.arange(offset, offset + size))
             offset += size
 
+    def test_loaded_parameters_are_views_of_the_payload(self, tmp_path):
+        path = tmp_path / "model.tdvae"
+        e.save_checkpoint(tiny_model(hidden=(8, 6)), path)
+        model = e.load_checkpoint(path)
+        for p in model.parameters():
+            assert np.shares_memory(p.data, model.flat)
+            assert np.shares_memory(p.grad, model.flat_grad)
+        assert model.flat.flags.writeable
+
+    def test_initial_weights_are_pinned(self):
+        """build_vae draws the same numbers in the same order for a seed and architecture."""
+        model = e.build_vae(e.LatentSpec("torus", 3), 7, (8, 5), np.random.default_rng(20240817))
+        assert model.flat.size == 352
+        assert hashlib.sha256(model.flat.tobytes()).hexdigest() == (
+            "c28b6d69d72caa6f254cff522264935e699f3831e708146fb72428e96be11b04")
+        assert not model.encoder.biases[0].data.any()
+
     def test_snapshot_and_restore(self, rng):
         model = tiny_model()
         saved = model.snapshot()
@@ -326,7 +345,7 @@ class TestTrain:
         cfg = e.TrainConfig("torus", 2, 1.0, 1e-3, 32, 3, seed=9, hidden=(16,))
         model_a, report_a = e.train(cfg, data.samples)
         model_b, report_b = e.train(cfg, data.samples)
-        assert report_a.to_dict() == report_b.to_dict()
+        assert dataclasses.asdict(report_a) == dataclasses.asdict(report_b)
         for pa, pb in zip(model_a.parameters(), model_b.parameters()):
             assert np.array_equal(pa.data, pb.data)
 
@@ -431,6 +450,45 @@ class TestCheckpoint:
         e.save_checkpoint(model, tmp_path / "a")
         e.save_checkpoint(model, tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_save_writes_the_flat_vector_uncopied(self, tmp_path):
+        import tracemalloc
+
+        model = tiny_model(input_dim=300, hidden=(200,))
+        path = tmp_path / "model.tdvae"
+        tracemalloc.start()
+        try:
+            e.save_checkpoint(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().endswith(model.flat.tobytes())
+        assert peak < 0.25 * model.flat.nbytes
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.tdvae"
+        e.save_checkpoint(tiny_model(), path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(e.np.random, "default_rng", no_rng)
+        e.load_checkpoint(path)
+
+    def test_load_peak_memory(self, tmp_path):
+        """The file is read once, and its payload becomes the model's flat vector."""
+        import tracemalloc
+
+        path = tmp_path / "model.tdvae"
+        e.save_checkpoint(tiny_model(input_dim=300, hidden=(64, 32)), path)
+        e.load_checkpoint(path)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            e.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * path.stat().st_size
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad"

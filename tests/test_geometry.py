@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torusvae import geometry as g
-from conftest import circular_error, sample_circles
+from helpers import circular_error, sample_circles
 
 
 def circle_point(theta):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusvae import metrics as m
 from torusvae.errors import ConfigError
-from conftest import kkt_lasso_oracle
+from helpers import kkt_lasso_oracle
 
 
 class TestStandardize:
