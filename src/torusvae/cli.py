@@ -1,9 +1,9 @@
 """Command-line front end: generate, train, evaluate, sweep, traverse.
 
 Every command is a pure function of the JSON config and its input files, so
-reruns reproduce identical bytes. Every output but the heatmap CSVs, which
-metrics.write_heatmap_bundle writes in place, is written atomically (temp
-file, then rename), so an interruption never leaves it truncated.
+reruns reproduce identical bytes. Every output is written atomically (temp
+file, then rename; the heatmap CSVs through one temp directory, see
+metrics.write_heatmap_bundle), so an interruption never leaves it truncated.
 """
 from __future__ import annotations
 

@@ -7,7 +7,9 @@ informativeness and their geometric mean are computed.
 """
 from __future__ import annotations
 
-import csv
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -19,6 +21,10 @@ from .errors import ConfigError
 DEFAULT_ALPHA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 0.8, 1.0)
 RANK_REL_TOL = 1e-8
 FLOAT_FORMAT = "%.9g"
+
+
+class ConvergenceWarning(UserWarning):
+    """Coordinate descent stopped at max_sweeps with problems still moving."""
 
 
 def standardize_columns(arr: np.ndarray):
@@ -114,7 +120,8 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha, tol: float = 1e-8,
     else:
         warnings.warn(
             f"lasso coordinate descent did not converge: {int(live.sum())} of {live.size} "
-            f"problems still moved after {max_sweeps} sweeps, by up to {moved.max():.3e}"
+            f"problems still moved after {max_sweeps} sweeps, by up to {moved.max():.3e}",
+            ConvergenceWarning,
         )
     lead = () if folds is None else (len(moments),)
     return W.transpose(0, 2, 1).reshape(lead + shape + (d,))
@@ -278,7 +285,10 @@ DCI_REPORT_SCHEMA = {
         "n_factors": {"type": "integer", "minimum": 1},
         "n_rows": {"type": "integer", "minimum": 1},
         "alphas": {"type": "array", "items": {"type": "number"}},
-        "flags": {"type": "array", "items": {"type": "string"}},
+        "flags": {"type": "array", "items": {"type": "string", "pattern": (
+            r"^(zero_importance_matrix|lasso_not_converged"
+            r"|(dead|constant)_(code|factor):(0|[1-9][0-9]*))$"
+        )}},
     },
     "additionalProperties": False,
 }
@@ -304,7 +314,8 @@ def run_dci(codes: np.ndarray, factors: np.ndarray, split_seed: int,
     warn and become zeros), one lasso per factor is fitted on the non-holdout
     rows, R[a, i] = |W[i, a]| is how much code a counts in predicting factor
     i, and informativeness is the mean squared error of the lasso predictions
-    on the holdout rows.
+    on the holdout rows. What only warns (a constant column, a lasso that did
+    not converge) is also kept in the report's flags.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ConfigError("holdout_fraction must be in (0, 1)")
@@ -317,9 +328,11 @@ def run_dci(codes: np.ndarray, factors: np.ndarray, split_seed: int,
         raise ValueError(f"row count mismatch: {n} codes vs {factors.shape[0]} factors")
     codes, dead_codes = standardize_columns(codes)
     factors, dead_factors = standardize_columns(factors)
+    flags = []
     for name, dead in (("code", dead_codes), ("factor", dead_factors)):
         for idx in np.flatnonzero(dead):
             warnings.warn(f"{name} column {idx} is constant; passed through as zeros")
+            flags.append(f"constant_{name}:{idx}")
 
     holdout_rng, cv_seed_seq = np.random.SeedSequence(split_seed).spawn(2)
     perm = np.random.default_rng(holdout_rng).permutation(n)
@@ -328,7 +341,13 @@ def run_dci(codes: np.ndarray, factors: np.ndarray, split_seed: int,
         raise ConfigError("holdout split leaves no rows to fit on")
     hold_idx, fit_idx = perm[:n_hold], perm[n_hold:]
     cv_seed = int(np.random.default_rng(cv_seed_seq).integers(2**31 - 1))
-    alphas, weights = lasso_cv(codes[fit_idx], factors[fit_idx], cv_seed, grid, folds)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        alphas, weights = lasso_cv(codes[fit_idx], factors[fit_idx], cv_seed, grid, folds)
+    for w in caught:
+        warnings.warn(w.message, stacklevel=2)
+    if any(issubclass(w.category, ConvergenceWarning) for w in caught):
+        flags.append("lasso_not_converged")
     R = np.abs(weights).T
 
     dis = disentanglement(R)
@@ -336,7 +355,6 @@ def run_dci(codes: np.ndarray, factors: np.ndarray, split_seed: int,
     resid = factors[hold_idx] - codes[hold_idx] @ weights.T
     info = float(np.mean(resid**2))
 
-    flags = []
     if dis.degenerate:
         flags.append("zero_importance_matrix")
     for a in np.flatnonzero(R.sum(axis=1) == 0.0):
@@ -374,49 +392,76 @@ class HeatmapBundle:
 
 def heatmap_export(codes: np.ndarray, factors: np.ndarray, R: np.ndarray,
                    bins: int = 32) -> HeatmapBundle:
-    """Joint 2-d histograms of every (code, factor) pair over their observed ranges."""
+    """Joint 2-d histograms of every (code, factor) pair over their observed ranges.
+
+    Each column is binned once, with np.histogramdd's arithmetic: `bins` equal
+    bins between the column's min and max (widened by 0.5 each way when they
+    are equal), left edges inclusive and the last bin closed on the right.
+    Each pair's counts are then one bincount of the joint bin index.
+    """
     codes = np.asarray(codes, dtype=float)
     factors = np.asarray(factors, dtype=float)
     R = _check_importance(R)
-    histograms = {}
-    for a in range(codes.shape[1]):
-        for j in range(factors.shape[1]):
-            c_range = _observed_range(codes[:, a])
-            z_range = _observed_range(factors[:, j])
-            counts, _, _ = np.histogram2d(
-                codes[:, a], factors[:, j], bins=bins, range=[c_range, z_range]
-            )
-            histograms[(a, j)] = counts
+    if bins < 1:
+        raise ValueError(f"bins must be positive, got {bins}")
+    code_bins = [_column_bins(col, bins) for col in codes.T]
+    factor_bins = [_column_bins(col, bins) for col in factors.T]
+    histograms = {
+        (a, j): np.bincount(c * bins + z, minlength=bins * bins).reshape(bins, bins).astype(float)
+        for a, c in enumerate(code_bins) for j, z in enumerate(factor_bins)
+    }
     return HeatmapBundle(importance=R, histograms=histograms, bins=bins)
 
 
-def _observed_range(values: np.ndarray):
+def _column_bins(values: np.ndarray, bins: int) -> np.ndarray:
+    """The bin index in [0, bins) of every value, over the column's observed range."""
     lo, hi = float(values.min()), float(values.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"observed range [{lo}, {hi}] is not finite")
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    return (lo, hi)
+    edges = np.linspace(lo, hi, bins + 1)
+    index = np.searchsorted(edges, values, side="right")
+    index[values == edges[-1]] -= 1
+    return index - 1
 
 
-def write_csv_matrix(path, matrix: np.ndarray, header) -> None:
-    """UTF-8 comma-separated matrix, header row, floats at 9 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([FLOAT_FORMAT % v for v in row])
+def _csv_text(header, rows) -> str:
+    """The text csv.writer writes for these rows of fields: comma-separated, each
+    row ended by CRLF. Header names and formatted numbers never need quoting."""
+    return "".join([",".join(fields) + "\r\n" for fields in (header, *rows)])
 
 
 def write_heatmap_bundle(bundle: HeatmapBundle, out_dir) -> list:
-    """Write importance.csv plus one CSV per (code, factor) histogram; returns paths."""
+    """Write importance.csv plus one CSV per (code, factor) histogram; returns paths.
+
+    Every file is written into a temp directory inside out_dir first and then
+    renamed into place, so an interruption while writing leaves the previous
+    files whole. Counts are whole numbers, so each distinct count is
+    formatted once, in a table indexed by the count.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     n_factors = bundle.importance.shape[1]
-    r_path = out_dir / "importance.csv"
-    write_csv_matrix(r_path, bundle.importance, [f"factor_{j}" for j in range(n_factors)])
-    paths.append(r_path)
-    for (a, j), counts in sorted(bundle.histograms.items()):
-        path = out_dir / f"hist_code{a}_factor{j}.csv"
-        write_csv_matrix(path, counts, [f"factor_bin_{b}" for b in range(bundle.bins)])
-        paths.append(path)
-    return paths
+    files = {"importance.csv": _csv_text(
+        [f"factor_{j}" for j in range(n_factors)],
+        [[FLOAT_FORMAT % v for v in row] for row in np.atleast_2d(bundle.importance)],
+    )}
+    keys = sorted(bundle.histograms)
+    counts = [bundle.histograms[key].astype(np.intp) for key in keys]
+    seen = np.flatnonzero(np.bincount(np.concatenate([[0]] + [c.ravel() for c in counts])))
+    table = np.empty(seen[-1] + 1, dtype=object)
+    table[seen] = [FLOAT_FORMAT % v for v in seen.tolist()]
+    header = [f"factor_bin_{b}" for b in range(bundle.bins)]
+    for (a, j), cells in zip(keys, counts):
+        files[f"hist_code{a}_factor{j}.csv"] = _csv_text(header, table[cells].tolist())
+    tmp = tempfile.mkdtemp(dir=out_dir, prefix=".heatmaps.", suffix=".tmp")
+    try:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for name in files:
+            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return [out_dir / name for name in files]

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -27,6 +28,7 @@ class TestStandardize:
         with pytest.warns(UserWarning, match="constant"):
             out = m.run_dci(np.ones((5, 2)), np.arange(10.0).reshape(5, 2), split_seed=0, folds=2)
         assert np.all(out.codes == 0.0)
+        assert out.report.flags[:2] == ["constant_code:0", "constant_code:1"]
         assert np.abs(out.factors.mean(axis=0)).max() < 1e-12
         assert np.abs(out.factors.var(axis=0) - 1.0).max() < 1e-12
 
@@ -321,6 +323,42 @@ class TestEvaluateDci:
         report = m.run_dci(z, z + 0.01 * rng.standard_normal((200, 2)), split_seed=3).report
         payload = json.loads(json.dumps(report.to_dict()))
         jsonschema.validate(payload, m.DCI_REPORT_SCHEMA)
+        assert report.flags == []
+
+    def test_constant_columns_are_flagged(self, rng):
+        import jsonschema
+
+        codes = rng.standard_normal((60, 3))
+        codes[:, 1] = 4.0
+        factors = codes[:, :2] + 0.1 * rng.standard_normal((60, 2))
+        factors[:, 0] = -1.0
+        with pytest.warns(UserWarning, match="constant"):
+            report = m.run_dci(codes, factors, split_seed=3).report
+        assert report.flags[:2] == ["constant_code:1", "constant_factor:0"]
+        jsonschema.validate(json.loads(json.dumps(report.to_dict())), m.DCI_REPORT_SCHEMA)
+
+    def test_unconverged_lasso_is_flagged(self, rng, monkeypatch):
+        import jsonschema
+
+        fit = m.lasso_fit
+        monkeypatch.setattr(m, "lasso_fit", lambda *args, **kw: fit(*args, **kw, max_sweeps=1))
+        codes = rng.standard_normal((200, 3)) @ rng.standard_normal((3, 3))
+        factors = codes[:, :2] + 0.1 * rng.standard_normal((200, 2))
+        with pytest.warns(m.ConvergenceWarning, match="did not converge"):
+            report = m.run_dci(codes, factors, split_seed=3).report
+        assert report.flags == ["lasso_not_converged"]
+        jsonschema.validate(json.loads(json.dumps(report.to_dict())), m.DCI_REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("flag", ["surprise", "dead_code:x", "constant_code:01",
+                                      "constant_row:0", "lasso_not_converged:0", ""])
+    def test_schema_rejects_unknown_flags(self, rng, flag):
+        import jsonschema
+
+        z = rng.standard_normal((100, 2))
+        payload = json.loads(json.dumps(m.run_dci(z, z, split_seed=3).report.to_dict()))
+        payload["flags"] = ["dead_factor:1", flag]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, m.DCI_REPORT_SCHEMA)
 
     def test_deterministic(self, rng):
         codes = rng.standard_normal((150, 3))
@@ -335,7 +373,108 @@ class TestEvaluateDci:
         assert report.informativeness >= 0.0
 
 
+def histogram2d_oracle(codes, factors, bins):
+    """One np.histogram2d per (code, factor) pair over the observed ranges."""
+    def observed(values):
+        lo, hi = float(values.min()), float(values.max())
+        return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+    return {
+        (a, j): np.histogram2d(codes[:, a], factors[:, j], bins=bins,
+                               range=[observed(codes[:, a]), observed(factors[:, j])])[0]
+        for a in range(codes.shape[1]) for j in range(factors.shape[1])
+    }
+
+
+def csv_writer_oracle(path, matrix, header):
+    """csv.writer rows: the header, then every value formatted with FLOAT_FORMAT."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in np.atleast_2d(matrix):
+            writer.writerow([m.FLOAT_FORMAT % v for v in row])
+
+
+def _heatmap_case(name, rng):
+    if name == "random":
+        return rng.standard_normal((300, 3)), rng.uniform(-2, 5, (300, 2))
+    if name == "on_edges":  # integers land on interior edges and on the last edge
+        return rng.integers(0, 5, (200, 3)).astype(float), rng.integers(-3, 1, (200, 2)) * 0.25
+    if name == "repeated":
+        return rng.choice([-1.5, 0.1, 0.1, 2.0], (150, 2)), rng.choice([1e-9, 3.0], (150, 3))
+    if name == "constant":
+        codes, factors = rng.standard_normal((80, 3)), rng.standard_normal((80, 2))
+        codes[:, 1], factors[:, 0] = 2.5, -7.0
+        return codes, factors
+    if name == "one_row":
+        return rng.standard_normal((1, 3)), rng.standard_normal((1, 2))
+    raise ValueError(name)
+
+
+HEATMAP_CASES = ["random", "on_edges", "repeated", "constant", "one_row"]
+
+
 class TestHeatmaps:
+    @pytest.mark.parametrize("bins", [1, 4, 32])
+    @pytest.mark.parametrize("case", HEATMAP_CASES)
+    def test_counts_match_histogram2d(self, rng, case, bins):
+        codes, factors = _heatmap_case(case, rng)
+        bundle = m.heatmap_export(codes, factors, np.ones((codes.shape[1], factors.shape[1])),
+                                  bins=bins)
+        expected = histogram2d_oracle(codes, factors, bins)
+        assert bundle.histograms.keys() == expected.keys()
+        for key, counts in bundle.histograms.items():
+            assert counts.dtype == expected[key].dtype
+            assert np.array_equal(counts, expected[key]), key
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_range_rejected(self, rng, bad):
+        codes = rng.standard_normal((20, 2))
+        codes[3, 1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            m.heatmap_export(codes, rng.standard_normal((20, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bins", [1, 32])
+    @pytest.mark.parametrize("case", HEATMAP_CASES)
+    def test_csv_bytes_match_csv_writer(self, tmp_path, rng, case, bins):
+        codes, factors = _heatmap_case(case, rng)
+        R = np.abs(rng.standard_normal((codes.shape[1], factors.shape[1])))
+        R[0, 0], R[-1, -1] = 1e-300, 123456789.25
+        bundle = m.heatmap_export(codes, factors, R, bins=bins)
+        paths = m.write_heatmap_bundle(bundle, tmp_path / "new")
+        (tmp_path / "old").mkdir()
+        csv_writer_oracle(tmp_path / "old" / "importance.csv", R,
+                          [f"factor_{j}" for j in range(R.shape[1])])
+        for (a, j), counts in bundle.histograms.items():
+            csv_writer_oracle(tmp_path / "old" / f"hist_code{a}_factor{j}.csv", counts,
+                              [f"factor_bin_{b}" for b in range(bins)])
+        old = sorted(p.name for p in (tmp_path / "old").iterdir())
+        assert sorted(p.name for p in paths) == old
+        for path in paths:
+            assert path.read_bytes() == (tmp_path / "old" / path.name).read_bytes(), path.name
+
+    @pytest.mark.parametrize("written", [1, 4])
+    def test_interrupted_rewrite_keeps_the_previous_bundle(self, tmp_path, rng, monkeypatch,
+                                                          written):
+        def bundle():
+            return m.heatmap_export(rng.standard_normal((100, 2)), rng.standard_normal((100, 2)),
+                                    np.abs(rng.standard_normal((2, 2))))
+
+        m.write_heatmap_bundle(bundle(), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        opened = []
+
+        def failing_open(*args, **kwargs):
+            if len(opened) == written:
+                raise OSError("no space left on device")
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(m, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            m.write_heatmap_bundle(bundle(), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_counts_sum_to_n(self, rng):
         codes = rng.standard_normal((250, 2))
         factors = rng.standard_normal((250, 3))
