@@ -328,12 +328,12 @@ def cmd_sweep(config: dict, args) -> int:
             writer = csv.writer(fh)
             writer.writerow([
                 "beta", "latent_dim", "dc_score", "disentanglement",
-                "completeness", "informativeness", "mse", "status",
+                "completeness", "informativeness", "mse", "status", "flags",
             ])
             writer.writerows(rows)
 
     _atomic_file(csv_path, write)
-    failures = sum(1 for row in rows if row[-1] != "ok")
+    failures = sum(1 for row in rows if row[-2] != "ok")  # status, then flags
     print(f"sweep wrote {len(rows)} rows to {csv_path} ({failures} failed cells)")
     return EXIT_OK
 
@@ -350,9 +350,10 @@ def _sweep_cell(job):
         return [
             fmt % beta, str(dim), fmt % dci.dc_score, fmt % dci.disentanglement,
             fmt % dci.completeness, fmt % dci.informativeness, fmt % mse, "ok",
+            ";".join(dci.flags),
         ]
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        return [fmt % beta, str(dim), "", "", "", "", "", f"error: {exc}"]
+        return [fmt % beta, str(dim), "", "", "", "", "", f"error: {exc}", ""]
 
 
 def cmd_traverse(config: dict, args) -> int:

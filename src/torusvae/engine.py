@@ -4,10 +4,11 @@ Implements the circle-product latent model and a plain Euclidean-latent
 beta-VAE baseline: encoder MLP, reparameterized sampling, the latent
 geometry of geometry.py (per-circle normalization, rank-1 latent assembly,
 KL), decoder MLP, the beta-weighted loss and Adam. A training step records
-a coarse tape (autodiff.py): the dense layers' ops plus two hand-written
-nodes, the posterior (sample, latent assembly and KL) and the reconstruction
-loss. Inference runs the same ndarray geometry without a gradient. Training
-is single-threaded and fully determined by the config seed.
+a chain of four hand-written nodes on the tape (autodiff.py): the encoder,
+the posterior (sample, latent assembly and KL), the decoder and the
+reconstruction loss. Inference runs the same networks and ndarray geometry
+and never calls backward. Training is single-threaded and fully determined
+by the config seed.
 """
 from __future__ import annotations
 
@@ -67,7 +68,8 @@ class DenseNetwork:
     makes them and load_checkpoint checks them: nonempty, chained, with an
     activation of _ACT_TAGS. Each weight and bias is a Tensor whose .data and
     .grad are views of flat and flat_grad, laid out layer by layer, weight
-    before bias.
+    before bias; it is never on the tape itself, forward's node adds into
+    its .grad.
     """
 
     def __init__(self, specs, flat: np.ndarray, flat_grad: np.ndarray):
@@ -86,18 +88,42 @@ class DenseNetwork:
         self.output_dim = specs[-1][1]
 
     def forward(self, x: Tensor) -> Tensor:
+        """One tape node for the whole stack.
+
+        Its VJP walks the layers backwards, adds each weight and bias
+        gradient into the flat_grad views and returns the input's gradient,
+        or None when x is a constant.
+        """
         if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected input shape (N, {self.input_dim}), got {x.data.shape}"
             )
-        h = x
+        hs = [x.data]  # each layer's input, then the network's output
         for w, b, (_, _, act) in zip(self.weights, self.biases, self.specs):
-            h = h.matmul(w) + b
+            y = hs[-1] @ w.data
+            y += b.data
             if act == "relu":
-                h = h.relu()
+                np.maximum(y, 0.0, out=y)
             elif act == "tanh":
-                h = h.tanh()
-        return h
+                np.tanh(y, out=y)
+            hs.append(y)
+        input_grad = x.requires_grad
+
+        def backward(grad):
+            for i in reversed(range(len(self.specs))):
+                act, y = self.specs[i][2], hs[i + 1]
+                if act == "relu":
+                    grad = grad * (y > 0.0)
+                elif act == "tanh":
+                    grad = grad * (1.0 - y * y)
+                self.biases[i].grad += grad.sum(axis=0)
+                self.weights[i].grad += hs[i].T @ grad
+                if i == 0 and not input_grad:
+                    return None
+                grad = grad @ self.weights[i].data.T
+            return grad
+
+        return node(hs[-1], x, backward)
 
     def parameters(self):
         out = []
@@ -187,9 +213,9 @@ class VaeModel:
             logvar_grad += g * noise * sigma * 0.5
             logvar_grad += c * np.exp(logvar)
             logvar_grad -= c
-            return (out_grad,)
+            return out_grad
 
-        return node(embed(m) if torus else m, (out,), backward), gaussian_kl(mu, logvar)
+        return node(embed(m) if torus else m, out, backward), gaussian_kl(mu, logvar)
 
     # -- inference ----------------------------------------------------------
 
@@ -200,7 +226,7 @@ class VaeModel:
 
     def decode(self, v: np.ndarray) -> np.ndarray:
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        return self.decoder.forward(Tensor(v, requires_grad=False)).data.copy()
+        return self.decoder.forward(Tensor(v, requires_grad=False)).data
 
     def reconstruct_mean(self, x: np.ndarray) -> np.ndarray:
         """Noise-free reconstruction: the decoder sees the normalized posterior mean."""
@@ -258,7 +284,6 @@ class ElboResult:
     loss: float
     reconstruction: float
     kl: float
-    grads: list  # per-parameter views of one copy of the model's gradient vector
 
 
 def _reconstruction_loss(recon: Tensor, x: np.ndarray) -> Tensor:
@@ -268,13 +293,16 @@ def _reconstruction_loss(recon: Tensor, x: np.ndarray) -> Tensor:
 
     def backward(grad):
         a = grad * (1.0 / n) * diff
-        return (a + a,)  # one term per factor of diff * diff
+        return a + a  # one term per factor of diff * diff
 
-    return node((diff * diff).sum() * (1.0 / n), (recon,), backward)
+    return node((diff * diff).sum() * (1.0 / n), recon, backward)
 
 
 def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) -> ElboResult:
-    """Batch loss (mean squared reconstruction norm plus beta * KL) and its gradients.
+    """Batch loss (mean squared reconstruction norm plus beta * KL).
+
+    Its gradient is left in model.flat_grad (each parameter's .grad is a view
+    of it) until the next call overwrites it.
 
     noise must hold one standard-normal draw per Gaussian component, shaped
     like the encoder's mu block; the result is deterministic given it.
@@ -296,8 +324,7 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
             f"batch of {x.shape[0]}; offending rows: {bad.tolist()[:8]}"
         )
     recon_term.backward()
-    grads = param_views(model.flat_grad.copy(), model.parameters())
-    return ElboResult(loss, reconstruction, kl, grads)
+    return ElboResult(loss, reconstruction, kl)
 
 
 # -- Adam ----------------------------------------------------------------------

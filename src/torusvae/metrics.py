@@ -8,6 +8,7 @@ informativeness and their geometric mean are computed.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import tempfile
 import warnings
@@ -21,6 +22,7 @@ from .errors import ConfigError
 DEFAULT_ALPHA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 0.8, 1.0)
 RANK_REL_TOL = 1e-8
 FLOAT_FORMAT = "%.9g"
+HISTOGRAM_NAME = re.compile(r"hist_code[0-9]+_factor[0-9]+\.csv")
 
 
 class ConvergenceWarning(UserWarning):
@@ -50,26 +52,9 @@ def soft_threshold(x, t):
     return np.maximum(x - t, 0.0) + np.minimum(x + t, 0.0)
 
 
-def lasso_objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, alpha: float) -> float:
-    r = y - X @ w
-    return float(r @ r / (2.0 * X.shape[0]) + alpha * np.abs(w).sum())
-
-
 def _moments(X: np.ndarray, Y: np.ndarray):
     """X'X/n and X'Y/n: the covariance form of a lasso on rows X with targets Y (n, K)."""
     return X.T @ X / len(X), X.T @ Y / len(X)
-
-
-def null_threshold(X: np.ndarray, y: np.ndarray) -> float:
-    """Smallest alpha at which the lasso solution is exactly zero: max_j |X_j.y| / N.
-
-    Evaluated with the same X'y/N expression coordinate descent starts from,
-    so `lasso_fit(X, y, alpha)` returns exact zeros for any alpha at or above
-    this value.
-    """
-    X = np.asarray(X, dtype=float)
-    _, c = _moments(X, np.asarray(y, dtype=float).reshape(len(X), -1))
-    return float(np.abs(c).max())
 
 
 def lasso_fit(X: np.ndarray, y: np.ndarray, alpha, tol: float = 1e-8,
@@ -437,8 +422,10 @@ def write_heatmap_bundle(bundle: HeatmapBundle, out_dir) -> list:
 
     Every file is written into a temp directory inside out_dir first and then
     renamed into place, so an interruption while writing leaves the previous
-    files whole. Counts are whole numbers, so each distinct count is
-    formatted once, in a table indexed by the count.
+    files whole. Only then is every other hist_code<a>_factor<j>.csv in
+    out_dir, left by an earlier bundle with more codes or factors, removed.
+    Counts are whole numbers, so each distinct count is formatted once, in a
+    table indexed by the count.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -464,4 +451,8 @@ def write_heatmap_bundle(bundle: HeatmapBundle, out_dir) -> list:
             os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    with os.scandir(out_dir) as entries:
+        stale = [e.path for e in entries if HISTOGRAM_NAME.fullmatch(e.name) and e.name not in files]
+    for path in stale:
+        os.remove(path)
     return [out_dir / name for name in files]

@@ -1,4 +1,4 @@
-"""Shared test helpers: circular error, circle sampling, finite differences, the KKT lasso oracle."""
+"""Shared test helpers: circular error, circle sampling, finite differences, the lasso oracles."""
 import itertools
 
 import numpy as np
@@ -53,6 +53,24 @@ def max_relative_error(analytic, numeric, floor=1e-8):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def lasso_objective(X, y, w, alpha):
+    """The lasso objective ||y - X w||^2 / (2 N) + alpha * ||w||_1."""
+    r = y - X @ w
+    return float(r @ r / (2.0 * X.shape[0]) + alpha * np.abs(w).sum())
+
+
+def null_threshold(X, y):
+    """Smallest alpha at which the lasso solution is exactly zero: max_j |X_j.y| / N.
+
+    Evaluated with the same X'y/N expression coordinate descent starts from,
+    so `metrics.lasso_fit(X, y, alpha)` returns exact zeros for any alpha at
+    or above this value.
+    """
+    X = np.asarray(X, dtype=float)
+    _, c = metrics._moments(X, np.asarray(y, dtype=float).reshape(len(X), -1))
+    return float(np.abs(c).max())
+
+
 def kkt_lasso_oracle(X, y, alpha):
     """Exact lasso solution by enumerating all active-set sign patterns.
 
@@ -79,7 +97,7 @@ def kkt_lasso_oracle(X, y, alpha):
         grad = X.T @ (y - X @ w) / n
         if np.any(np.abs(grad[~active]) > alpha + 1e-9):
             continue
-        obj = metrics.lasso_objective(X, y, w, alpha)
+        obj = lasso_objective(X, y, w, alpha)
         if obj < best_obj:
             best_obj, best_w = obj, w
     return best_obj, best_w

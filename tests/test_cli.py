@@ -264,8 +264,9 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 2
         header = lines[0].split(",")
         assert header[:3] == ["beta", "latent_dim", "dc_score"]
+        assert header[-2:] == ["status", "flags"]
         for line in lines[1:]:
-            assert line.endswith(",ok")
+            assert line.split(",")[-2] == "ok"
         first = csv_path.read_bytes()
         run("sweep", "--config", str(config))
         assert csv_path.read_bytes() == first
@@ -319,12 +320,12 @@ class TestSweep:
         assert run("sweep", "--config", str(config), *flags) == 0
         with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
             rows = list(csv_mod.reader(fh))[1:]
-        statuses = [row[-1] for row in rows]
+        statuses = [row[-2] for row in rows]
         assert statuses.count("ok") == 2
         assert sum(1 for s in statuses if s.startswith("error")) == 2
         for row in rows:
-            if row[-1] != "ok":
-                assert row[2] == ""  # failed cells carry no scores
+            if row[-2] != "ok":
+                assert row[2] == "" and row[-1] == ""  # failed cells carry no scores or flags
         return rows
 
     def test_partial_failure_recorded(self, tmp_path):
@@ -334,7 +335,27 @@ class TestSweep:
         """The D=40 cells run first in the pool, but their error rows keep their grid places."""
         rows = self._partial_failure_rows(tmp_path, "--workers", "2")
         assert [row[1] for row in rows] == ["2", "40", "2", "40"]
-        assert [row[-1] == "ok" for row in rows] == [True, False, True, False]
+        assert [row[-2] == "ok" for row in rows] == [True, False, True, False]
+
+    def test_report_flags_reach_the_csv(self, tmp_path, monkeypatch):
+        run_dci = metrics.run_dci
+        flags = iter([[], ["lasso_not_converged"], ["constant_code:0", "dead_code:1"], []])
+
+        def flagged_run_dci(*args, **kwargs):
+            evaluation = run_dci(*args, **kwargs)
+            evaluation.report.flags = next(flags)
+            return evaluation
+
+        monkeypatch.setattr(metrics, "run_dci", flagged_run_dci)
+        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        run("generate", "--config", str(config))
+        assert run("sweep", "--config", str(config)) == 0
+        text = (tmp_path / "out" / "sweep.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()]
+        assert rows[0][-2:] == ["status", "flags"]
+        assert [row[-2:] for row in rows[1:]] == [
+            ["ok", ""], ["ok", "lasso_not_converged"], ["ok", "constant_code:0;dead_code:1"],
+            ["ok", ""]]
 
 
 class TestExitCodes:

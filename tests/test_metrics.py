@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusvae import metrics as m
 from torusvae.errors import ConfigError
-from helpers import kkt_lasso_oracle
+from helpers import kkt_lasso_oracle, lasso_objective, null_threshold
 
 
 class TestStandardize:
@@ -53,7 +53,7 @@ class TestLassoFit:
         X, _ = m.standardize_columns(rng.standard_normal((25, 4)))
         y = rng.standard_normal(25)
         y -= y.mean()
-        threshold = m.null_threshold(X, y)
+        threshold = null_threshold(X, y)
         assert threshold == pytest.approx(np.abs(X.T @ y).max() / 25, rel=1e-12)
         assert np.array_equal(m.lasso_fit(X, y, threshold), np.zeros(4))
         assert np.array_equal(m.lasso_fit(X, y, threshold * 1.5), np.zeros(4))
@@ -65,7 +65,7 @@ class TestLassoFit:
             y = rng.standard_normal(20)
             y = (y - y.mean()) / y.std()
             w = m.lasso_fit(X, y, 0.1)
-            obj = m.lasso_objective(X, y, w, 0.1)
+            obj = lasso_objective(X, y, w, 0.1)
             oracle_obj, _ = kkt_lasso_oracle(X, y, 0.1)
             assert abs(obj - oracle_obj) < 1e-6
 
@@ -141,7 +141,7 @@ class TestLassoCv:
                     w = cv_weights[f, a, j]
                     assert np.abs(w - one_problem(X[rows], Y[rows, j], alpha)).max() < 1e-9
                     oracle_obj, _ = kkt_lasso_oracle(X[rows], Y[rows, j], alpha)
-                    assert abs(m.lasso_objective(X[rows], Y[rows, j], w, alpha) - oracle_obj) < 1e-6
+                    assert abs(lasso_objective(X[rows], Y[rows, j], w, alpha) - oracle_obj) < 1e-6
         assert np.array_equal(refit, weights)
         for j in range(k):
             assert np.abs(weights[j] - one_problem(X, Y[:, j], alphas[j])).max() < 1e-9
@@ -474,6 +474,26 @@ class TestHeatmaps:
         with pytest.raises(OSError, match="no space"):
             m.write_heatmap_bundle(bundle(), tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_smaller_bundle_removes_stale_histograms(self, tmp_path, rng):
+        # a 3-code bundle and then a 1-code bundle, 2 factors each, written
+        # into one directory leave only the second bundle's 3 files
+        def bundle(n_codes):
+            return m.heatmap_export(rng.standard_normal((50, n_codes)),
+                                    rng.standard_normal((50, 2)),
+                                    np.abs(rng.standard_normal((n_codes, 2))))
+
+        m.write_heatmap_bundle(bundle(3), tmp_path)
+        assert len(list(tmp_path.iterdir())) == 7
+        paths = m.write_heatmap_bundle(bundle(1), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths) == [
+            "hist_code0_factor0.csv", "hist_code0_factor1.csv", "importance.csv"]
+        # files that only resemble a histogram's name are not the bundle's
+        others = ["notes.csv", "hist_code1_factor0.csv.bak", "hist_codeA_factor0.csv"]
+        for name in others:
+            (tmp_path / name).write_text("kept")
+        m.write_heatmap_bundle(bundle(1), tmp_path)
+        assert all((tmp_path / name).read_text() == "kept" for name in others)
 
     def test_counts_sum_to_n(self, rng):
         codes = rng.standard_normal((250, 2))
