@@ -22,25 +22,55 @@ def check_vjp(f, vjp, x, rng, tol=1e-6):
 # -- the chain and the dense node ----------------------------------------------------
 
 
-def test_dense_node_matches_finite_differences(rng):
-    # one node for a relu, a tanh and an identity layer: its VJP fills every
-    # weight and bias gradient view and returns the input's gradient
-    specs = [(4, 5, "relu"), (5, 3, "tanh"), (3, 2, "identity")]
+def check_dense_node(specs, x_data, rng, tol=1e-6):
+    """The dense node's input and parameter gradients against finite differences.
+
+    Returns the network, its input leaf and its output node after backward
+    from sum(out * out), for exact checks on top.
+    """
     size = engine.param_count(specs)
     net = engine.DenseNetwork(specs, rng.uniform(-1.0, 1.0, size), np.zeros(size))
-    x = Tensor(rng.uniform(-1.0, 1.0, size=(6, 4)))
+    x = Tensor(x_data)
     out = net.forward(x)
     assert out.parent is x
     sum_of_squares(out).backward()
     params = net.parameters()
-    analytic = [x.grad] + [p.grad.copy() for p in params]
+    analytic = [x.grad.copy()] + [p.grad.copy() for p in params]
 
     def value():
         return float(np.sum(net.forward(Tensor(x.data, requires_grad=False)).data ** 2))
 
     numeric = finite_diff_grads(value, [x.data] + [p.data for p in params])
     for a, n in zip(analytic, numeric):
-        assert max_relative_error(a, n) < 1e-6
+        assert max_relative_error(a, n) < tol
+    return net, x, out
+
+
+def test_dense_node_matches_finite_differences(rng):
+    # one node for a relu, a tanh and an identity layer: its VJP fills every
+    # weight and bias gradient view and returns the input's gradient
+    specs = [(4, 5, "relu"), (5, 3, "tanh"), (3, 2, "identity")]
+    check_dense_node(specs, rng.uniform(-1.0, 1.0, size=(6, 4)), rng)
+
+
+def test_add_broadcast(rng):
+    # the bias is added to every row of the batch, so its gradient is the
+    # output cotangent summed over the rows
+    net, _, out = check_dense_node([(4, 3, "identity")], rng.standard_normal((5, 4)), rng)
+    assert np.allclose(net.biases[0].grad, (2.0 * out.data).sum(axis=0))
+
+
+def test_matmul(rng):
+    # the layer's x @ w: the weight gradient is x.T @ g and the input's g @ w.T
+    net, x, out = check_dense_node([(4, 3, "identity")], rng.standard_normal((5, 4)), rng)
+    g = 2.0 * out.data
+    assert np.allclose(net.weights[0].grad, x.data.T @ g)
+    assert np.allclose(x.grad, g @ net.weights[0].data.T)
+
+
+def test_tanh_relu(rng):
+    for act in ("tanh", "relu"):
+        check_dense_node([(4, 4, act)], rng.uniform(-1.2, 1.2, size=(4, 4)) + 0.05, rng)
 
 
 def test_backward_requires_scalar(rng):
@@ -65,6 +95,22 @@ def test_constant_leaf_gets_no_gradient(rng):
     d = Tensor(rng.standard_normal(3), requires_grad=False)
     sum_of_squares(d).backward()
     assert d.grad is None
+
+
+def test_node_of_constants_only_gets_no_gradient(rng):
+    # a node computed from a constant alone stores no gradient, nor does its
+    # parent; a VJP returning None for it ends the walk before the nodes below
+    c = Tensor(rng.standard_normal(3), requires_grad=False)
+    custom = node(c.data * 2.0, c, lambda grad: grad * 2.0)
+    sum_of_squares(custom).backward()
+    assert custom.grad is None and c.grad is None
+
+    below = []
+    inner = node(c.data + 1.0, c, lambda grad: below.append(grad) or grad)
+    outer = node(inner.data * 3.0, inner, lambda grad: None)
+    sum_of_squares(outer).backward()
+    assert below == []
+    assert outer.grad is None and inner.grad is None and c.grad is None
 
 
 # -- the hand-written VJPs ------------------------------------------------------------
