@@ -5,7 +5,7 @@ was computed from and a hand-written vector-Jacobian product (VJP) that maps
 the gradient of its data to the gradient of its parent's. A training step is
 one chain: batch -> encoder -> posterior -> decoder -> reconstruction loss.
 backward() walks it from the loss down and sets only the leaf's .grad; a VJP
-with side effects (a dense network's adds its weight and bias gradients into
+with side effects (a dense network's writes its weight and bias gradients into
 the model's flat gradient vector) does them as it runs. A VJP captures its
 parent's arrays, never its own node, so a chain holds no reference cycle and
 is freed as soon as the last reference goes.

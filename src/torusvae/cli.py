@@ -29,6 +29,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
+_U32_MAX = 2**32 - 1  # the TDDS1 header's record count field
+
 
 # -- config ----------------------------------------------------------------------
 
@@ -113,23 +115,43 @@ def _atomic_json(path: Path, obj) -> None:
 # -- dataset plumbing --------------------------------------------------------------
 
 
-def _build_dataset(block: dict) -> datasets.Dataset:
+def _build_dataset(block: dict):
+    """The dataset block as what save_dataset writes: a 2dshapes ShapesSource
+    (rendered block by block as it is written) or a synthetic Dataset."""
     kind = _require(block, "kind", "dataset")
     count = _number(_require(block, "count", "dataset"), "dataset.count", int)
     seed = _number(_require(block, "seed", "dataset"), "dataset.seed", int)
+    if not 1 <= count <= _U32_MAX:
+        raise ConfigError(f"dataset.count must be in 1..{_U32_MAX}, got {count}")
+    if seed < 0:
+        raise ConfigError(f"dataset.seed must be >= 0, got {seed}")
     if kind == "2dshapes":
-        return datasets.make_2dshapes_dataset(count, seed, *_image_size(block))
+        return datasets.shapes_source(count, seed, *_image_size(block))
     if kind == "synthetic":
         k = _number(_require(block, "factors", "dataset"), "dataset.factors", int)
+        if not 1 <= k <= 8:
+            raise ConfigError(f"dataset.factors must be in 1..8, got {k}")
         noise = _number(block.get("noise_sigma", 0.0), "dataset.noise_sigma")
+        if noise < 0.0:
+            raise ConfigError(f"dataset.noise_sigma must be >= 0, got {noise}")
         return datasets.make_synthetic_dataset(k, count, seed, noise)
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
 def _image_size(block: dict) -> tuple:
-    """(width, height) of a 2dshapes dataset block."""
-    return (_number(block.get("width", 16), "dataset.width", int),
-            _number(block.get("height", 16), "dataset.height", int))
+    """(width, height) of a 2dshapes dataset block: each at least 8, and a
+    record (6 factors, width * height * 3 pixels) that load_dataset accepts."""
+    size = []
+    for key in ("width", "height"):
+        value = _number(block.get(key, 16), f"dataset.{key}", int)
+        if value < 8:
+            raise ConfigError(f"dataset.{key} must be >= 8, got {value}")
+        size.append(value)
+    limit = datasets.MAX_RECORD_BYTES
+    if datasets.record_bytes(datasets.SHAPES_SPEC.k, size[0] * size[1] * 3) > limit:
+        raise ConfigError(f"dataset.width x dataset.height = {size[0]}x{size[1]} makes "
+                          f"records larger than {limit} bytes")
+    return tuple(size)
 
 
 def _input_scale_for(kind: str) -> str:
@@ -218,11 +240,7 @@ def cmd_generate(config: dict, args) -> int:
     block = _section(config, "dataset")
     dataset = _build_dataset(block)
     path = _dataset_path(config, out_dir)
-
-    def write(tmp):
-        datasets.save_dataset(dataset, tmp)
-
-    _atomic_file(path, write)
+    _atomic_file(path, lambda tmp: datasets.save_dataset(dataset, tmp))
     _atomic_json(Path(str(path) + ".json"), json.loads(dataset.spec.to_json()))
     print(f"wrote {dataset.n} records to {path}")
     return EXIT_OK

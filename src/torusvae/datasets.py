@@ -4,7 +4,10 @@ Two generators: a centered regular-polygon raster set (shape, scale,
 rotation and fill color all drawn uniformly, rendered without
 anti-aliasing so outputs are bit-exact), and a fast smooth random map from
 a mix of angular and bounded continuous factors to 16-dimensional samples.
-Both ship with a seekable little-endian binary container.
+Both ship with a seekable little-endian binary container, written in
+fixed-size blocks of records through one reused buffer: a 2dshapes set is
+rendered block by block straight into that buffer, so the writer's peak
+memory does not grow with the record count.
 """
 from __future__ import annotations
 
@@ -135,17 +138,8 @@ def _reject_first(bad: np.ndarray, what: str, values: np.ndarray) -> None:
         raise ValueError(f"factor row {row}: {what}, got {values[row]}")
 
 
-def render_batch(factors: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Rasterize each factor row to one flattened (H*W*3) image in [0, 1].
-
-    A row is (shape, scale, rotation, red, green, blue): a regular polygon
-    (3..6 sides by shape index) centered in the image, circumradius
-    scale * width / 64 pixels, rotated by the rotation factor, filled with
-    the RGB color over a white background. Rows grow downward. Pixel
-    centers (x+0.5, y+0.5) are filled by the even-odd rule without
-    anti-aliasing, one side count at a time over all of its rows, straight
-    into the (N, H*W*3) output.
-    """
+def _checked_rows(factors, width: int, height: int) -> np.ndarray:
+    """factors as float (N, 6) rows, or ValueError naming the first bad row."""
     factors = np.asarray(factors, dtype=float)
     if factors.ndim != 2 or factors.shape[0] < 1 or factors.shape[1] != 6:
         raise ValueError(f"expected (N, 6) factor rows with N >= 1, got shape {factors.shape}")
@@ -160,10 +154,33 @@ def render_batch(factors: np.ndarray, width: int, height: int) -> np.ndarray:
                   "color channels must lie in [0, 1]", colors)
     if width < 8 or height < 8:
         raise ValueError("image dimensions must be >= 8")
+    return factors
+
+
+def render_batch(factors: np.ndarray, width: int, height: int, out=None) -> np.ndarray:
+    """Rasterize each factor row to one flattened (H*W*3) image in [0, 1].
+
+    A row is (shape, scale, rotation, red, green, blue): a regular polygon
+    (3..6 sides by shape index) centered in the image, circumradius
+    scale * width / 64 pixels, rotated by the rotation factor, filled with
+    the RGB color over a white background. Rows grow downward. Pixel
+    centers (x+0.5, y+0.5) are filled by the even-odd rule without
+    anti-aliasing, one side count at a time over all of its rows.
+
+    Without out, the images come back as a new float64 (N, H*W*3) array.
+    With out, a float array of that shape (such as the strided float32
+    pixel field of a block of file records), they are written into it and
+    out is returned; a float32 out holds exactly the float64 result rounded
+    to float32.
+    """
+    factors = _checked_rows(factors, width, height)
+    n = len(factors)
+    shape_idx, scale, rotation = factors[:, 0], factors[:, 1], factors[:, 2]
+    colors = factors[:, 3:]
 
     px = np.arange(width) + 0.5
     py = (np.arange(height) + 0.5)[:, None]
-    inside = np.empty((len(factors), height, width), dtype=bool)
+    inside = np.empty((n, height, width), dtype=bool)
     for index, sides in _POLYGON_SIDES.items():
         rows = np.flatnonzero(shape_idx == index)
         radius = (scale[rows] * width / 64.0)[:, None]
@@ -185,11 +202,16 @@ def render_batch(factors: np.ndarray, width: int, height: int) -> np.ndarray:
                 group ^= hit
         inside[rows] = group
 
+    if out is None:
+        out = np.empty((n, height * width * 3))
+    elif out.shape != (n, height * width * 3):
+        raise ValueError(f"out must have shape {(n, height * width * 3)}, got {out.shape}")
+    out[...] = 1.0
     # One channel at a time: a (N, H*W) mask copies several times faster
-    # than one broadcast over the size-3 channel axis.
-    out = np.ones((len(factors), height * width * 3))
-    pixels = out.reshape(len(factors), height * width, 3)
-    inside = inside.reshape(len(factors), height * width)
+    # than one broadcast over the size-3 channel axis. Splitting the last
+    # axis is always a view, so this writes into out even when it is strided.
+    pixels = out.reshape(n, height * width, 3)
+    inside = inside.reshape(n, height * width)
     for channel in range(3):
         np.copyto(pixels[:, :, channel], colors[:, channel, None], where=inside)
     return out
@@ -251,6 +273,17 @@ def synthetic_map_dataset(k: int, count: int, seed: int, noise_sigma: float = 0.
 # -- container io ---------------------------------------------------------------------
 
 
+# Records per write: about this many bytes of them, so 85 records at 64x64x3.
+RECORD_BLOCK_BYTES = 4 << 20
+# A record type must fit in a C int before numpy sees it.
+MAX_RECORD_BYTES = int(np.iinfo(np.intc).max)
+
+
+def record_bytes(k: int, pixels: int) -> int:
+    """Size of one TDDS1 record: K f64 factor values, then the f32 pixels."""
+    return 8 * k + 4 * pixels
+
+
 @dataclass
 class Dataset:
     """Samples plus their generative factors; training code must only see .samples."""
@@ -276,22 +309,66 @@ class Dataset:
     def n(self) -> int:
         return self.samples.shape[0]
 
+    def fill_pixels(self, lo: int, hi: int, out: np.ndarray) -> None:
+        out[...] = self.samples[lo:hi]
 
-def save_dataset(dataset: Dataset, path) -> None:
+
+@dataclass(frozen=True)
+class ShapesSource:
+    """2dshapes factor rows whose images are rendered only when needed.
+
+    save_dataset renders them one block of records at a time, straight into
+    its file buffer; render() renders them all into an in-memory Dataset.
+    """
+
+    factors: np.ndarray  # (N, 6), checked rows
+    width: int
+    height: int
+    spec = SHAPES_SPEC
+    channels = 3
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", _checked_rows(self.factors, self.width, self.height))
+
+    @property
+    def n(self) -> int:
+        return len(self.factors)
+
+    def fill_pixels(self, lo: int, hi: int, out: np.ndarray) -> None:
+        render_batch(self.factors[lo:hi], self.width, self.height, out=out)
+
+    def render(self) -> Dataset:
+        return Dataset(samples=render_batch(self.factors, self.width, self.height),
+                       factors=self.factors, spec=self.spec, width=self.width,
+                       height=self.height, channels=self.channels)
+
+
+def save_dataset(dataset, path) -> None:
+    """Write a Dataset or a ShapesSource as a TDDS1 file.
+
+    The header goes first, then the records in blocks of about
+    RECORD_BLOCK_BYTES through one reused record buffer, whose float32 pixel
+    field dataset.fill_pixels fills row block by row block. So a
+    ShapesSource is rendered straight into the buffer, no (N, pixels) array
+    is ever made, and the peak memory does not grow with N.
+    """
     spec_blob = dataset.spec.to_json().encode("utf-8")
-    pixels = dataset.width * dataset.height * dataset.channels
+    n, pixels = dataset.n, dataset.width * dataset.height * dataset.channels
     record_dtype = np.dtype([("z", "<f8", (dataset.spec.k,)), ("x", "<f4", (pixels,))])
-    # Packed fields, both assigned in full: no zero fill and no float32 temporary.
-    records = np.empty(dataset.n, dtype=record_dtype)
-    records["z"] = dataset.factors
-    records["x"] = dataset.samples
+    # Packed fields, both assigned in full: no zero fill.
+    records = np.empty(min(n, max(1, RECORD_BLOCK_BYTES // record_dtype.itemsize)),
+                       dtype=record_dtype)
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<IIIII", dataset.n, dataset.width, dataset.height,
+        fh.write(struct.pack("<IIIII", n, dataset.width, dataset.height,
                              dataset.channels, dataset.spec.k))
         fh.write(struct.pack("<I", len(spec_blob)))
         fh.write(spec_blob)
-        fh.write(memoryview(records).cast("B"))
+        for lo in range(0, n, len(records)):
+            block = records[: min(len(records), n - lo)]
+            block["z"] = dataset.factors[lo : lo + len(block)]
+            dataset.fill_pixels(lo, lo + len(block), block["x"])
+            fh.write(memoryview(block).cast("B"))
 
 
 def load_dataset(path) -> Dataset:
@@ -305,10 +382,9 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"unreadable factor spec in {path}: {exc}") from exc
     if spec.k != k:
         raise FormatError(f"factor spec lists {spec.k} factors, header says {k}")
-    # A record type must fit in a C int before numpy sees it.
     pixels = width * height * channels
-    record_size = 8 * k + 4 * pixels
-    if record_size > np.iinfo(np.intc).max:
+    record_size = record_bytes(k, pixels)
+    if record_size > MAX_RECORD_BYTES:
         raise FormatError(f"header declares {record_size}-byte records in {path}")
     record_dtype = np.dtype([("z", "<f8", (k,)), ("x", "<f4", (pixels,))])
     # Records are read in place, from a view of the file's buffer.
@@ -324,16 +400,12 @@ def load_dataset(path) -> Dataset:
     )
 
 
+def shapes_source(count: int, seed: int, width: int = 16, height: int = 16) -> ShapesSource:
+    return ShapesSource(sample_factors(SHAPES_SPEC, count, seed), width, height)
+
+
 def make_2dshapes_dataset(count: int, seed: int, width: int = 16, height: int = 16) -> Dataset:
-    factors = sample_factors(SHAPES_SPEC, count, seed)
-    return Dataset(
-        samples=render_batch(factors, width, height),
-        factors=factors,
-        spec=SHAPES_SPEC,
-        width=width,
-        height=height,
-        channels=3,
-    )
+    return shapes_source(count, seed, width, height).render()
 
 
 def make_synthetic_dataset(k: int, count: int, seed: int, noise_sigma: float = 0.0) -> Dataset:

@@ -68,8 +68,8 @@ class DenseNetwork:
     makes them and load_checkpoint checks them: nonempty, chained, with an
     activation of _ACT_TAGS. Each weight and bias is a Tensor whose .data and
     .grad are views of flat and flat_grad, laid out layer by layer, weight
-    before bias; it is never on the tape itself, forward's node adds into
-    its .grad.
+    before bias; it is never on the tape itself, forward's node writes its
+    .grad.
     """
 
     def __init__(self, specs, flat: np.ndarray, flat_grad: np.ndarray):
@@ -90,9 +90,10 @@ class DenseNetwork:
     def forward(self, x: Tensor) -> Tensor:
         """One tape node for the whole stack.
 
-        Its VJP walks the layers backwards, adds each weight and bias
-        gradient into the flat_grad views and returns the input's gradient,
-        or None when x is a constant.
+        Its VJP walks the layers backwards, writes (not adds) each weight
+        and bias gradient into the flat_grad views and returns the input's
+        gradient, or None when x is a constant. It scales the gradient it is
+        given in place, so that array must be its own.
         """
         if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
             raise ValueError(
@@ -113,11 +114,13 @@ class DenseNetwork:
             for i in reversed(range(len(self.specs))):
                 act, y = self.specs[i][2], hs[i + 1]
                 if act == "relu":
-                    grad = grad * (y > 0.0)
+                    np.multiply(grad, y > 0.0, out=grad)
                 elif act == "tanh":
-                    grad = grad * (1.0 - y * y)
-                self.biases[i].grad += grad.sum(axis=0)
-                self.weights[i].grad += hs[i].T @ grad
+                    t = y * y
+                    np.subtract(1.0, t, out=t)
+                    grad *= t
+                np.sum(grad, axis=0, out=self.biases[i].grad)
+                np.matmul(hs[i].T, grad, out=self.weights[i].grad)
                 if i == 0 and not input_grad:
                     return None
                 grad = grad @ self.weights[i].data.T
@@ -302,7 +305,8 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
     """Batch loss (mean squared reconstruction norm plus beta * KL).
 
     Its gradient is left in model.flat_grad (each parameter's .grad is a view
-    of it) until the next call overwrites it.
+    of it) until the next call overwrites it: the backward pass writes every
+    view exactly once, so flat_grad is never zeroed first.
 
     noise must hold one standard-normal draw per Gaussian component, shaped
     like the encoder's mu block; the result is deterministic given it.
@@ -310,7 +314,6 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a (N, input_dim) batch")
-    model.flat_grad.fill(0.0)
     out = model.encoder.forward(Tensor(x, requires_grad=False))
     v, kl = model._posterior(out, noise, beta)
     recon = model.decoder.forward(v)

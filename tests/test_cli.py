@@ -85,29 +85,38 @@ class TestGenerate:
         assert (tmp_path / "out" / "data.tdds").exists()
 
     def test_one_call_runs_the_traced_hooks(self, tmp_path, monkeypatch):
-        """One 2dshapes generate is one render_batch of every row and one save_dataset.
+        """One 2dshapes generate is one save_dataset that renders every row in blocks.
 
         perfbench's traced mode wraps datasets.render_batch (sized by the
-        length of its first argument) and datasets.save_dataset by name to
-        time the generate workload, so a change that renders in pieces or
-        writes through another function fails here, not in a benchmark run.
+        length of its first argument, the factor rows) and
+        datasets.save_dataset (sized by the file at its second argument, the
+        path) by name to time the generate workload, so a change that
+        renders or writes through other functions fails here, not in a
+        benchmark run. The renders run inside the save, one per block of
+        records, each into the block's buffer.
         """
         calls = []
         render_batch, save_dataset = ds.render_batch, ds.save_dataset
 
-        def counted_render(factors, *args):
+        def counted_render(factors, width, height, out=None):
+            assert out is not None and out.dtype == np.float32
             calls.append(("render_batch", len(factors)))
-            return render_batch(factors, *args)
+            return render_batch(factors, width, height, out=out)
 
         def counted_save(dataset, path):
-            calls.append(("save_dataset", dataset.n))
+            calls.append(("save_dataset", str(path)))
             return save_dataset(dataset, path)
 
         monkeypatch.setattr(ds, "render_batch", counted_render)
         monkeypatch.setattr(ds, "save_dataset", counted_save)
-        config = write_config(tmp_path, base_config(tmp_path / "out", kind="2dshapes"))
+        cfg = base_config(tmp_path / "out", kind="2dshapes")
+        cfg["dataset"].update(count=200, width=64, height=64)
+        config = write_config(tmp_path, cfg)
         assert run("generate", "--config", str(config)) == 0
-        assert calls == [("render_batch", 120), ("save_dataset", 120)]
+        (save, path), renders = calls[0], calls[1:]
+        assert save == "save_dataset" and path.endswith(".tmp")
+        block = ds.RECORD_BLOCK_BYTES // ds.record_bytes(6, 64 * 64 * 3)
+        assert renders == [("render_batch", n) for n in (block, block, 200 - 2 * block)]
 
     def test_out_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -467,6 +476,31 @@ class TestExitCodes:
         assert run(command, "--config", str(config)) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("kind,values,key", [
+        ("2dshapes", {"width": 4}, "dataset.width"),
+        ("2dshapes", {"height": 7}, "dataset.height"),
+        ("2dshapes", {"count": 0}, "dataset.count"),
+        ("2dshapes", {"seed": -1}, "dataset.seed"),
+        ("2dshapes", {"width": 2**16, "height": 2**16}, "dataset.width"),
+        ("2dshapes", {"width": 2**40}, "dataset.width"),
+        ("synthetic", {"count": 2**32}, "dataset.count"),
+        ("synthetic", {"seed": -3}, "dataset.seed"),
+        ("synthetic", {"factors": 9}, "dataset.factors"),
+        ("synthetic", {"factors": 0}, "dataset.factors"),
+        ("synthetic", {"noise_sigma": -1}, "dataset.noise_sigma"),
+    ])
+    def test_out_of_range_dataset_value_is_validation_error(self, tmp_path, capsys, kind,
+                                                            values, key):
+        """Rejected before a factor row is drawn or a file is opened: no dataset
+        file, no temp file and no output directory is left."""
+        cfg = base_config(tmp_path / "out", kind=kind)
+        cfg["dataset"].update(values)
+        config = write_config(tmp_path, cfg)
+        assert run("generate", "--config", str(config)) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_number_reader_types(self):
         assert cli._number(3, "x") == 3.0 and isinstance(cli._number(3, "x"), float)

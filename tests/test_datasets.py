@@ -1,7 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from torusvae import datasets as ds
+from torusvae import cli, datasets as ds
 from torusvae.errors import FormatError
 
 
@@ -152,6 +155,25 @@ class TestRender:
             expected = oracle_batch(factors, width, height)
             assert np.array_equal(batch.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("width,height", [(8, 8), (16, 16), (64, 64), (17, 23)])
+    def test_float32_out_is_the_rounded_result(self, width, height):
+        """Rendered into the strided float32 pixel field of file records, the
+        images are bit for bit the float64 result rounded to float32."""
+        for seed in (0, 1, 2, 501):
+            factors = ds.sample_factors(ds.SHAPES_SPEC, 40, seed)
+            factors = np.concatenate([factors, self.SPECIAL_ROWS])
+            records = np.empty(len(factors), dtype=[("z", "<f8", (6,)),
+                                                    ("x", "<f4", (width * height * 3,))])
+            out = ds.render_batch(factors, width, height, out=records["x"])
+            assert out is not None and np.shares_memory(out, records)
+            expected = ds.render_batch(factors, width, height).astype(np.float32)
+            assert np.array_equal(records["x"].view(np.uint32), expected.view(np.uint32))
+
+    def test_out_of_the_wrong_shape_is_rejected(self):
+        factors = ds.sample_factors(ds.SHAPES_SPEC, 3, seed=0)
+        with pytest.raises(ValueError, match="out must have shape"):
+            ds.render_batch(factors, 8, 8, out=np.empty((2, 8 * 8 * 3), dtype=np.float32))
+
     def test_special_rows_cover_the_edge_cases(self):
         """The parity rows really hold horizontal edges and a pixel-center vertex."""
         horizontal = center_vertex = 0
@@ -209,6 +231,84 @@ class TestRender:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * out.nbytes
+
+
+def oracle_save(dataset, path):
+    """The one-shot writer that the block writer replaced: every record built
+    in one array, then written after the header."""
+    spec_blob = dataset.spec.to_json().encode("utf-8")
+    pixels = dataset.width * dataset.height * dataset.channels
+    records = np.empty(dataset.n, dtype=[("z", "<f8", (dataset.spec.k,)),
+                                         ("x", "<f4", (pixels,))])
+    records["z"] = dataset.factors
+    records["x"] = dataset.samples
+    with open(path, "wb") as fh:
+        fh.write(ds.DATASET_MAGIC)
+        fh.write(struct.pack("<IIIII", dataset.n, dataset.width, dataset.height,
+                             dataset.channels, dataset.spec.k))
+        fh.write(struct.pack("<I", len(spec_blob)))
+        fh.write(spec_blob)
+        fh.write(records.tobytes())
+
+
+def generate(tmp_path, block):
+    """Run the generate command on a dataset block; the path it wrote."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
+                                  "dataset": dict(block, path="data.tdds")}))
+    assert cli.main(["generate", "--config", str(config)]) == 0
+    return tmp_path / "out" / "data.tdds"
+
+
+# Record counts around the block size b: one record, one block less or more
+# one record, and two whole blocks and a part.
+BLOCK_COUNTS = {"1": lambda b: 1, "b-1": lambda b: b - 1, "b": lambda b: b,
+                "b+1": lambda b: b + 1, "2b+3": lambda b: 2 * b + 3}
+
+
+class TestStreamedWrite:
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    @pytest.mark.parametrize("width,height", [(8, 8), (17, 23), (64, 64)])
+    def test_2dshapes_bytes_match_the_one_shot_writer(self, tmp_path, width, height, count):
+        block = ds.RECORD_BLOCK_BYTES // ds.record_bytes(6, width * height * 3)
+        n = BLOCK_COUNTS[count](block)
+        path = generate(tmp_path, {"kind": "2dshapes", "count": n, "seed": 17,
+                                   "width": width, "height": height})
+        in_memory = ds.make_2dshapes_dataset(n, seed=17, width=width, height=height)
+        oracle_save(in_memory, tmp_path / "oracle.tdds")
+        ds.save_dataset(in_memory, tmp_path / "in_memory.tdds")
+        expected = (tmp_path / "oracle.tdds").read_bytes()
+        assert path.read_bytes() == expected
+        assert (tmp_path / "in_memory.tdds").read_bytes() == expected
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_synthetic_bytes_match_the_one_shot_writer(self, tmp_path, count):
+        block = ds.RECORD_BLOCK_BYTES // ds.record_bytes(3, ds.SYNTHETIC_SAMPLE_DIM)
+        n = BLOCK_COUNTS[count](block)
+        path = generate(tmp_path, {"kind": "synthetic", "count": n, "seed": 17,
+                                   "factors": 3, "noise_sigma": 0.05})
+        oracle_save(ds.make_synthetic_dataset(3, n, seed=17, noise_sigma=0.05),
+                    tmp_path / "oracle.tdds")
+        assert path.read_bytes() == (tmp_path / "oracle.tdds").read_bytes()
+
+    def test_generate_peak_memory_does_not_grow_with_count(self, tmp_path):
+        """A 64-px generate holds one block of records, not the whole file."""
+        import tracemalloc
+
+        peaks = []
+        for count in (300, 600):
+            tracemalloc.start()
+            try:
+                generate(tmp_path / str(count), {"kind": "2dshapes", "count": count,
+                                                 "seed": 5, "width": 64, "height": 64})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 600 records are 28 MiB of file; one block of them is 4 MiB, and the
+        # render of a block needs about 0.6 MiB more.
+        assert max(peaks) <= 6 * 2**20
+        assert peaks[1] <= peaks[0] + 2**16
 
 
 class TestSyntheticMap:
@@ -303,8 +403,6 @@ class TestDatasetIo:
         ds.save_dataset(data, path)
         blob = bytearray(path.read_bytes())
         # header N lives right after the magic; bump it by one record
-        import struct
-
         n = struct.unpack_from("<I", blob, 5)[0]
         struct.pack_into("<I", blob, 5, n + 1)
         path.write_bytes(bytes(blob))
@@ -344,7 +442,6 @@ class TestDatasetIo:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_oversized_record_fails_before_allocating(self, tmp_path, n):
-        import struct
         import tracemalloc
 
         data = ds.make_synthetic_dataset(2, 1, seed=1)
