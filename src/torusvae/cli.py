@@ -1,20 +1,19 @@
 """Command-line front end: generate, train, evaluate, sweep, traverse.
 
 Every command is a pure function of the JSON config and its input files, so
-reruns reproduce identical bytes. Every output is written atomically (temp
-file, then rename; the heatmap CSVs through one temp directory, see
-metrics.write_heatmap_bundle), so an interruption never leaves it truncated.
+reruns reproduce identical bytes. Every output goes through
+errors.write_files (staged in a temp directory, then renamed into place), so
+an interruption never leaves a truncated file.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
-import os
 import sys
-import tempfile
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -23,13 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import datasets, engine, geometry, metrics
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, write_files
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-
-_U32_MAX = 2**32 - 1  # the TDDS1 header's record count field
 
 
 # -- config ----------------------------------------------------------------------
@@ -93,23 +90,10 @@ def _resolve(out_dir: Path, name) -> Path:
     return path if path.is_absolute() else out_dir / path
 
 
-def _atomic_file(path: Path, write_fn) -> None:
-    """Run write_fn(tmp_path) and atomically rename the result into place."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_json(path: Path, obj) -> None:
+def _json_writer(obj):
+    """A write_files writer of obj as indented, key-sorted JSON."""
     blob = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    _atomic_file(path, lambda tmp: Path(tmp).write_bytes(blob))
+    return lambda tmp: Path(tmp).write_bytes(blob)
 
 
 # -- dataset plumbing --------------------------------------------------------------
@@ -121,20 +105,23 @@ def _build_dataset(block: dict):
     kind = _require(block, "kind", "dataset")
     count = _number(_require(block, "count", "dataset"), "dataset.count", int)
     seed = _number(_require(block, "seed", "dataset"), "dataset.seed", int)
-    if not 1 <= count <= _U32_MAX:
-        raise ConfigError(f"dataset.count must be in 1..{_U32_MAX}, got {count}")
+    if not 1 <= count <= datasets.MAX_RECORD_COUNT:
+        raise ConfigError(f"dataset.count must be in 1..{datasets.MAX_RECORD_COUNT}, got {count}")
     if seed < 0:
         raise ConfigError(f"dataset.seed must be >= 0, got {seed}")
-    if kind == "2dshapes":
-        return datasets.shapes_source(count, seed, *_image_size(block))
-    if kind == "synthetic":
-        k = _number(_require(block, "factors", "dataset"), "dataset.factors", int)
-        if not 1 <= k <= 8:
-            raise ConfigError(f"dataset.factors must be in 1..8, got {k}")
-        noise = _number(block.get("noise_sigma", 0.0), "dataset.noise_sigma")
-        if noise < 0.0:
-            raise ConfigError(f"dataset.noise_sigma must be >= 0, got {noise}")
-        return datasets.make_synthetic_dataset(k, count, seed, noise)
+    try:
+        if kind == "2dshapes":
+            return datasets.shapes_source(count, seed, *_image_size(block))
+        if kind == "synthetic":
+            k = _number(_require(block, "factors", "dataset"), "dataset.factors", int)
+            if not 1 <= k <= 8:
+                raise ConfigError(f"dataset.factors must be in 1..8, got {k}")
+            noise = _number(block.get("noise_sigma", 0.0), "dataset.noise_sigma")
+            if noise < 0.0:
+                raise ConfigError(f"dataset.noise_sigma must be >= 0, got {noise}")
+            return datasets.make_synthetic_dataset(k, count, seed, noise)
+    except MemoryError:
+        raise ConfigError(f"dataset.count = {count} needs more memory than is free") from None
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
@@ -240,8 +227,10 @@ def cmd_generate(config: dict, args) -> int:
     block = _section(config, "dataset")
     dataset = _build_dataset(block)
     path = _dataset_path(config, out_dir)
-    _atomic_file(path, lambda tmp: datasets.save_dataset(dataset, tmp))
-    _atomic_json(Path(str(path) + ".json"), json.loads(dataset.spec.to_json()))
+    write_files(path.parent, {
+        path.name: lambda tmp: datasets.save_dataset(dataset, tmp),
+        path.name + ".json": _json_writer(json.loads(dataset.spec.to_json())),
+    })
     print(f"wrote {dataset.n} records to {path}")
     return EXIT_OK
 
@@ -252,10 +241,12 @@ def cmd_train(config: dict, args) -> int:
     train_config = _train_config(config)
     model, report = engine.train(train_config, dataset.samples)
 
+    checkpoint_path = _checkpoint_path(config, out_dir)
     report_path = _resolve(out_dir, config["model"].get("report", "train_report.json"))
-    _atomic_file(_checkpoint_path(config, out_dir),
-                 lambda tmp: engine.save_checkpoint(model, tmp))
-    _atomic_json(report_path, dataclasses.asdict(report))
+    write_files(checkpoint_path.parent,
+                {checkpoint_path.name: lambda tmp: engine.save_checkpoint(model, tmp)})
+    write_files(report_path.parent,
+                {report_path.name: _json_writer(dataclasses.asdict(report))})
     print(
         f"trained {train_config.mode} latent_dim={train_config.latent_dim} "
         f"beta={train_config.beta}: best epoch {report.best_epoch}, "
@@ -299,7 +290,7 @@ def cmd_evaluate(config: dict, args) -> int:
     report = evaluation.report
     metrics_block = config["metrics"]
     report_path = _resolve(out_dir, metrics_block.get("report", "dci_report.json"))
-    _atomic_json(report_path, report.to_dict())
+    write_files(report_path.parent, {report_path.name: _json_writer(report.to_dict())})
 
     bundle = metrics.heatmap_export(evaluation.codes, evaluation.factors, evaluation.importance)
     heatmap_dir = _resolve(out_dir, metrics_block.get("heatmap_dir", "heatmaps"))
@@ -350,7 +341,7 @@ def cmd_sweep(config: dict, args) -> int:
             ])
             writer.writerows(rows)
 
-    _atomic_file(csv_path, write)
+    write_files(csv_path.parent, {csv_path.name: write})
     failures = sum(1 for row in rows if row[-2] != "ok")  # status, then flags
     print(f"sweep wrote {len(rows)} rows to {csv_path} ({failures} failed cells)")
     return EXIT_OK
@@ -397,13 +388,16 @@ def cmd_traverse(config: dict, args) -> int:
 
     prefix = traverse_block.get("prefix", "traverse")
     width, height = _image_dims(config, model)
-    for step in range(steps):
+
+    def write_frame(step, tmp):
         angles = anchor.copy()
         angles[circle] = geometry.TWO_PI * step / steps
         sample = engine.scale_out(engine.generate(model, angles), model.input_scale)
-        image = sample.reshape(height, width, 3)
-        path = out_dir / f"{prefix}_{step:03d}.ppm"
-        _atomic_file(path, lambda tmp, image=image: datasets.write_ppm(image, tmp))
+        datasets.write_ppm(sample.reshape(height, width, 3), tmp)
+
+    stem = out_dir / f"{prefix}_"  # a prefix may name a subdirectory of out_dir
+    write_files(stem.parent, {f"{stem.name}{step:03d}.ppm": functools.partial(write_frame, step)
+                              for step in range(steps)})
     print(f"wrote {steps} frames to {out_dir}/{prefix}_*.ppm")
     return EXIT_OK
 

@@ -277,11 +277,18 @@ def synthetic_map_dataset(k: int, count: int, seed: int, noise_sigma: float = 0.
 RECORD_BLOCK_BYTES = 4 << 20
 # A record type must fit in a C int before numpy sees it.
 MAX_RECORD_BYTES = int(np.iinfo(np.intc).max)
+# The TDDS1 header's record count field is a u32.
+MAX_RECORD_COUNT = 2**32 - 1
 
 
 def record_bytes(k: int, pixels: int) -> int:
     """Size of one TDDS1 record: K f64 factor values, then the f32 pixels."""
     return 8 * k + 4 * pixels
+
+
+def _record_dtype(k: int, pixels: int) -> np.dtype:
+    """The packed TDDS1 record; its record_bytes must not exceed MAX_RECORD_BYTES."""
+    return np.dtype([("z", "<f8", (k,)), ("x", "<f4", (pixels,))])
 
 
 @dataclass
@@ -354,10 +361,9 @@ def save_dataset(dataset, path) -> None:
     """
     spec_blob = dataset.spec.to_json().encode("utf-8")
     n, pixels = dataset.n, dataset.width * dataset.height * dataset.channels
-    record_dtype = np.dtype([("z", "<f8", (dataset.spec.k,)), ("x", "<f4", (pixels,))])
+    record = _record_dtype(dataset.spec.k, pixels)
     # Packed fields, both assigned in full: no zero fill.
-    records = np.empty(min(n, max(1, RECORD_BLOCK_BYTES // record_dtype.itemsize)),
-                       dtype=record_dtype)
+    records = np.empty(min(n, max(1, RECORD_BLOCK_BYTES // record.itemsize)), dtype=record)
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIIII", n, dataset.width, dataset.height,
@@ -386,9 +392,8 @@ def load_dataset(path) -> Dataset:
     record_size = record_bytes(k, pixels)
     if record_size > MAX_RECORD_BYTES:
         raise FormatError(f"header declares {record_size}-byte records in {path}")
-    record_dtype = np.dtype([("z", "<f8", (k,)), ("x", "<f4", (pixels,))])
     # Records are read in place, from a view of the file's buffer.
-    records = np.frombuffer(reader.take(n * record_size), dtype=record_dtype, count=n)
+    records = np.frombuffer(reader.take(n * record_size), _record_dtype(k, pixels), n)
     reader.done()
     return Dataset(
         samples=records["x"].astype(float).reshape(n, pixels),

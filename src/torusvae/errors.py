@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the bounded reader of both binary containers."""
+"""Exception types shared across the package, the bounded reader of both
+binary containers, and the staged writer of every output file."""
 import os
 import struct
+import tempfile
 
 
 class ConfigError(ValueError):
@@ -43,3 +45,21 @@ class Reader:
     def done(self):
         if self.offset != len(self.blob):
             raise FormatError(f"{len(self.blob) - self.offset} trailing bytes in {self.path}")
+
+
+def write_files(directory, writers) -> None:
+    """Write a set of files in directory so that each appears whole or not at all.
+
+    writers maps each file name to a write(tmp_path) callable that makes the
+    file at tmp_path. They all write into one temp directory inside directory
+    (its name ends in .tmp), and only once every writer has returned is each
+    result renamed over its name, so a writer that fails replaces no file.
+    The temp directory is removed whatever happens.
+    """
+    os.makedirs(directory, exist_ok=True)
+    with tempfile.TemporaryDirectory(suffix=".tmp", prefix=".", dir=directory,
+                                     ignore_cleanup_errors=True) as tmp:
+        for name, write in writers.items():
+            write(os.path.join(tmp, name))
+        for name in writers:
+            os.replace(os.path.join(tmp, name), os.path.join(directory, name))

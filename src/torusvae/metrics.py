@@ -7,17 +7,16 @@ informativeness and their geometric mean are computed.
 """
 from __future__ import annotations
 
+import functools
 import os
 import re
-import shutil
-import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, write_files
 
 DEFAULT_ALPHA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 0.8, 1.0)
 RANK_REL_TOL = 1e-8
@@ -392,7 +391,7 @@ def heatmap_export(codes: np.ndarray, factors: np.ndarray, R: np.ndarray,
     code_bins = [_column_bins(col, bins) for col in codes.T]
     factor_bins = [_column_bins(col, bins) for col in factors.T]
     histograms = {
-        (a, j): np.bincount(c * bins + z, minlength=bins * bins).reshape(bins, bins).astype(float)
+        (a, j): np.bincount(c * bins + z, minlength=bins * bins).reshape(bins, bins)
         for a, c in enumerate(code_bins) for j, z in enumerate(factor_bins)
     }
     return HeatmapBundle(importance=R, histograms=histograms, bins=bins)
@@ -417,40 +416,35 @@ def _csv_text(header, rows) -> str:
     return "".join([",".join(fields) + "\r\n" for fields in (header, *rows)])
 
 
+def _write_text(text: str, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def write_heatmap_bundle(bundle: HeatmapBundle, out_dir) -> list:
     """Write importance.csv plus one CSV per (code, factor) histogram; returns paths.
 
-    Every file is written into a temp directory inside out_dir first and then
-    renamed into place, so an interruption while writing leaves the previous
-    files whole. Only then is every other hist_code<a>_factor<j>.csv in
-    out_dir, left by an earlier bundle with more codes or factors, removed.
-    Counts are whole numbers, so each distinct count is formatted once, in a
-    table indexed by the count.
+    All the files are written in one errors.write_files call, so an
+    interruption while writing leaves the previous files whole. Only then is
+    every other hist_code<a>_factor<j>.csv in out_dir, left by an earlier
+    bundle with more codes or factors, removed. Each distinct count is
+    formatted once, in a table indexed by the count.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_factors = bundle.importance.shape[1]
     files = {"importance.csv": _csv_text(
         [f"factor_{j}" for j in range(n_factors)],
         [[FLOAT_FORMAT % v for v in row] for row in np.atleast_2d(bundle.importance)],
     )}
-    keys = sorted(bundle.histograms)
-    counts = [bundle.histograms[key].astype(np.intp) for key in keys]
-    seen = np.flatnonzero(np.bincount(np.concatenate([[0]] + [c.ravel() for c in counts])))
+    histograms = sorted(bundle.histograms.items())
+    seen = np.flatnonzero(np.bincount(np.concatenate([[0]] + [c.ravel() for _, c in histograms])))
     table = np.empty(seen[-1] + 1, dtype=object)
     table[seen] = [FLOAT_FORMAT % v for v in seen.tolist()]
     header = [f"factor_bin_{b}" for b in range(bundle.bins)]
-    for (a, j), cells in zip(keys, counts):
+    for (a, j), cells in histograms:
         files[f"hist_code{a}_factor{j}.csv"] = _csv_text(header, table[cells].tolist())
-    tmp = tempfile.mkdtemp(dir=out_dir, prefix=".heatmaps.", suffix=".tmp")
-    try:
-        for name, text in files.items():
-            with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        for name in files:
-            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    write_files(out_dir, {name: functools.partial(_write_text, text)
+                          for name, text in files.items()})
     with os.scandir(out_dir) as entries:
         stale = [e.path for e in entries if HISTOGRAM_NAME.fullmatch(e.name) and e.name not in files]
     for path in stale:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def trained_2dshapes(tmp_path):
 def tree_hashes(root):
     out = {}
     for path in sorted(root.rglob("*")):
-        if path.is_file() and not path.name.endswith(".json.tmp"):
+        if path.is_file():
             out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
 
@@ -114,7 +115,8 @@ class TestGenerate:
         config = write_config(tmp_path, cfg)
         assert run("generate", "--config", str(config)) == 0
         (save, path), renders = calls[0], calls[1:]
-        assert save == "save_dataset" and path.endswith(".tmp")
+        assert save == "save_dataset" and Path(path) != tmp_path / "out" / "data.tdds"
+        assert Path(path).parent.name.endswith(".tmp")
         block = ds.RECORD_BLOCK_BYTES // ds.record_bytes(6, 64 * 64 * 3)
         assert renders == [("render_batch", n) for n in (block, block, 200 - 2 * block)]
 
@@ -123,6 +125,28 @@ class TestGenerate:
         assert run("generate", "--config", str(config), "--out", str(tmp_path / "other")) == 0
         assert (tmp_path / "other" / "data.tdds").exists()
         assert not (tmp_path / "out").exists()
+
+    def test_failed_sidecar_keeps_the_previous_dataset(self, tmp_path, monkeypatch):
+        """The dataset and its sidecar are replaced together or not at all: a
+        sidecar write that fails after the new dataset was staged leaves the
+        previous pair's bytes and no temp entry."""
+        cfg = base_config(tmp_path / "out")
+        config = write_config(tmp_path, cfg)
+        assert run("generate", "--config", str(config)) == 0
+        before = tree_hashes(tmp_path / "out")
+        cfg["dataset"]["seed"] += 1  # new bytes, so a replaced dataset would show
+        write_config(tmp_path, cfg)
+        staged = []
+
+        def failing_write_bytes(path, data):
+            staged.append(sorted(p.name for p in path.parent.iterdir()))
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
+        assert run("generate", "--config", str(config)) == 2
+        assert staged == [["data.tdds"]]
+        assert tree_hashes(tmp_path / "out") == before
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestTrain:
@@ -499,6 +523,23 @@ class TestExitCodes:
         config = write_config(tmp_path, cfg)
         assert run("generate", "--config", str(config)) == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("kind,generator", [("2dshapes", "sample_factors"),
+                                                ("synthetic", "make_synthetic_dataset")])
+    def test_dataset_too_large_for_memory_is_validation_error(self, tmp_path, capsys,
+                                                              monkeypatch, kind, generator):
+        """A count whose rows do not fit in memory exits 1 naming dataset.count,
+        before a directory or temp file is made. The generator is patched to
+        raise, so that nothing is really allocated."""
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(ds, generator, out_of_memory)
+        config = write_config(tmp_path, base_config(tmp_path / "out", kind=kind))
+        assert run("generate", "--config", str(config)) == 1
+        assert "dataset.count" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert not list(tmp_path.rglob("*.tmp"))
 

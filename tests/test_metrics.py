@@ -424,7 +424,7 @@ class TestHeatmaps:
         expected = histogram2d_oracle(codes, factors, bins)
         assert bundle.histograms.keys() == expected.keys()
         for key, counts in bundle.histograms.items():
-            assert counts.dtype == expected[key].dtype
+            assert counts.dtype == np.intp
             assert np.array_equal(counts, expected[key]), key
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
