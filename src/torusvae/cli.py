@@ -1,7 +1,9 @@
 """Command-line front end: generate, train, evaluate, sweep, traverse.
 
 Every command is a pure function of the JSON config and its input files, so
-reruns reproduce identical bytes. Every output goes through
+reruns reproduce identical bytes. Each command reads and checks all of its
+config through errors.json_value before it loads or computes anything, so a
+bad value exits 1 having done no work. Every output goes through
 errors.write_files (staged in a temp directory, then renamed into place), so
 an interruption never leaves a truncated file.
 """
@@ -12,7 +14,6 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import datasets, engine, geometry, metrics
-from .errors import ConfigError, FormatError, write_files
+from .errors import ConfigError, FormatError, json_value, write_files
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -38,7 +39,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8, bad JSON or an integer of too many digits;
+    # RecursionError: arrays or objects nested too deep to parse.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -51,43 +54,16 @@ def _section(config: dict, name: str) -> dict:
     return config[name]
 
 
-def _require(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigError(f"{context}.{key} is required (seeds are never defaulted)")
-    return section[key]
-
-
-def _number(value, name: str, kind=float):
-    """A numeric config value as kind (int or float).
-
-    Bools, non-numbers, non-finite values and, for int, fractional values
-    are ConfigErrors; an int is a valid float.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-        if kind is int and not value.is_integer():
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return kind(value)
-
-
-def _numbers(values, name: str, kind=float) -> list:
-    """A config list of numbers, each read by _number."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-    return [_number(v, name, kind) for v in values]
-
-
 def _out_dir(config: dict, args) -> Path:
     """The output directory; the writers create it, so a rejected config leaves none."""
-    return Path(args.out if getattr(args, "out", None) else config.get("out_dir", "."))
+    if getattr(args, "out", None):
+        return Path(args.out)
+    return Path(json_value(config, "out_dir", "", str, "."))
 
 
-def _resolve(out_dir: Path, name) -> Path:
-    path = Path(name)
-    return path if path.is_absolute() else out_dir / path
+def _path(out_dir: Path, block: dict, key: str, where: str, default: str) -> Path:
+    """A path value of block: relative to out_dir unless it is absolute."""
+    return out_dir / json_value(block, key, where, str, default)
 
 
 def _json_writer(obj):
@@ -102,24 +78,16 @@ def _json_writer(obj):
 def _build_dataset(block: dict):
     """The dataset block as what save_dataset writes: a 2dshapes ShapesSource
     (rendered block by block as it is written) or a synthetic Dataset."""
-    kind = _require(block, "kind", "dataset")
-    count = _number(_require(block, "count", "dataset"), "dataset.count", int)
-    seed = _number(_require(block, "seed", "dataset"), "dataset.seed", int)
-    if not 1 <= count <= datasets.MAX_RECORD_COUNT:
-        raise ConfigError(f"dataset.count must be in 1..{datasets.MAX_RECORD_COUNT}, got {count}")
-    if seed < 0:
-        raise ConfigError(f"dataset.seed must be >= 0, got {seed}")
+    kind = json_value(block, "kind", "dataset", str)
+    count = json_value(block, "count", "dataset", int, lo=1, hi=datasets.MAX_RECORD_COUNT)
+    seed = json_value(block, "seed", "dataset", int, lo=0)
     try:
         if kind == "2dshapes":
             return datasets.shapes_source(count, seed, *_image_size(block))
         if kind == "synthetic":
-            k = _number(_require(block, "factors", "dataset"), "dataset.factors", int)
-            if not 1 <= k <= 8:
-                raise ConfigError(f"dataset.factors must be in 1..8, got {k}")
-            noise = _number(block.get("noise_sigma", 0.0), "dataset.noise_sigma")
-            if noise < 0.0:
-                raise ConfigError(f"dataset.noise_sigma must be >= 0, got {noise}")
-            return datasets.make_synthetic_dataset(k, count, seed, noise)
+            return datasets.make_synthetic_dataset(
+                json_value(block, "factors", "dataset", int, lo=1, hi=8), count, seed,
+                json_value(block, "noise_sigma", "dataset", default=0.0, lo=0.0))
     except MemoryError:
         raise ConfigError(f"dataset.count = {count} needs more memory than is free") from None
     raise ConfigError(f"unknown dataset kind {kind!r}")
@@ -128,31 +96,21 @@ def _build_dataset(block: dict):
 def _image_size(block: dict) -> tuple:
     """(width, height) of a 2dshapes dataset block: each at least 8, and a
     record (6 factors, width * height * 3 pixels) that load_dataset accepts."""
-    size = []
-    for key in ("width", "height"):
-        value = _number(block.get(key, 16), f"dataset.{key}", int)
-        if value < 8:
-            raise ConfigError(f"dataset.{key} must be >= 8, got {value}")
-        size.append(value)
+    width, height = (json_value(block, key, "dataset", int, 16, lo=8)
+                     for key in ("width", "height"))
     limit = datasets.MAX_RECORD_BYTES
-    if datasets.record_bytes(datasets.SHAPES_SPEC.k, size[0] * size[1] * 3) > limit:
-        raise ConfigError(f"dataset.width x dataset.height = {size[0]}x{size[1]} makes "
+    if datasets.record_bytes(datasets.SHAPES_SPEC.k, width * height * 3) > limit:
+        raise ConfigError(f"dataset.width x dataset.height = {width}x{height} makes "
                           f"records larger than {limit} bytes")
-    return tuple(size)
-
-
-def _input_scale_for(kind: str) -> str:
-    return engine.SCALE_UNIT if kind == "2dshapes" else engine.SCALE_SYMMETRIC
+    return width, height
 
 
 def _dataset_path(config: dict, out_dir: Path) -> Path:
-    block = _section(config, "dataset")
-    return _resolve(out_dir, block.get("path", "dataset.tdds"))
+    return _path(out_dir, _section(config, "dataset"), "path", "dataset", "dataset.tdds")
 
 
 def _checkpoint_path(config: dict, out_dir: Path) -> Path:
-    block = _section(config, "model")
-    return _resolve(out_dir, block.get("checkpoint", "model.tdvae"))
+    return _path(out_dir, _section(config, "model"), "checkpoint", "model", "model.tdvae")
 
 
 def _input_file(path: Path, writer: str) -> Path:
@@ -162,31 +120,27 @@ def _input_file(path: Path, writer: str) -> Path:
     return path
 
 
-def _load_dataset(config: dict, out_dir: Path) -> datasets.Dataset:
-    return datasets.load_dataset(_input_file(_dataset_path(config, out_dir), "generate"))
+def _load_dataset(path: Path) -> datasets.Dataset:
+    return datasets.load_dataset(_input_file(path, "generate"))
 
 
 def _train_config(config: dict, beta=None, latent_dim=None) -> engine.TrainConfig:
     """The model block as a TrainConfig; a sweep cell passes its own beta and latent_dim."""
     block = _section(config, "model")
-    dataset_kind = _require(_section(config, "dataset"), "kind", "dataset")
-
-    def number(key, kind=float, default=None):  # default None: the key is required
-        value = _require(block, key, "model") if default is None else block.get(key, default)
-        return _number(value, f"model.{key}", kind)
-
+    dataset_kind = json_value(_section(config, "dataset"), "kind", "dataset", str)
     return engine.TrainConfig(
-        mode=block.get("mode", "torus"),
-        latent_dim=latent_dim if latent_dim is not None else number("latent_dim", int),
-        beta=beta if beta is not None else number("beta", default=1.0),
-        learning_rate=number("learning_rate", default=0.0001),
-        batch_size=number("batch_size", int, 144),
-        epochs=number("epochs", int, 50),
-        seed=number("seed", int),
-        hidden=tuple(_numbers(block.get("hidden", engine.TrainConfig.hidden),
-                              "model.hidden", int)),
-        val_fraction=number("val_fraction", default=engine.TrainConfig.val_fraction),
-        input_scale=_input_scale_for(dataset_kind),
+        mode=json_value(block, "mode", "model", str, engine.TORUS),
+        latent_dim=(json_value(block, "latent_dim", "model", int)
+                    if latent_dim is None else latent_dim),
+        beta=json_value(block, "beta", "model", default=1.0) if beta is None else beta,
+        learning_rate=json_value(block, "learning_rate", "model", default=0.0001),
+        batch_size=json_value(block, "batch_size", "model", int, 144),
+        epochs=json_value(block, "epochs", "model", int, 50),
+        seed=json_value(block, "seed", "model", int),
+        hidden=tuple(json_value(block, "hidden", "model", [int], engine.TrainConfig.hidden)),
+        val_fraction=json_value(block, "val_fraction", "model",
+                                default=engine.TrainConfig.val_fraction),
+        input_scale=engine.SCALE_UNIT if dataset_kind == "2dshapes" else engine.SCALE_SYMMETRIC,
     )
 
 
@@ -202,18 +156,16 @@ class MetricsSettings(NamedTuple):
 
 def _metrics_settings(config: dict) -> MetricsSettings:
     block = _section(config, "metrics")
-    split_seed = _number(_require(block, "split_seed", "metrics"), "metrics.split_seed", int)
-    grid = tuple(_numbers(block.get("alpha_grid", metrics.DEFAULT_ALPHA_GRID),
-                          "metrics.alpha_grid"))
-    if not grid or min(grid) < 0:
-        raise ConfigError(f"metrics.alpha_grid must list alphas >= 0, got {list(grid)}")
-    folds = _number(block.get("folds", 10), "metrics.folds", int)
-    if folds < 2:
-        raise ConfigError(f"metrics.folds must be >= 2, got {folds}")
-    holdout = _number(block.get("holdout_fraction", 0.2), "metrics.holdout_fraction")
+    split_seed = json_value(block, "split_seed", "metrics", int)
+    grid = tuple(json_value(block, "alpha_grid", "metrics", [float],
+                            metrics.DEFAULT_ALPHA_GRID, lo=0.0))
+    if not grid:
+        raise ConfigError("metrics.alpha_grid must list at least one alpha")
+    folds = json_value(block, "folds", "metrics", int, 10, lo=2)
+    holdout = json_value(block, "holdout_fraction", "metrics", default=0.2)
     if not 0.0 < holdout < 1.0:
         raise ConfigError(f"metrics.holdout_fraction must be in (0, 1), got {holdout}")
-    source = block.get("codes_source", "encoder")
+    source = json_value(block, "codes_source", "metrics", str, "encoder")
     if source not in ("encoder", "factors"):
         raise ConfigError(f"unknown metrics.codes_source {source!r}")
     return MetricsSettings(split_seed, grid, folds, holdout, source)
@@ -223,10 +175,8 @@ def _metrics_settings(config: dict) -> MetricsSettings:
 
 
 def cmd_generate(config: dict, args) -> int:
-    out_dir = _out_dir(config, args)
-    block = _section(config, "dataset")
-    dataset = _build_dataset(block)
-    path = _dataset_path(config, out_dir)
+    path = _dataset_path(config, _out_dir(config, args))
+    dataset = _build_dataset(_section(config, "dataset"))
     write_files(path.parent, {
         path.name: lambda tmp: datasets.save_dataset(dataset, tmp),
         path.name + ".json": _json_writer(json.loads(dataset.spec.to_json())),
@@ -237,12 +187,12 @@ def cmd_generate(config: dict, args) -> int:
 
 def cmd_train(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
-    dataset = _load_dataset(config, out_dir)
     train_config = _train_config(config)
-    model, report = engine.train(train_config, dataset.samples)
-
+    dataset_path = _dataset_path(config, out_dir)
     checkpoint_path = _checkpoint_path(config, out_dir)
-    report_path = _resolve(out_dir, config["model"].get("report", "train_report.json"))
+    report_path = _path(out_dir, config["model"], "report", "model", "train_report.json")
+
+    model, report = engine.train(train_config, _load_dataset(dataset_path).samples)
     write_files(checkpoint_path.parent,
                 {checkpoint_path.name: lambda tmp: engine.save_checkpoint(model, tmp)})
     write_files(report_path.parent,
@@ -272,28 +222,28 @@ def cmd_evaluate(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
     train_config = _train_config(config)
     settings = _metrics_settings(config)
-    dataset = _load_dataset(config, out_dir)
-    model = engine.load_checkpoint(_input_file(_checkpoint_path(config, out_dir), "train"))
+    dataset_path = _dataset_path(config, out_dir)
+    checkpoint_path = _checkpoint_path(config, out_dir)
+    report_path = _path(out_dir, config["metrics"], "report", "metrics", "dci_report.json")
+    heatmap_dir = _path(out_dir, config["metrics"], "heatmap_dir", "metrics", "heatmaps")
+
+    dataset = _load_dataset(dataset_path)
+    model = engine.load_checkpoint(_input_file(checkpoint_path, "train"))
     if model.encoder.input_dim != dataset.samples.shape[1]:
         raise ConfigError(
             f"checkpoint expects {model.encoder.input_dim}-dim samples, "
             f"dataset provides {dataset.samples.shape[1]}"
         )
-    if settings.codes_source == "encoder":
-        if model.latent.mode != train_config.mode or model.latent.dim != train_config.latent_dim:
-            raise ConfigError(
-                f"checkpoint is {model.latent.mode}/{model.latent.dim} but config says "
-                f"{train_config.mode}/{train_config.latent_dim}"
-            )
+    if settings.codes_source == "encoder" and model.latent != train_config.latent():
+        raise ConfigError(
+            f"checkpoint is {model.latent.mode}/{model.latent.dim} but config says "
+            f"{train_config.mode}/{train_config.latent_dim}"
+        )
 
     evaluation = _validation_dci(model, dataset, train_config, settings)
     report = evaluation.report
-    metrics_block = config["metrics"]
-    report_path = _resolve(out_dir, metrics_block.get("report", "dci_report.json"))
-    write_files(report_path.parent, {report_path.name: _json_writer(report.to_dict())})
-
+    write_files(report_path.parent, {report_path.name: _json_writer(dataclasses.asdict(report))})
     bundle = metrics.heatmap_export(evaluation.codes, evaluation.factors, evaluation.importance)
-    heatmap_dir = _resolve(out_dir, metrics_block.get("heatmap_dir", "heatmaps"))
     metrics.write_heatmap_bundle(bundle, heatmap_dir)
     print(
         f"dci: D={report.disentanglement:.4f} C={report.completeness:.4f} "
@@ -305,20 +255,23 @@ def cmd_evaluate(config: dict, args) -> int:
 def cmd_sweep(config: dict, args) -> int:
     """Train and score every (beta, latent_dim) cell.
 
-    The whole config is read before the first cell starts, so a bad value is
-    a validation error; a cell that fails at run time becomes an error row.
+    Every cell's settings are read before the first cell starts, so a bad
+    value is a validation error; a cell that fails at run time becomes an
+    error row.
     """
     out_dir = _out_dir(config, args)
     sweep_block = _section(config, "sweep")
-    betas = _numbers(sweep_block.get("betas", (0.0, 1.0, 3.0, 6.0, 9.0)), "sweep.betas")
-    dims = _numbers(sweep_block.get("dims", (4, 5, 6, 8)), "sweep.dims", int)
+    betas = json_value(sweep_block, "betas", "sweep", [float], (0.0, 1.0, 3.0, 6.0, 9.0))
+    dims = json_value(sweep_block, "dims", "sweep", [int], (4, 5, 6, 8))
     if not betas or not dims:
         raise ConfigError("sweep grids must be non-empty")
+    csv_path = _path(out_dir, sweep_block, "csv", "sweep", "sweep.csv")
     settings = _metrics_settings(config)
     dataset_path = str(_input_file(_dataset_path(config, out_dir), "generate"))
     jobs = [(_train_config(config, beta=beta, latent_dim=dim), settings, dataset_path)
             for beta in betas for dim in dims]
-    workers = max(1, getattr(args, "workers", 1) or 1)
+    # A pool forks all of its workers at once, so it never gets more than there are cells.
+    workers = min(max(1, getattr(args, "workers", 1) or 1), len(jobs))
     if workers > 1:
         # Longest cells first, so that no worker starts a large cell last while
         # the others sit idle; the rows then go back into grid order.
@@ -329,8 +282,6 @@ def cmd_sweep(config: dict, args) -> int:
                 rows[i] = row
     else:
         rows = [_sweep_cell(job) for job in jobs]
-
-    csv_path = _resolve(out_dir, sweep_block.get("csv", "sweep.csv"))
 
     def write(tmp):
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -367,27 +318,33 @@ def _sweep_cell(job):
 
 def cmd_traverse(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
-    traverse_block = _section(config, "traverse") if "traverse" in config else {}
-    circle = _number(args.circle if getattr(args, "circle", None) is not None
-                     else traverse_block.get("circle", 0), "traverse.circle", int)
-    steps = _number(args.steps if getattr(args, "steps", None) is not None
-                    else traverse_block.get("steps", 12), "traverse.steps", int)
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
+    block = dict(_section(config, "traverse") if "traverse" in config else {})
+    for key in ("circle", "steps"):  # a command-line flag wins over the config
+        if getattr(args, key, None) is not None:
+            block[key] = getattr(args, key)
+    circle = json_value(block, "circle", "traverse", int, 0, lo=0)
+    steps = json_value(block, "steps", "traverse", int, 12, lo=1)
+    anchor = json_value(block, "anchor", "traverse", [float], None)
+    prefix = json_value(block, "prefix", "traverse", str, "traverse")
+    if json_value(_section(config, "dataset"), "kind", "dataset", str) != "2dshapes":
+        raise ConfigError("traverse writes PPM frames and needs an image dataset (2dshapes)")
+    width, height = _image_size(config["dataset"])
+    checkpoint_path = _checkpoint_path(config, out_dir)
 
-    model = engine.load_checkpoint(_input_file(_checkpoint_path(config, out_dir), "train"))
+    model = engine.load_checkpoint(_input_file(checkpoint_path, "train"))
     if model.latent.mode != engine.TORUS:
         raise ConfigError("traverse needs a circle-latent checkpoint")
     d = model.latent.dim
-    if not 0 <= circle < d:
+    if circle >= d:
         raise ConfigError(f"circle index {circle} out of range for {d} circles")
-
-    anchor = np.array(_numbers(traverse_block.get("anchor", [0.0] * d), "traverse.anchor"))
+    anchor = np.zeros(d) if anchor is None else np.array(anchor)
     if anchor.shape != (d,):
         raise ConfigError(f"anchor must list {d} angles")
-
-    prefix = traverse_block.get("prefix", "traverse")
-    width, height = _image_dims(config, model)
+    if width * height * 3 != model.encoder.input_dim:
+        raise ConfigError(
+            f"dataset dims {width}x{height}x3 do not match the checkpoint input "
+            f"({model.encoder.input_dim})"
+        )
 
     def write_frame(step, tmp):
         angles = anchor.copy()
@@ -400,19 +357,6 @@ def cmd_traverse(config: dict, args) -> int:
                               for step in range(steps)})
     print(f"wrote {steps} frames to {out_dir}/{prefix}_*.ppm")
     return EXIT_OK
-
-
-def _image_dims(config: dict, model) -> tuple:
-    block = _section(config, "dataset")
-    if _require(block, "kind", "dataset") != "2dshapes":
-        raise ConfigError("traverse writes PPM frames and needs an image dataset (2dshapes)")
-    width, height = _image_size(block)
-    if width * height * 3 != model.encoder.input_dim:
-        raise ConfigError(
-            f"dataset dims {width}x{height}x3 do not match the checkpoint input "
-            f"({model.encoder.input_dim})"
-        )
-    return width, height
 
 
 # -- entry point -----------------------------------------------------------------------

@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, Reader
+from .errors import FormatError, Reader, json_value
 from .geometry import TWO_PI
 
 DATASET_MAGIC = b"TDDS1"
@@ -63,19 +62,16 @@ class Factor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Factor":
-        """A factor from its JSON object; wrong-typed fields raise ValueError."""
-        name, kind = data["name"], data["kind"]
-        lo, hi, n = data.get("lo", 0.0), data.get("hi", 1.0), data.get("n", 0)
-        if not isinstance(name, str) or not isinstance(kind, str):
-            raise ValueError("factor name and kind must be strings")
-        for key, value in (("lo", lo), ("hi", hi)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"factor {name!r} field {key} must be a number")
-            if isinstance(value, int) and abs(value) > sys.float_info.max:
-                raise ValueError(f"factor {name!r} field {key} overflows a float")
+        """A factor from its JSON object. name, kind, lo and hi are read by
+        errors.json_value, and n must be a JSON integer; a missing or
+        wrong-typed field raises ValueError."""
+        name = json_value(data, "name", "factor", str)
+        n = data.get("n", 0)
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"factor {name!r} field n must be an integer")
-        return cls(name=name, kind=kind, lo=lo, hi=hi, n=n)
+        return cls(name=name, kind=json_value(data, "kind", "factor", str),
+                   lo=json_value(data, "lo", "factor", default=0.0),
+                   hi=json_value(data, "hi", "factor", default=1.0), n=n)
 
 
 @dataclass(frozen=True)
@@ -245,12 +241,11 @@ def _synthetic_features(spec: FactorSpec, z: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def synthetic_map_dataset(k: int, count: int, seed: int, noise_sigma: float = 0.0):
+def make_synthetic_dataset(k: int, count: int, seed: int, noise_sigma: float = 0.0) -> Dataset:
     """Samples x in R^16 from a fixed seeded two-layer smooth map of K factors.
 
-    Returns (samples (N, 16), factors (N, K), spec). The map output passes
-    through tanh, so samples live in (-1, 1) and need no rescaling for the
-    tanh decoder.
+    The map output passes through tanh, so samples live in (-1, 1) and need
+    no rescaling for the tanh decoder.
     """
     spec = synthetic_spec(k)
     factor_seq, map_seq, noise_seq = np.random.SeedSequence(seed).spawn(3)
@@ -267,7 +262,8 @@ def synthetic_map_dataset(k: int, count: int, seed: int, noise_sigma: float = 0.
     x = np.tanh(np.tanh(features @ w1 + b1) @ w2 + b2)
     if noise_sigma > 0.0:
         x = x + np.random.default_rng(noise_seq).normal(0.0, noise_sigma, size=x.shape)
-    return x, z, spec
+    return Dataset(samples=x, factors=z, spec=spec, width=SYNTHETIC_SAMPLE_DIM, height=1,
+                   channels=1)
 
 
 # -- container io ---------------------------------------------------------------------
@@ -384,7 +380,7 @@ def load_dataset(path) -> Dataset:
     n, width, height, channels, k, spec_len = reader.unpack("<IIIIII")
     try:
         spec = FactorSpec.from_json(str(reader.take(spec_len), "utf-8"))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"unreadable factor spec in {path}: {exc}") from exc
     if spec.k != k:
         raise FormatError(f"factor spec lists {spec.k} factors, header says {k}")
@@ -411,18 +407,6 @@ def shapes_source(count: int, seed: int, width: int = 16, height: int = 16) -> S
 
 def make_2dshapes_dataset(count: int, seed: int, width: int = 16, height: int = 16) -> Dataset:
     return shapes_source(count, seed, width, height).render()
-
-
-def make_synthetic_dataset(k: int, count: int, seed: int, noise_sigma: float = 0.0) -> Dataset:
-    samples, factors, spec = synthetic_map_dataset(k, count, seed, noise_sigma)
-    return Dataset(
-        samples=samples,
-        factors=factors,
-        spec=spec,
-        width=SYNTHETIC_SAMPLE_DIM,
-        height=1,
-        channels=1,
-    )
 
 
 # -- image export ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, the bounded reader of both
-binary containers, and the staged writer of every output file."""
+"""Exception types shared across the package, the one checked reader of JSON
+values, the bounded reader of both binary containers, and the staged writer
+of every output file."""
+import math
 import os
 import struct
+import sys
 import tempfile
 
 
@@ -15,6 +18,54 @@ class FormatError(ValueError):
 
 class NumericsError(RuntimeError):
     """A computation produced non-finite values."""
+
+
+REQUIRED = object()  # the default of a JSON value that must be given
+
+
+def json_value(block: dict, key: str, where: str, kind=float, default=REQUIRED,
+               lo=None, hi=None):
+    """block[key] checked and read as kind, or default when block has no key.
+
+    kind is float, int or str, or a one-item list of one of them ([int]) for
+    a JSON list of such values, each checked alone. A number is never a bool
+    and never an int too large for a float; it is finite, an integral float
+    is a valid int and an int a valid float, and lo <= value <= hi for each
+    bound given. A str is a non-empty string. Every failure is a ConfigError
+    naming where.key (or key alone when where is empty).
+    """
+    name = f"{where}.{key}" if where else key
+    if key not in block:
+        if default is REQUIRED:
+            raise ConfigError(f"{name} is required")
+        return default
+    value = block[key]
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_checked(item, name, kind[0], lo, hi) for item in value]
+    return _checked(value, name, kind, lo, hi)
+
+
+def _checked(value, name: str, kind, lo, hi):
+    if kind is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} is an integer too large for a float")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = kind(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = (f"in {lo}..{hi}" if lo is not None and hi is not None
+                  else f">= {lo}" if lo is not None else f"<= {hi}")
+        raise ConfigError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
 class Reader:

@@ -11,7 +11,7 @@ import functools
 import os
 import re
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -244,9 +244,6 @@ class DciReport:
     n_rows: int
     alphas: list
     flags: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 DCI_REPORT_SCHEMA = {

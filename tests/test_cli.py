@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusvae import cli, datasets as ds, metrics
-from torusvae.errors import ConfigError, FormatError
+from torusvae import cli, datasets as ds, engine, metrics
+from torusvae.errors import ConfigError, FormatError, json_value
 
 
 def base_config(out_dir, kind="synthetic", epochs=3):
@@ -320,7 +320,7 @@ class TestSweep:
 
         class SerialPool:
             def __init__(self, max_workers):
-                pass
+                submitted.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -338,7 +338,11 @@ class TestSweep:
         run("generate", "--config", str(config))
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         assert run("sweep", "--config", str(config), "--workers", "2") == 0
-        assert submitted == [(0.0, 3), (1.0, 3), (0.0, 2), (1.0, 2)]
+        assert submitted == [2, (0.0, 3), (1.0, 3), (0.0, 2), (1.0, 2)]
+        # A pool gets no more workers than there are cells; the fake starts none.
+        submitted.clear()
+        assert run("sweep", "--config", str(config), "--workers", "5000") == 0
+        assert submitted[0] == 4
         lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == ["2", "3", "2", "3"]
 
@@ -440,7 +444,8 @@ class TestExitCodes:
                          + blob[spec_at + 4 + spec_len:])
         return config, path
 
-    @pytest.mark.parametrize("spec_blob", [b"[1]", b"{}", b'"x"'])
+    @pytest.mark.parametrize("spec_blob", [
+        b"[1]", b"{}", b'"x"', pytest.param(b"[" * 10**5 + b"]" * 10**5, id="nested-too-deep")])
     def test_non_list_factor_spec_is_validation_error(self, tmp_path, spec_blob):
         config, path = self._dataset_with_spec(tmp_path, spec_blob)
         with pytest.raises(FormatError, match="factor spec"):
@@ -544,14 +549,117 @@ class TestExitCodes:
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_number_reader_types(self):
-        assert cli._number(3, "x") == 3.0 and isinstance(cli._number(3, "x"), float)
-        assert cli._number(4.0, "x", int) == 4 and isinstance(cli._number(4.0, "x", int), int)
-        assert cli._numbers([0, 1, 3], "sweep.betas") == [0.0, 1.0, 3.0]
+        assert json_value({"x": 3}, "x", "w") == 3.0
+        assert isinstance(json_value({"x": 3}, "x", "w"), float)
+        assert json_value({"x": 4.0}, "x", "w", int) == 4
+        assert isinstance(json_value({"x": 4.0}, "x", "w", int), int)
+        assert json_value({"betas": [0, 1, 3]}, "betas", "sweep", [float]) == [0.0, 1.0, 3.0]
         for bad in (True, "1", None, [1], float("inf")):
-            with pytest.raises(ConfigError):
-                cli._number(bad, "x")
-        with pytest.raises(ConfigError):
-            cli._number(0.5, "x", int)
+            with pytest.raises(ConfigError, match="w.x"):
+                json_value({"x": bad}, "x", "w")
+        with pytest.raises(ConfigError, match="w.x"):
+            json_value({"x": 0.5}, "x", "w", int)
+
+    def test_json_value_rules(self):
+        assert json_value({}, "x", "w", default=None) is None
+        with pytest.raises(ConfigError, match="w.x is required"):
+            json_value({}, "x", "w")
+        with pytest.raises(ConfigError, match="too large for a float"):
+            json_value({"x": 10**400}, "x", "w", int)
+        assert json_value({"x": 10**300}, "x", "w", int) == 10**300
+        assert json_value({"x": 2}, "x", "w", int, lo=2, hi=2) == 2
+        for bounds, message in (({"lo": 3}, ">= 3"), ({"hi": 1}, "<= 1"),
+                                ({"lo": 3, "hi": 5}, "in 3..5")):
+            with pytest.raises(ConfigError, match=f"w.x must be {message}, got 2"):
+                json_value({"x": 2}, "x", "w", int, **bounds)
+        with pytest.raises(ConfigError, match="w.x must be >= 0"):
+            json_value({"x": [1, -1]}, "x", "w", [float], lo=0)
+        with pytest.raises(ConfigError, match="w.x must be a list"):
+            json_value({"x": 1}, "x", "w", [float])
+        assert json_value({"x": "a"}, "x", "w", str) == "a"
+        assert json_value({"out_dir": "a"}, "out_dir", "", str) == "a"
+        for bad in ("", 7, None, ["a"]):
+            with pytest.raises(ConfigError, match="w.x must be a non-empty string"):
+                json_value({"x": bad}, "x", "w", str)
+
+    # What a command does once its config is read; none may run for a bad config.
+    WORK = [(ds, "shapes_source"), (ds, "make_synthetic_dataset"), (ds, "load_dataset"),
+            (engine, "train"), (engine, "load_checkpoint"), (metrics, "run_dci")]
+
+    @classmethod
+    def _record_work(cls, monkeypatch) -> list:
+        calls = []
+        for owner, name in cls.WORK:
+            def recorder(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorder)
+        return calls
+
+    @pytest.mark.parametrize("value", [7, "", None])
+    @pytest.mark.parametrize("command,where", [
+        ("generate", ("out_dir",)),
+        ("train", ("out_dir",)),
+        ("generate", ("dataset", "path")),
+        ("train", ("dataset", "path")),
+        ("train", ("model", "checkpoint")),
+        ("train", ("model", "report")),
+        ("evaluate", ("model", "checkpoint")),
+        ("evaluate", ("metrics", "report")),
+        ("evaluate", ("metrics", "heatmap_dir")),
+        ("sweep", ("sweep", "csv")),
+        ("traverse", ("traverse", "prefix")),
+    ])
+    def test_bad_path_value_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    command, where, value):
+        """A path must be a non-empty string. A bad one exits 1 naming its key
+        before the command loads, trains or scores anything, and writes
+        nothing, not even into the working directory."""
+        monkeypatch.chdir(tmp_path)
+        cfg = json.loads(trained_2dshapes(tmp_path).read_text())
+        block = cfg
+        for key in where[:-1]:
+            block = block[key]
+        block[where[-1]] = value
+        config = write_config(tmp_path, cfg, "bad.json")
+        before = tree_hashes(tmp_path)
+        calls = self._record_work(monkeypatch)
+        capsys.readouterr()
+        assert run(command, "--config", str(config)) == 1
+        assert ".".join(where) in capsys.readouterr().err
+        assert calls == []
+        assert tree_hashes(tmp_path) == before
+
+    @pytest.mark.parametrize("command,where", [("generate", ("dataset", "noise_sigma")),
+                                               ("train", ("model", "beta")),
+                                               ("evaluate", ("metrics", "holdout_fraction"))])
+    def test_integer_too_large_for_a_float_exits_1(self, tmp_path, capsys, command, where):
+        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert run("generate", "--config", str(config)) == 0
+        assert run("train", "--config", str(config)) == 0
+        cfg = base_config(tmp_path / "out")
+        cfg[where[0]][where[1]] = 10**400
+        config = write_config(tmp_path, cfg, "bad.json")
+        capsys.readouterr()
+        assert run(command, "--config", str(config)) == 1
+        assert ".".join(where) in capsys.readouterr().err
+
+    def test_integer_of_too_many_digits_exits_1(self, tmp_path, capsys):
+        """json.loads refuses integers of more than 4300 digits with a ValueError."""
+        cfg = base_config(tmp_path / "out")
+        cfg["dataset"]["seed"] = "SEED"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"SEED"', "1" + "0" * 4999))
+        assert run("generate", "--config", str(path)) == 1
+        assert "not valid UTF-8 JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_nested_too_deep_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**5 + "]" * 10**5)
+        assert run("generate", "--config", str(path)) == 1
+        assert "not valid UTF-8 JSON" in capsys.readouterr().err
 
     def test_config_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"

@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,14 +255,30 @@ def oracle_save(dataset, path):
         fh.write(records.tobytes())
 
 
-def generate(tmp_path, block):
-    """Run the generate command on a dataset block; the path it wrote."""
+def generate_config(tmp_path, block):
+    """A config file that generates a dataset block as tmp_path/out/data.tdds."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
                                   "dataset": dict(block, path="data.tdds")}))
-    assert cli.main(["generate", "--config", str(config)]) == 0
+    return config
+
+
+def generate(tmp_path, block):
+    """Run the generate command on a dataset block; the path it wrote."""
+    assert cli.main(["generate", "--config", str(generate_config(tmp_path, block))]) == 0
     return tmp_path / "out" / "data.tdds"
+
+
+# Prints the tracemalloc peak of one generate run in a fresh interpreter.
+TRACED_GENERATE = """
+import sys, tracemalloc
+from torusvae import cli
+tracemalloc.start()
+if cli.main(["generate", "--config", sys.argv[1]]) != 0:
+    sys.exit("generate failed")
+print(tracemalloc.get_traced_memory()[1])
+"""
 
 
 # Record counts around the block size b: one record, one block less or more
@@ -293,18 +313,21 @@ class TestStreamedWrite:
         assert path.read_bytes() == (tmp_path / "oracle.tdds").read_bytes()
 
     def test_generate_peak_memory_does_not_grow_with_count(self, tmp_path):
-        """A 64-px generate holds one block of records, not the whole file."""
-        import tracemalloc
+        """A 64-px generate holds one block of records, not the whole file.
 
+        Each generate is traced in a fresh interpreter, so that what the tests
+        before this one left behind in the process does not count toward it.
+        """
+        package_root = str(Path(ds.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         peaks = []
         for count in (300, 600):
-            tracemalloc.start()
-            try:
-                generate(tmp_path / str(count), {"kind": "2dshapes", "count": count,
-                                                 "seed": 5, "width": 64, "height": 64})
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            config = generate_config(tmp_path / str(count), {
+                "kind": "2dshapes", "count": count, "seed": 5, "width": 64, "height": 64})
+            run = subprocess.run([sys.executable, "-c", TRACED_GENERATE, str(config)],
+                                 env=env, capture_output=True, text=True, check=True)
+            peaks.append(int(run.stdout.splitlines()[-1]))
         # 600 records are 28 MiB of file; one block of them is 4 MiB, and the
         # render of a block needs about 0.6 MiB more.
         assert max(peaks) <= 6 * 2**20
@@ -313,9 +336,9 @@ class TestStreamedWrite:
 
 class TestSyntheticMap:
     def test_deterministic(self):
-        xa, za, _ = ds.synthetic_map_dataset(3, 100, seed=21)
-        xb, zb, _ = ds.synthetic_map_dataset(3, 100, seed=21)
-        assert np.array_equal(xa, xb) and np.array_equal(za, zb)
+        a = ds.make_synthetic_dataset(3, 100, seed=21)
+        b = ds.make_synthetic_dataset(3, 100, seed=21)
+        assert np.array_equal(a.samples, b.samples) and np.array_equal(a.factors, b.factors)
 
     def test_angular_periodicity_of_features(self):
         spec = ds.synthetic_spec(4)
@@ -332,7 +355,8 @@ class TestSyntheticMap:
         assert kinds == [ds.KIND_ANGLE, ds.KIND_UNIFORM] * 2 + [ds.KIND_ANGLE]
 
     def test_mutual_distinctness(self, rng):
-        x, z, spec = ds.synthetic_map_dataset(3, 2000, seed=21)
+        data = ds.make_synthetic_dataset(3, 2000, seed=21)
+        x, z, spec = data.samples, data.factors, data.spec
         pairs = rng.integers(0, 2000, size=(3000, 2))
         hits = total = 0
         for i, j in pairs:
@@ -350,16 +374,16 @@ class TestSyntheticMap:
         assert hits / total >= 0.99
 
     def test_sample_range_fits_decoder(self):
-        x, _, _ = ds.synthetic_map_dataset(5, 500, seed=9)
+        x = ds.make_synthetic_dataset(5, 500, seed=9).samples
         assert np.all(np.abs(x) < 1.0)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
-            ds.synthetic_map_dataset(9, 10, seed=1)
+            ds.make_synthetic_dataset(9, 10, seed=1)
 
     def test_noise_is_seeded(self):
-        xa, _, _ = ds.synthetic_map_dataset(2, 50, seed=4, noise_sigma=0.1)
-        xb, _, _ = ds.synthetic_map_dataset(2, 50, seed=4, noise_sigma=0.1)
+        xa = ds.make_synthetic_dataset(2, 50, seed=4, noise_sigma=0.1).samples
+        xb = ds.make_synthetic_dataset(2, 50, seed=4, noise_sigma=0.1).samples
         assert np.array_equal(xa, xb)
 
 

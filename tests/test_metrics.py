@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -321,7 +322,7 @@ class TestEvaluateDci:
 
         z = rng.standard_normal((200, 2))
         report = m.run_dci(z, z + 0.01 * rng.standard_normal((200, 2)), split_seed=3).report
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps(asdict(report)))
         jsonschema.validate(payload, m.DCI_REPORT_SCHEMA)
         assert report.flags == []
 
@@ -335,7 +336,7 @@ class TestEvaluateDci:
         with pytest.warns(UserWarning, match="constant"):
             report = m.run_dci(codes, factors, split_seed=3).report
         assert report.flags[:2] == ["constant_code:1", "constant_factor:0"]
-        jsonschema.validate(json.loads(json.dumps(report.to_dict())), m.DCI_REPORT_SCHEMA)
+        jsonschema.validate(json.loads(json.dumps(asdict(report))), m.DCI_REPORT_SCHEMA)
 
     def test_unconverged_lasso_is_flagged(self, rng, monkeypatch):
         import jsonschema
@@ -347,7 +348,7 @@ class TestEvaluateDci:
         with pytest.warns(m.ConvergenceWarning, match="did not converge"):
             report = m.run_dci(codes, factors, split_seed=3).report
         assert report.flags == ["lasso_not_converged"]
-        jsonschema.validate(json.loads(json.dumps(report.to_dict())), m.DCI_REPORT_SCHEMA)
+        jsonschema.validate(json.loads(json.dumps(asdict(report))), m.DCI_REPORT_SCHEMA)
 
     @pytest.mark.parametrize("flag", ["surprise", "dead_code:x", "constant_code:01",
                                       "constant_row:0", "lasso_not_converged:0", ""])
@@ -355,7 +356,7 @@ class TestEvaluateDci:
         import jsonschema
 
         z = rng.standard_normal((100, 2))
-        payload = json.loads(json.dumps(m.run_dci(z, z, split_seed=3).report.to_dict()))
+        payload = json.loads(json.dumps(asdict(m.run_dci(z, z, split_seed=3).report)))
         payload["flags"] = ["dead_factor:1", flag]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, m.DCI_REPORT_SCHEMA)
@@ -363,8 +364,8 @@ class TestEvaluateDci:
     def test_deterministic(self, rng):
         codes = rng.standard_normal((150, 3))
         factors = rng.standard_normal((150, 2))
-        a = m.run_dci(codes, factors, split_seed=7).report.to_dict()
-        b = m.run_dci(codes, factors, split_seed=7).report.to_dict()
+        a = asdict(m.run_dci(codes, factors, split_seed=7).report)
+        b = asdict(m.run_dci(codes, factors, split_seed=7).report)
         assert a == b
 
     def test_nonnegative_informativeness(self, rng):
