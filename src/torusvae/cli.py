@@ -62,8 +62,15 @@ def _out_dir(config: dict, args) -> Path:
 
 
 def _path(out_dir: Path, block: dict, key: str, where: str, default: str) -> Path:
-    """A path value of block: relative to out_dir unless it is absolute."""
-    return out_dir / json_value(block, key, where, str, default)
+    """A file-valued path of block: relative to out_dir unless it is absolute.
+
+    Its last part must name a file: a last part of "", "." or ".." would
+    name a directory (out_dir itself for "." or "sub/..", the root for "/").
+    """
+    value = json_value(block, key, where, str, default)
+    if Path(value).name in ("", ".", ".."):
+        raise ConfigError(f"{where}.{key} must name a file, got {value!r}")
+    return out_dir / value
 
 
 def _json_writer(obj):
@@ -192,7 +199,7 @@ def cmd_train(config: dict, args) -> int:
     checkpoint_path = _checkpoint_path(config, out_dir)
     report_path = _path(out_dir, config["model"], "report", "model", "train_report.json")
 
-    model, report = engine.train(train_config, _load_dataset(dataset_path).samples)
+    model, report = engine.train(train_config, _load_dataset(dataset_path).x)
     write_files(checkpoint_path.parent,
                 {checkpoint_path.name: lambda tmp: engine.save_checkpoint(model, tmp)})
     write_files(report_path.parent,
@@ -213,7 +220,7 @@ def _validation_dci(model, dataset, train_config: engine.TrainConfig,
     if settings.codes_source == "factors":
         codes = factors
     else:
-        codes = model.codes(engine.scale_in(dataset.samples[rows], model.input_scale))
+        codes = model.codes(engine.scale_in(dataset.x[rows], model.input_scale))
     return metrics.run_dci(codes, factors, settings.split_seed, settings.grid,
                            settings.folds, settings.holdout_fraction)
 
@@ -225,14 +232,15 @@ def cmd_evaluate(config: dict, args) -> int:
     dataset_path = _dataset_path(config, out_dir)
     checkpoint_path = _checkpoint_path(config, out_dir)
     report_path = _path(out_dir, config["metrics"], "report", "metrics", "dci_report.json")
-    heatmap_dir = _path(out_dir, config["metrics"], "heatmap_dir", "metrics", "heatmaps")
+    heatmap_dir = out_dir / json_value(config["metrics"], "heatmap_dir", "metrics", str,
+                                       "heatmaps")  # may name out_dir itself
 
     dataset = _load_dataset(dataset_path)
     model = engine.load_checkpoint(_input_file(checkpoint_path, "train"))
-    if model.encoder.input_dim != dataset.samples.shape[1]:
+    if model.encoder.input_dim != dataset.x.shape[1]:
         raise ConfigError(
             f"checkpoint expects {model.encoder.input_dim}-dim samples, "
-            f"dataset provides {dataset.samples.shape[1]}"
+            f"dataset provides {dataset.x.shape[1]}"
         )
     if settings.codes_source == "encoder" and model.latent != train_config.latent():
         raise ConfigError(
@@ -304,7 +312,7 @@ def _sweep_cell(job):
     fmt = metrics.FLOAT_FORMAT
     try:
         dataset = datasets.load_dataset(dataset_path)
-        model, report = engine.train(train_config, dataset.samples)
+        model, report = engine.train(train_config, dataset.x)
         dci = _validation_dci(model, dataset, train_config, settings).report
         mse = report.val_mse[report.best_epoch]
         return [

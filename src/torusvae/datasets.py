@@ -262,7 +262,7 @@ def make_synthetic_dataset(k: int, count: int, seed: int, noise_sigma: float = 0
     x = np.tanh(np.tanh(features @ w1 + b1) @ w2 + b2)
     if noise_sigma > 0.0:
         x = x + np.random.default_rng(noise_seq).normal(0.0, noise_sigma, size=x.shape)
-    return Dataset(samples=x, factors=z, spec=spec, width=SYNTHETIC_SAMPLE_DIM, height=1,
+    return Dataset(x=x, factors=z, spec=spec, width=SYNTHETIC_SAMPLE_DIM, height=1,
                    channels=1)
 
 
@@ -289,9 +289,15 @@ def _record_dtype(k: int, pixels: int) -> np.dtype:
 
 @dataclass
 class Dataset:
-    """Samples plus their generative factors; training code must only see .samples."""
+    """Samples plus their generative factors; training code must only see the samples.
 
-    samples: np.ndarray  # (N, width*height*channels)
+    x holds the samples as stored: a float64 array for a dataset made in
+    memory, and for a loaded one the float32 pixel view of the file buffer,
+    so loading copies no pixels. samples is x as float64, converted on each
+    read when x is float32; whoever needs only some rows converts just those.
+    """
+
+    x: np.ndarray  # (N, width*height*channels)
     factors: np.ndarray  # (N, K)
     spec: FactorSpec
     width: int
@@ -299,21 +305,25 @@ class Dataset:
     channels: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        self.x = np.asarray(self.x)
         self.factors = np.asarray(self.factors, dtype=float)
-        if self.samples.shape[0] != self.factors.shape[0]:
+        if self.x.shape[0] != self.factors.shape[0]:
             raise ValueError("sample/factor row mismatch")
-        if self.samples.shape[1] != self.width * self.height * self.channels:
+        if self.x.shape[1] != self.width * self.height * self.channels:
             raise ValueError("sample width does not match the declared dimensions")
         if self.factors.shape[1] != self.spec.k:
             raise ValueError("factor width does not match the spec")
 
     @property
+    def samples(self) -> np.ndarray:
+        return self.x.astype(float, copy=False)
+
+    @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return self.x.shape[0]
 
     def fill_pixels(self, lo: int, hi: int, out: np.ndarray) -> None:
-        out[...] = self.samples[lo:hi]
+        out[...] = self.x[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -341,7 +351,7 @@ class ShapesSource:
         render_batch(self.factors[lo:hi], self.width, self.height, out=out)
 
     def render(self) -> Dataset:
-        return Dataset(samples=render_batch(self.factors, self.width, self.height),
+        return Dataset(x=render_batch(self.factors, self.width, self.height),
                        factors=self.factors, spec=self.spec, width=self.width,
                        height=self.height, channels=self.channels)
 
@@ -388,11 +398,12 @@ def load_dataset(path) -> Dataset:
     record_size = record_bytes(k, pixels)
     if record_size > MAX_RECORD_BYTES:
         raise FormatError(f"header declares {record_size}-byte records in {path}")
-    # Records are read in place, from a view of the file's buffer.
+    # Records are read in place, from a view of the file's buffer, and the
+    # pixels stay there: x is their float32 view.
     records = np.frombuffer(reader.take(n * record_size), _record_dtype(k, pixels), n)
     reader.done()
     return Dataset(
-        samples=records["x"].astype(float).reshape(n, pixels),
+        x=records["x"].reshape(n, pixels),
         factors=records["z"].astype(float).reshape(n, k),
         spec=spec,
         width=width,
@@ -403,10 +414,6 @@ def load_dataset(path) -> Dataset:
 
 def shapes_source(count: int, seed: int, width: int = 16, height: int = 16) -> ShapesSource:
     return ShapesSource(sample_factors(SHAPES_SPEC, count, seed), width, height)
-
-
-def make_2dshapes_dataset(count: int, seed: int, width: int = 16, height: int = 16) -> Dataset:
-    return shapes_source(count, seed, width, height).render()
 
 
 # -- image export ----------------------------------------------------------------------

@@ -34,6 +34,9 @@ CHECKPOINT_MAGIC = b"TDVAE1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per adam_step block: 128 KiB of float64 per operand, so that the
+# moments, gradient and scratch of a block stay in cache across its passes.
+ADAM_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -135,16 +138,6 @@ class DenseNetwork:
         return out
 
 
-def param_views(vector: np.ndarray, params) -> list:
-    """Views of a flat params-ordered vector, one per parameter, shaped like its data."""
-    views = []
-    offset = 0
-    for p in params:
-        views.append(vector[offset : offset + p.data.size].reshape(p.data.shape))
-        offset += p.data.size
-    return views
-
-
 @dataclass
 class EncoderOutput:
     """Posterior parameters; mu/logvar are (N, D, 2) for circles, (N, L) otherwise."""
@@ -166,8 +159,14 @@ class VaeModel:
                  input_scale: str = SCALE_SYMMETRIC, flat: np.ndarray | None = None):
         split = param_count(encoder_specs)
         size = split + param_count(decoder_specs)
-        self.flat = np.zeros(size) if flat is None else flat
-        self.flat_grad = np.zeros(size)
+        try:
+            self.flat = np.zeros(size) if flat is None else flat
+            self.flat_grad = np.zeros(size)
+        # ValueError: more elements than an array can index (2^64 + 64 decoder
+        # inputs at latent dim 64); MemoryError: more bytes than are free.
+        except (ValueError, MemoryError):
+            raise ConfigError(f"latent dim {latent.dim} makes a model of {size} parameters, "
+                              "more than memory holds") from None
         self.encoder = DenseNetwork(encoder_specs, self.flat[:split], self.flat_grad[:split])
         self.decoder = DenseNetwork(decoder_specs, self.flat[split:], self.flat_grad[split:])
         if self.encoder.output_dim != latent.encoder_out_dim:
@@ -335,58 +334,74 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
 
 @dataclass
 class AdamState:
-    """Flat first and second moments in params order, plus preallocated scratch."""
+    """Flat first and second moments in params order, one block of scratch, and
+    the plan of adam_step's blocks: each block's range of the flat order, with
+    one (parameter index, range of its flattened data, range of the block)
+    piece per parameter the block overlaps."""
 
     m: np.ndarray
     v: np.ndarray
     update: np.ndarray
-    updates: list  # per-parameter views of update
     scratch: np.ndarray
-    finite: np.ndarray
+    plan: list
     step: int = 0
 
     @classmethod
     def for_params(cls, params):
-        size = sum(p.data.size for p in params)
-        update = np.zeros(size)
-        return cls(
-            m=np.zeros(size),
-            v=np.zeros(size),
-            update=update,
-            updates=param_views(update, params),
-            scratch=np.zeros(size),
-            finite=np.zeros(size, dtype=bool),
-        )
+        sizes = [p.data.size for p in params]
+        size = sum(sizes)
+        plan = []
+        for lo in range(0, size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, size)
+            pieces = []
+            start = 0
+            for i, n in enumerate(sizes):
+                a, b = max(lo, start), min(hi, start + n)
+                if a < b:
+                    pieces.append((i, slice(a - start, b - start), slice(a - lo, b - lo)))
+                start += n
+            plan.append((slice(lo, hi), pieces))
+        block = min(ADAM_BLOCK, size)
+        return cls(m=np.zeros(size), v=np.zeros(size), update=np.zeros(block),
+                   scratch=np.zeros(block), plan=plan)
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
     """One bias-corrected Adam update, applied in place to the parameter data.
 
     grads is one flat vector holding the gradient of every parameter in
-    params order (VaeModel.flat_grad). The update allocates no arrays.
+    params order (VaeModel.flat_grad), and params is the list the state was
+    made for, each data array C-contiguous (as the views of VaeModel.flat
+    are). The update runs one block of ADAM_BLOCK elements at a time, so a
+    block's moments, gradient and scratch stay in cache, and allocates no
+    arrays. A non-finite gradient raises NumericsError before anything changes.
     """
-    if not np.isfinite(grads, out=state.finite).all():
+    # min and max propagate NaN and reach any infinity, with no mask.
+    if not (np.isfinite(grads.min()) and np.isfinite(grads.max())):
         raise NumericsError("non-finite gradient")
     state.step += 1
     t = state.step
-    m, v, m_hat, s = state.m, state.v, state.update, state.scratch
-    # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-    m *= ADAM_BETA1
-    np.multiply(grads, 1.0 - ADAM_BETA1, out=s)
-    m += s
-    v *= ADAM_BETA2
-    np.multiply(grads, 1.0 - ADAM_BETA2, out=s)
-    s *= grads
-    v += s
-    # update = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-    np.divide(m, 1.0 - ADAM_BETA1**t, out=m_hat)
-    np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
-    np.sqrt(s, out=s)
-    s += ADAM_EPS
-    m_hat *= lr
-    m_hat /= s
-    for p, update in zip(params, state.updates):
-        p.data -= update
+    views = [p.data.reshape(-1) for p in params]
+    for block, pieces in state.plan:
+        g, m, v = grads[block], state.m[block], state.v[block]
+        m_hat, s = state.update[: g.size], state.scratch[: g.size]
+        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        m += s
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+        s *= g
+        v += s
+        # update = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=m_hat)
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        m_hat *= lr
+        m_hat /= s
+        for i, part, piece in pieces:
+            views[i][part] -= m_hat[piece]
     return state
 
 
@@ -435,7 +450,13 @@ class TrainReport:
 
 
 def scale_in(x: np.ndarray, input_scale: str) -> np.ndarray:
-    """Map dataset values to the model's [-1, 1] input range."""
+    """Map dataset values (float32 or float64) to the model's float64 [-1, 1] input range.
+
+    float32 to float64 is exact and the map works element by element, so the
+    rows of a float32 array scale to the same bits as the same rows of its
+    float64 copy.
+    """
+    x = np.asarray(x, dtype=float)
     return 2.0 * x - 1.0 if input_scale == SCALE_UNIT else x
 
 
@@ -466,20 +487,33 @@ def _noise_shape(latent: LatentSpec, n: int):
 
 
 def validation_mse(model: VaeModel, x_scaled: np.ndarray) -> float:
-    """Per-element reconstruction MSE with the noise-free latent."""
-    recon = model.reconstruct_mean(x_scaled)
-    return float(np.mean((recon - x_scaled) ** 2))
+    """Per-element reconstruction MSE with the noise-free latent.
+
+    The squared error is formed in the reconstruction's own array, so the
+    validation rows need one array beside them, not two.
+    """
+    err = model.reconstruct_mean(x_scaled)
+    err -= x_scaled
+    err *= err
+    return float(np.mean(err))
 
 
 def train(config: TrainConfig, samples: np.ndarray):
     """Train a model on raw samples; returns (model, report).
+
+    samples is a float32 or float64 (N, input_dim) array, such as the float32
+    pixel view of a loaded dataset's file buffer. Each batch gathers its rows
+    and only then converts and scales them (scale_in), and the validation
+    rows are converted once, so train holds no float64 copy of the training
+    rows and the result does not depend on which of the two dtypes holds
+    the same values.
 
     Deterministic per seed: initialization, the train/validation split, epoch
     shuffles and reparameterization noise all come from independent streams
     spawned off config.seed. The returned model carries the parameters of the
     epoch with the lowest validation MSE.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ConfigError("dataset must be a nonempty (N, input_dim) array")
     n, input_dim = samples.shape
@@ -492,9 +526,8 @@ def train(config: TrainConfig, samples: np.ndarray):
     latent = config.latent()
     model = build_vae(latent, input_dim, config.hidden, init_rng, config.input_scale)
 
-    x = scale_in(samples, config.input_scale)
     train_rows, val_rows = split_rows(config.seed, n, config.val_fraction)
-    train_x, val_x = x[train_rows], x[val_rows]
+    val_x = scale_in(samples[val_rows], config.input_scale)
 
     params = model.parameters()
     state = AdamState.for_params(params)
@@ -503,12 +536,12 @@ def train(config: TrainConfig, samples: np.ndarray):
     val_mse = []
     best_epoch = 0
     best_snapshot = model.snapshot()
-    n_train = train_x.shape[0]
+    n_train = train_rows.size
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n_train)
+        rows = train_rows[shuffle_rng.permutation(n_train)]
         total = 0.0
         for lo in range(0, n_train, config.batch_size):
-            batch = train_x[order[lo : lo + config.batch_size]]
+            batch = scale_in(samples[rows[lo : lo + config.batch_size]], config.input_scale)
             noise = noise_rng.standard_normal(_noise_shape(latent, batch.shape[0]))
             result = elbo_loss(model, batch, config.beta, noise)
             adam_step(params, model.flat_grad, state, config.learning_rate)

@@ -1,5 +1,10 @@
-"""Shared test helpers: circular error, circle sampling, finite differences, the lasso oracles."""
+"""Shared test helpers: circular error, circle sampling, finite differences, the lasso
+oracles, and a CLI command's peak memory traced in a fresh interpreter."""
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -101,3 +106,28 @@ def kkt_lasso_oracle(X, y, alpha):
         if obj < best_obj:
             best_obj, best_w = obj, w
     return best_obj, best_w
+
+
+# Prints the tracemalloc peak of one CLI command: python -c _TRACED_COMMAND <command> <config>
+_TRACED_COMMAND = """
+import sys, tracemalloc
+from torusvae import cli
+tracemalloc.start()
+if cli.main([sys.argv[1], "--config", sys.argv[2]]) != 0:
+    sys.exit(sys.argv[1] + " failed")
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def traced_peak(command, config) -> int:
+    """The tracemalloc peak in bytes of one CLI command on a config file.
+
+    The command runs in a fresh interpreter, so that what the tests before
+    it left behind in this process does not count toward it.
+    """
+    package_root = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _TRACED_COMMAND, command, str(config)],
+                         env=env, capture_output=True, text=True, check=True)
+    return int(run.stdout.splitlines()[-1])

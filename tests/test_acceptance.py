@@ -195,7 +195,7 @@ def test_criterion_8_torus_beats_euclidean_baseline(criterion):
                  f"euclidean {np.median(eucl_dc):.3f}")
         assert np.median(torus_dc) > np.median(eucl_dc)
 
-        shapes = ds.make_2dshapes_dataset(4000, seed=404, width=16, height=16)
+        shapes = ds.shapes_source(4000, seed=404, width=16, height=16).render()
         torus_dc = [
             _train_and_score("torus", 4, s, shapes, 80, (128, 64), engine.SCALE_UNIT)
             for s in seeds

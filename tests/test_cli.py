@@ -8,6 +8,7 @@ import pytest
 
 from torusvae import cli, datasets as ds, engine, metrics
 from torusvae.errors import ConfigError, FormatError, json_value
+from helpers import traced_peak
 
 
 def base_config(out_dir, kind="synthetic", epochs=3):
@@ -193,6 +194,24 @@ class TestTrain:
         report = json.loads((tmp_path / "out" / "train_report.json").read_text())
         assert report["val_mse"][report["best_epoch"]] < 0.05
 
+    def test_peak_memory_grows_with_the_file_not_with_a_float64_copy(self, tmp_path):
+        """train keeps the float32 view of the file buffer and converts one
+        batch at a time, so from 300 to 600 64-px images its traced peak grows
+        by less than twice the file: a float64 copy of the samples alone
+        would grow by twice the file."""
+        peaks, sizes = [], []
+        for count in (300, 600):
+            root = tmp_path / str(count)
+            root.mkdir()
+            cfg = base_config(root / "out", kind="2dshapes", epochs=1)
+            cfg["dataset"].update(count=count, width=64, height=64)
+            cfg["model"]["hidden"] = [8]
+            config = write_config(root, cfg)
+            assert run("generate", "--config", str(config)) == 0
+            sizes.append((root / "out" / "data.tdds").stat().st_size)
+            peaks.append(traced_peak("train", config))
+        assert peaks[1] - peaks[0] < 2 * (sizes[1] - sizes[0])
+
     def test_factors_never_reach_training(self, tmp_path):
         """Zeroing the factor block must not change the trained model bytes."""
         config = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -203,7 +222,7 @@ class TestTrain:
         data_path = tmp_path / "out" / "data.tdds"
         loaded = ds.load_dataset(data_path)
         poisoned = ds.Dataset(
-            samples=loaded.samples, factors=np.zeros_like(loaded.factors),
+            x=loaded.x, factors=np.zeros_like(loaded.factors),
             spec=loaded.spec, width=loaded.width, height=loaded.height,
             channels=loaded.channels,
         )
@@ -362,6 +381,7 @@ class TestSweep:
         assert sum(1 for s in statuses if s.startswith("error")) == 2
         for row in rows:
             if row[-2] != "ok":
+                assert "latent dim 40" in row[-2]
                 assert row[2] == "" and row[-1] == ""  # failed cells carry no scores or flags
         return rows
 
@@ -616,6 +636,23 @@ class TestExitCodes:
         """A path must be a non-empty string. A bad one exits 1 naming its key
         before the command loads, trains or scores anything, and writes
         nothing, not even into the working directory."""
+        self._rejects_path_value(tmp_path, capsys, monkeypatch, command, where, value)
+
+    @pytest.mark.parametrize("value", [".", "..", "sub/.."])
+    @pytest.mark.parametrize("command,where", [
+        ("generate", ("dataset", "path")),
+        ("train", ("model", "checkpoint")),
+        ("train", ("model", "report")),
+        ("evaluate", ("metrics", "report")),
+        ("sweep", ("sweep", "csv")),
+    ])
+    def test_file_path_that_names_a_directory_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                      command, where, value):
+        """A file-valued path whose last part is "." or ".." would name out_dir
+        or a directory above it, so it is rejected like any other bad path."""
+        self._rejects_path_value(tmp_path, capsys, monkeypatch, command, where, value)
+
+    def _rejects_path_value(self, tmp_path, capsys, monkeypatch, command, where, value):
         monkeypatch.chdir(tmp_path)
         cfg = json.loads(trained_2dshapes(tmp_path).read_text())
         block = cfg
@@ -678,6 +715,18 @@ class TestExitCodes:
         cfg[key[0]][key[1]] = str(tmp_path)
         config = write_config(tmp_path, cfg)
         assert run(command, "--config", str(config)) == 1
+
+    def test_latent_dim_too_large_for_memory_exits_1(self, tmp_path, capsys):
+        """At latent dim 64 the decoder has 2^64 + 64 inputs: more than an
+        array can index, so nothing is allocated."""
+        cfg = base_config(tmp_path / "out")
+        cfg["model"]["latent_dim"] = 64
+        config = write_config(tmp_path, cfg)
+        assert run("generate", "--config", str(config)) == 0
+        capsys.readouterr()
+        assert run("train", "--config", str(config)) == 1
+        assert "latent dim 64" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.tdvae").exists()
 
     def test_runtime_failure_is_two(self, tmp_path):
         blocker = tmp_path / "blocker"

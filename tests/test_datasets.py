@@ -1,15 +1,12 @@
 import json
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from torusvae import cli, datasets as ds
 from torusvae.errors import FormatError
+from helpers import traced_peak
 
 
 class TestFactorSpec:
@@ -270,17 +267,6 @@ def generate(tmp_path, block):
     return tmp_path / "out" / "data.tdds"
 
 
-# Prints the tracemalloc peak of one generate run in a fresh interpreter.
-TRACED_GENERATE = """
-import sys, tracemalloc
-from torusvae import cli
-tracemalloc.start()
-if cli.main(["generate", "--config", sys.argv[1]]) != 0:
-    sys.exit("generate failed")
-print(tracemalloc.get_traced_memory()[1])
-"""
-
-
 # Record counts around the block size b: one record, one block less or more
 # one record, and two whole blocks and a part.
 BLOCK_COUNTS = {"1": lambda b: 1, "b-1": lambda b: b - 1, "b": lambda b: b,
@@ -295,7 +281,7 @@ class TestStreamedWrite:
         n = BLOCK_COUNTS[count](block)
         path = generate(tmp_path, {"kind": "2dshapes", "count": n, "seed": 17,
                                    "width": width, "height": height})
-        in_memory = ds.make_2dshapes_dataset(n, seed=17, width=width, height=height)
+        in_memory = ds.shapes_source(n, seed=17, width=width, height=height).render()
         oracle_save(in_memory, tmp_path / "oracle.tdds")
         ds.save_dataset(in_memory, tmp_path / "in_memory.tdds")
         expected = (tmp_path / "oracle.tdds").read_bytes()
@@ -318,16 +304,9 @@ class TestStreamedWrite:
         Each generate is traced in a fresh interpreter, so that what the tests
         before this one left behind in the process does not count toward it.
         """
-        package_root = str(Path(ds.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        peaks = []
-        for count in (300, 600):
-            config = generate_config(tmp_path / str(count), {
-                "kind": "2dshapes", "count": count, "seed": 5, "width": 64, "height": 64})
-            run = subprocess.run([sys.executable, "-c", TRACED_GENERATE, str(config)],
-                                 env=env, capture_output=True, text=True, check=True)
-            peaks.append(int(run.stdout.splitlines()[-1]))
+        peaks = [traced_peak("generate", generate_config(tmp_path / str(count), {
+            "kind": "2dshapes", "count": count, "seed": 5, "width": 64, "height": 64}))
+            for count in (300, 600)]
         # 600 records are 28 MiB of file; one block of them is 4 MiB, and the
         # render of a block needs about 0.6 MiB more.
         assert max(peaks) <= 6 * 2**20
@@ -400,7 +379,7 @@ class TestDatasetIo:
         assert (tmp_path / "again.tdds").read_bytes() == path.read_bytes()
 
     def test_save_deterministic(self, tmp_path):
-        data = ds.make_2dshapes_dataset(10, seed=3, width=8, height=8)
+        data = ds.shapes_source(10, seed=3, width=8, height=8).render()
         ds.save_dataset(data, tmp_path / "a")
         ds.save_dataset(data, tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
@@ -437,7 +416,7 @@ class TestDatasetIo:
         """The records are built once and written from their own buffer."""
         import tracemalloc
 
-        data = ds.make_2dshapes_dataset(200, seed=4, width=32, height=32)
+        data = ds.shapes_source(200, seed=4, width=32, height=32).render()
         payload = data.n * (8 * data.spec.k + 4 * data.samples.shape[1])
         path = tmp_path / "data.tdds"
         tracemalloc.start()
@@ -450,10 +429,11 @@ class TestDatasetIo:
         assert peak <= 1.25 * payload
 
     def test_load_peak_memory(self, tmp_path):
-        """The records are read in place: no copy of the payload is made."""
+        """The records are read in place and the pixels stay in the file
+        buffer as float32: no copy of the payload is made."""
         import tracemalloc
 
-        data = ds.make_2dshapes_dataset(200, seed=4, width=32, height=32)
+        data = ds.shapes_source(200, seed=4, width=32, height=32).render()
         path = tmp_path / "data.tdds"
         ds.save_dataset(data, path)
         tracemalloc.start()
@@ -462,7 +442,8 @@ class TestDatasetIo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * loaded.samples.nbytes
+        assert loaded.x.dtype == np.float32
+        assert peak <= 1.05 * path.stat().st_size
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_oversized_record_fails_before_allocating(self, tmp_path, n):

@@ -272,8 +272,21 @@ class TestAdam:
             e.adam_step(params, np.array([1.0, np.nan]), state, lr=0.1)
 
     def test_flat_state_matches_per_array_formula_bit_for_bit(self, rng):
+        self._matches_per_array_formula(rng)
+
+    def test_blocks_that_straddle_parameters_match_bit_for_bit(self, rng, monkeypatch):
+        """Blocks of 7 elements straddle parameter boundaries of the model,
+        and must not change a bit."""
+        monkeypatch.setattr(e, "ADAM_BLOCK", 7)
+        assert len(e.AdamState.for_params(tiny_model(hidden=(8, 6)).parameters()).plan) > 1
+        self._matches_per_array_formula(rng)
+
+    @staticmethod
+    def _matches_per_array_formula(rng):
+        """Twenty adam_steps against the textbook per-array update, byte for byte."""
         model = tiny_model(hidden=(8, 6))
         params = model.parameters()
+        offsets = np.cumsum([p.data.size for p in params])[:-1]
         oracle = [p.data.copy() for p in params]
         m = [np.zeros_like(p) for p in oracle]
         v = [np.zeros_like(p) for p in oracle]
@@ -282,7 +295,8 @@ class TestAdam:
         for t in range(1, 21):
             flat_grad = rng.standard_normal(model.flat.size) * rng.uniform(1e-3, 1e3)
             e.adam_step(params, flat_grad, state, lr)
-            for i, g in enumerate(e.param_views(flat_grad, params)):
+            for i, g in enumerate(np.split(flat_grad, offsets)):
+                g = g.reshape(oracle[i].shape)
                 m[i] = b1 * m[i] + (1.0 - b1) * g
                 v[i] = b2 * v[i] + (1.0 - b2) * g * g
                 m_hat = m[i] / (1.0 - b1**t)
@@ -352,12 +366,32 @@ class TestTrain:
     def test_validation_mse_halves_on_shape_images(self):
         from torusvae import datasets as ds
 
-        data = ds.make_2dshapes_dataset(2000, seed=51, width=16, height=16)
+        data = ds.shapes_source(2000, seed=51, width=16, height=16).render()
         cfg = e.TrainConfig("torus", 4, 0.0, 2e-3, 144, 12, seed=4,
                             hidden=(64, 32), input_scale=e.SCALE_UNIT)
         _, report = e.train(cfg, data.samples)
         best = report.val_mse[report.best_epoch]
         assert best <= 0.5 * report.val_mse[0]
+
+    @pytest.mark.parametrize("kind", ["2dshapes", "synthetic"])
+    def test_float32_view_and_float64_samples_train_alike(self, tmp_path, kind):
+        """Training on a loaded dataset's float32 view gives the bytes and the
+        report of training on its float64 samples, for both input scales."""
+        from torusvae import datasets as ds
+
+        if kind == "2dshapes":
+            data, scale = ds.shapes_source(300, seed=8).render(), e.SCALE_UNIT
+        else:
+            data, scale = ds.make_synthetic_dataset(3, 300, seed=8), e.SCALE_SYMMETRIC
+        ds.save_dataset(data, tmp_path / "data.tdds")
+        loaded = ds.load_dataset(tmp_path / "data.tdds")
+        assert loaded.x.dtype == np.float32 and loaded.samples.dtype == np.float64
+        cfg = e.TrainConfig("torus", 2, 1.0, 2e-3, 32, 3, seed=6, hidden=(16,),
+                            input_scale=scale)
+        model_a, report_a = e.train(cfg, loaded.x)
+        model_b, report_b = e.train(cfg, loaded.samples)
+        assert model_a.flat.tobytes() == model_b.flat.tobytes()
+        assert dataclasses.asdict(report_a) == dataclasses.asdict(report_b)
 
     def test_seed_reproducibility(self):
         from torusvae import datasets as ds

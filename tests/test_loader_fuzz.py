@@ -31,7 +31,7 @@ PEAK_SLACK = 2**16
 def dataset_seeds():
     """name -> (file bytes, end of the spec block) for small valid datasets."""
     out = {}
-    for name, data in (("2dshapes", ds.make_2dshapes_dataset(2, seed=3, width=8, height=8)),
+    for name, data in (("2dshapes", ds.shapes_source(2, seed=3, width=8, height=8).render()),
                        ("synthetic", ds.make_synthetic_dataset(2, 3, seed=4))):
         blob = _saved(ds.save_dataset, data)
         (spec_len,) = struct.unpack_from("<I", blob, len(ds.DATASET_MAGIC) + 20)
