@@ -64,11 +64,11 @@ def _out_dir(config: dict, args) -> Path:
 def _path(out_dir: Path, block: dict, key: str, where: str, default: str) -> Path:
     """A file-valued path of block: relative to out_dir unless it is absolute.
 
-    Its last part must name a file: a last part of "", "." or ".." would
-    name a directory (out_dir itself for "." or "sub/..", the root for "/").
+    It must name a file: a trailing slash or a last part of "", "." or ".."
+    names a directory (out_dir itself for "." or "sub/..", the root for "/").
     """
     value = json_value(block, key, where, str, default)
-    if Path(value).name in ("", ".", ".."):
+    if value.endswith("/") or Path(value).name in ("", ".", ".."):
         raise ConfigError(f"{where}.{key} must name a file, got {value!r}")
     return out_dir / value
 
@@ -137,16 +137,17 @@ def _train_config(config: dict, beta=None, latent_dim=None) -> engine.TrainConfi
     dataset_kind = json_value(_section(config, "dataset"), "kind", "dataset", str)
     return engine.TrainConfig(
         mode=json_value(block, "mode", "model", str, engine.TORUS),
-        latent_dim=(json_value(block, "latent_dim", "model", int)
+        latent_dim=(json_value(block, "latent_dim", "model", int, lo=1)
                     if latent_dim is None else latent_dim),
-        beta=json_value(block, "beta", "model", default=1.0) if beta is None else beta,
-        learning_rate=json_value(block, "learning_rate", "model", default=0.0001),
-        batch_size=json_value(block, "batch_size", "model", int, 144),
-        epochs=json_value(block, "epochs", "model", int, 50),
-        seed=json_value(block, "seed", "model", int),
-        hidden=tuple(json_value(block, "hidden", "model", [int], engine.TrainConfig.hidden)),
+        beta=json_value(block, "beta", "model", default=1.0, lo=0.0) if beta is None else beta,
+        learning_rate=json_value(block, "learning_rate", "model", default=0.0001, lo=0.0),
+        batch_size=json_value(block, "batch_size", "model", int, 144, lo=1),
+        epochs=json_value(block, "epochs", "model", int, 50, lo=1),
+        seed=json_value(block, "seed", "model", int, lo=0),
+        hidden=tuple(json_value(block, "hidden", "model", [int], engine.TrainConfig.hidden,
+                                lo=1)),
         val_fraction=json_value(block, "val_fraction", "model",
-                                default=engine.TrainConfig.val_fraction),
+                                default=engine.TrainConfig.val_fraction, lo=0.0, hi=1.0),
         input_scale=engine.SCALE_UNIT if dataset_kind == "2dshapes" else engine.SCALE_SYMMETRIC,
     )
 
@@ -163,7 +164,7 @@ class MetricsSettings(NamedTuple):
 
 def _metrics_settings(config: dict) -> MetricsSettings:
     block = _section(config, "metrics")
-    split_seed = json_value(block, "split_seed", "metrics", int)
+    split_seed = json_value(block, "split_seed", "metrics", int, lo=0)
     grid = tuple(json_value(block, "alpha_grid", "metrics", [float],
                             metrics.DEFAULT_ALPHA_GRID, lo=0.0))
     if not grid:
@@ -269,8 +270,8 @@ def cmd_sweep(config: dict, args) -> int:
     """
     out_dir = _out_dir(config, args)
     sweep_block = _section(config, "sweep")
-    betas = json_value(sweep_block, "betas", "sweep", [float], (0.0, 1.0, 3.0, 6.0, 9.0))
-    dims = json_value(sweep_block, "dims", "sweep", [int], (4, 5, 6, 8))
+    betas = json_value(sweep_block, "betas", "sweep", [float], (0.0, 1.0, 3.0, 6.0, 9.0), lo=0.0)
+    dims = json_value(sweep_block, "dims", "sweep", [int], (4, 5, 6, 8), lo=1)
     if not betas or not dims:
         raise ConfigError("sweep grids must be non-empty")
     csv_path = _path(out_dir, sweep_block, "csv", "sweep", "sweep.csv")

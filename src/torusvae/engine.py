@@ -6,9 +6,11 @@ geometry of geometry.py (per-circle normalization, rank-1 latent assembly,
 KL), decoder MLP, the beta-weighted loss and Adam. A training step records
 a chain of four hand-written nodes on the tape (autodiff.py): the encoder,
 the posterior (sample, latent assembly and KL), the decoder and the
-reconstruction loss. Inference runs the same networks and ndarray geometry
-and never calls backward. Training is single-threaded and fully determined
-by the config seed.
+reconstruction loss. A model has one parameter, a Tensor over the flat
+vector of all its weights and biases, and Adam steps that vector as a
+whole. Inference runs the same networks and ndarray geometry and never
+calls backward. Training is single-threaded and fully determined by the
+config seed.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ import numpy as np
 
 from .autodiff import Tensor, node
 from .errors import ConfigError, FormatError, NumericsError, Reader
-from .geometry import (TWO_PI, embed, embed_angles, embed_vjp, gaussian_kl, tuple_norms,
-                       unit_tuples, unit_tuples_vjp)
+from .geometry import (TWO_PI, embed, embed_angles, embed_vjp, gaussian_kl, gaussian_kl_vjp,
+                       tuple_norms, unit_tuples, unit_tuples_vjp)
 
 TORUS = "torus"
 EUCLIDEAN = "euclidean"
@@ -69,24 +71,19 @@ class DenseNetwork:
 
     specs holds one (fan_in, fan_out, activation) per layer, as build_vae
     makes them and load_checkpoint checks them: nonempty, chained, with an
-    activation of _ACT_TAGS. Each weight and bias is a Tensor whose .data and
-    .grad are views of flat and flat_grad, laid out layer by layer, weight
-    before bias; it is never on the tape itself, forward's node writes its
-    .grad.
+    activation of _ACT_TAGS. weights and biases are reshaped views of flat,
+    laid out layer by layer, weight before bias, and weight_grads and
+    bias_grads the same views of flat_grad, which forward's node writes.
     """
 
     def __init__(self, specs, flat: np.ndarray, flat_grad: np.ndarray):
         self.specs = list(specs)
-        self.weights = []
-        self.biases = []
-        offset = 0
-        for fan_in, fan_out, _ in specs:
-            for group, shape in ((self.weights, (fan_in, fan_out)), (self.biases, (fan_out,))):
-                size = math.prod(shape)
-                param = Tensor(flat[offset : offset + size].reshape(shape))
-                param.grad = flat_grad[offset : offset + size].reshape(shape)
-                group.append(param)
-                offset += size
+        shapes = [s for fan_in, fan_out, _ in specs for s in ((fan_in, fan_out), (fan_out,))]
+        ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
+        data, grads = ([part.reshape(s) for part, s in zip(np.split(vector, ends), shapes)]
+                       for vector in (flat, flat_grad))
+        self.weights, self.biases = data[::2], data[1::2]
+        self.weight_grads, self.bias_grads = grads[::2], grads[1::2]
         self.input_dim = specs[0][0]
         self.output_dim = specs[-1][1]
 
@@ -94,7 +91,7 @@ class DenseNetwork:
         """One tape node for the whole stack.
 
         Its VJP walks the layers backwards, writes (not adds) each weight
-        and bias gradient into the flat_grad views and returns the input's
+        and bias gradient into its flat_grad view and returns the input's
         gradient, or None when x is a constant. It scales the gradient it is
         given in place, so that array must be its own.
         """
@@ -104,8 +101,8 @@ class DenseNetwork:
             )
         hs = [x.data]  # each layer's input, then the network's output
         for w, b, (_, _, act) in zip(self.weights, self.biases, self.specs):
-            y = hs[-1] @ w.data
-            y += b.data
+            y = hs[-1] @ w
+            y += b
             if act == "relu":
                 np.maximum(y, 0.0, out=y)
             elif act == "tanh":
@@ -122,20 +119,14 @@ class DenseNetwork:
                     t = y * y
                     np.subtract(1.0, t, out=t)
                     grad *= t
-                np.sum(grad, axis=0, out=self.biases[i].grad)
-                np.matmul(hs[i].T, grad, out=self.weights[i].grad)
+                np.sum(grad, axis=0, out=self.bias_grads[i])
+                np.matmul(hs[i].T, grad, out=self.weight_grads[i])
                 if i == 0 and not input_grad:
                     return None
-                grad = grad @ self.weights[i].data.T
+                grad = grad @ self.weights[i].T
             return grad
 
         return node(hs[-1], x, backward)
-
-    def parameters(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
 
 
 @dataclass
@@ -149,10 +140,12 @@ class EncoderOutput:
 class VaeModel:
     """Encoder, latent layout and decoder over one flat parameter vector.
 
-    flat holds every parameter in parameters() order (the TDVAE1 payload
-    order): zeros unless given, as load_checkpoint gives a file's payload.
-    flat_grad holds their gradients; each weight and bias .data/.grad is a
-    reshaped view into them.
+    flat holds every weight and bias, encoder first, in the TDVAE1 payload
+    order: zeros unless given, as load_checkpoint gives a file's payload.
+    flat_grad holds their gradients, and each network's weights and biases
+    are reshaped views into the two. The model's one parameter, the only
+    item of parameters(), is a Tensor whose .data is flat and whose .grad is
+    flat_grad; it is never on the tape.
     """
 
     def __init__(self, latent: LatentSpec, encoder_specs, decoder_specs,
@@ -165,8 +158,12 @@ class VaeModel:
         # ValueError: more elements than an array can index (2^64 + 64 decoder
         # inputs at latent dim 64); MemoryError: more bytes than are free.
         except (ValueError, MemoryError):
-            raise ConfigError(f"latent dim {latent.dim} makes a model of {size} parameters, "
-                              "more than memory holds") from None
+            enc, dec = ([specs[0][0]] + [out for _, out, _ in specs]
+                        for specs in (encoder_specs, decoder_specs))
+            raise ConfigError(f"latent dim {latent.dim} with layer widths {enc} and {dec} makes "
+                              f"a model of {size} parameters, more than memory holds") from None
+        self.param = Tensor(self.flat)
+        self.param.grad = self.flat_grad
         self.encoder = DenseNetwork(encoder_specs, self.flat[:split], self.flat_grad[:split])
         self.decoder = DenseNetwork(decoder_specs, self.flat[split:], self.flat_grad[split:])
         if self.encoder.output_dim != latent.encoder_out_dim:
@@ -194,27 +191,22 @@ class VaeModel:
         The node samples mu + e^(logvar/2) * noise and, for circles,
         normalizes and embeds the sample. Its VJP also adds beta times the
         KL gradient, so the encoder output gets one gradient per step. It
-        adds the terms one at a time in a fixed order (the sample's share,
-        then the KL's), which fixes the rounding of every gradient bit;
-        reordering them changes the bytes of trained checkpoints.
+        adds the terms one at a time, the sample's share and then the KL's
+        (gaussian_kl_vjp); reordering them changes trained checkpoint bytes.
         """
         mu, logvar = self._split(out.data)
         sigma = np.exp(logvar * 0.5)
         m_hat = mu + sigma * noise
         torus = self.latent.mode == TORUS
         m = unit_tuples(m_hat) if torus else m_hat
-        c = beta * (0.5 / mu.shape[0])
 
         def backward(grad):
             g = unit_tuples_vjp(m_hat, embed_vjp(m, grad)) if torus else grad
             out_grad = np.zeros_like(out.data)
             mu_grad, logvar_grad = self._split(out_grad)
             mu_grad += g
-            mu_grad += c * mu  # the KL's mu * mu, one term per factor
-            mu_grad += c * mu
             logvar_grad += g * noise * sigma * 0.5
-            logvar_grad += c * np.exp(logvar)
-            logvar_grad -= c
+            gaussian_kl_vjp(mu, logvar, beta, mu_grad, logvar_grad)
             return out_grad
 
         return node(embed(m) if torus else m, out, backward), gaussian_kl(mu, logvar)
@@ -251,7 +243,7 @@ class VaeModel:
         return np.mod(np.arctan2(enc.mu[:, :, 1], enc.mu[:, :, 0]), TWO_PI)
 
     def parameters(self):
-        return self.encoder.parameters() + self.decoder.parameters()
+        return [self.param]
 
     def snapshot(self) -> np.ndarray:
         return self.flat.copy()
@@ -273,8 +265,8 @@ def build_vae(latent: LatentSpec, input_dim: int, hidden, rng: np.random.Generat
     model = VaeModel(latent, list(zip(enc_dims, enc_dims[1:], acts + ["identity"])),
                      list(zip(dec_dims, dec_dims[1:], acts + ["tanh"])), input_scale)
     for w in model.encoder.weights + model.decoder.weights:
-        limit = np.sqrt(6.0 / w.data.shape[0])
-        w.data[...] = rng.uniform(-limit, limit, size=w.data.shape)
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
     return model
 
 
@@ -303,9 +295,10 @@ def _reconstruction_loss(recon: Tensor, x: np.ndarray) -> Tensor:
 def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) -> ElboResult:
     """Batch loss (mean squared reconstruction norm plus beta * KL).
 
-    Its gradient is left in model.flat_grad (each parameter's .grad is a view
-    of it) until the next call overwrites it: the backward pass writes every
-    view exactly once, so flat_grad is never zeroed first.
+    Its gradient is left in model.flat_grad (the .grad of the model's one
+    parameter) until the next call overwrites it: the backward pass writes
+    every weight and bias gradient view exactly once, so flat_grad is never
+    zeroed first.
 
     noise must hold one standard-normal draw per Gaussian component, shaped
     like the encoder's mu block; the result is deterministic given it.
@@ -334,74 +327,64 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
 
 @dataclass
 class AdamState:
-    """Flat first and second moments in params order, one block of scratch, and
-    the plan of adam_step's blocks: each block's range of the flat order, with
-    one (parameter index, range of its flattened data, range of the block)
-    piece per parameter the block overlaps."""
+    """First and second moments of a list of parameters, laid end to end in
+    list order, and one block of scratch for adam_step."""
 
     m: np.ndarray
     v: np.ndarray
     update: np.ndarray
     scratch: np.ndarray
-    plan: list
     step: int = 0
 
     @classmethod
     def for_params(cls, params):
-        sizes = [p.data.size for p in params]
-        size = sum(sizes)
-        plan = []
-        for lo in range(0, size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, size)
-            pieces = []
-            start = 0
-            for i, n in enumerate(sizes):
-                a, b = max(lo, start), min(hi, start + n)
-                if a < b:
-                    pieces.append((i, slice(a - start, b - start), slice(a - lo, b - lo)))
-                start += n
-            plan.append((slice(lo, hi), pieces))
+        size = sum(p.data.size for p in params)
         block = min(ADAM_BLOCK, size)
         return cls(m=np.zeros(size), v=np.zeros(size), update=np.zeros(block),
-                   scratch=np.zeros(block), plan=plan)
+                   scratch=np.zeros(block))
 
 
-def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
-    """One bias-corrected Adam update, applied in place to the parameter data.
+def adam_step(params, state: AdamState, lr: float) -> AdamState:
+    """One bias-corrected Adam update of each parameter's data by its .grad, in place.
 
-    grads is one flat vector holding the gradient of every parameter in
-    params order (VaeModel.flat_grad), and params is the list the state was
-    made for, each data array C-contiguous (as the views of VaeModel.flat
-    are). The update runs one block of ADAM_BLOCK elements at a time, so a
-    block's moments, gradient and scratch stay in cache, and allocates no
-    arrays. A non-finite gradient raises NumericsError before anything changes.
+    params is the list the state was made for (a model's parameters(): one
+    Tensor over VaeModel.flat), each data and grad array C-contiguous. A
+    non-finite gradient raises NumericsError before anything changes. Each
+    parameter is updated one block of ADAM_BLOCK elements at a time, so a
+    block's moments, gradient and scratch stay in cache, and no arrays are
+    allocated.
     """
-    # min and max propagate NaN and reach any infinity, with no mask.
-    if not (np.isfinite(grads.min()) and np.isfinite(grads.max())):
-        raise NumericsError("non-finite gradient")
+    for p in params:
+        # min and max propagate NaN and reach any infinity, with no mask.
+        if not (np.isfinite(p.grad.min()) and np.isfinite(p.grad.max())):
+            raise NumericsError("non-finite gradient")
     state.step += 1
     t = state.step
-    views = [p.data.reshape(-1) for p in params]
-    for block, pieces in state.plan:
-        g, m, v = grads[block], state.m[block], state.v[block]
-        m_hat, s = state.update[: g.size], state.scratch[: g.size]
-        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-        m += s
-        v *= ADAM_BETA2
-        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
-        s *= g
-        v += s
-        # update = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-        np.divide(m, 1.0 - ADAM_BETA1**t, out=m_hat)
-        np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
-        np.sqrt(s, out=s)
-        s += ADAM_EPS
-        m_hat *= lr
-        m_hat /= s
-        for i, part, piece in pieces:
-            views[i][part] -= m_hat[piece]
+    offset = 0  # of each parameter's moments in m and v
+    for p in params:
+        data, grad = p.data.reshape(-1), p.grad.reshape(-1)
+        p_m, p_v = (u[offset : offset + data.size] for u in (state.m, state.v))
+        for lo in range(0, data.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)  # the last one stops at the end
+            g, m, v = grad[block], p_m[block], p_v[block]
+            m_hat, s = state.update[: g.size], state.scratch[: g.size]
+            # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m += s
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+            s *= g
+            v += s
+            # update = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+            np.divide(m, 1.0 - ADAM_BETA1**t, out=m_hat)
+            np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            m_hat *= lr
+            m_hat /= s
+            data[block] -= m_hat
+        offset += data.size
     return state
 
 
@@ -544,7 +527,7 @@ def train(config: TrainConfig, samples: np.ndarray):
             batch = scale_in(samples[rows[lo : lo + config.batch_size]], config.input_scale)
             noise = noise_rng.standard_normal(_noise_shape(latent, batch.shape[0]))
             result = elbo_loss(model, batch, config.beta, noise)
-            adam_step(params, model.flat_grad, state, config.learning_rate)
+            adam_step(params, state, config.learning_rate)
             total += result.loss * batch.shape[0]
         train_loss.append(total / n_train)
         val_mse.append(validation_mse(model, val_x))

@@ -132,11 +132,25 @@ def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> float:
 
     mu and logvar hold one row per sample; the result is the mean over rows
     of the sum over every component of 0.5 * (e^logvar + mu^2 - logvar - 1),
-    which is zero exactly when every mu and logvar is zero. Its gradient is
-    c * (2 mu) for mu and c * (e^logvar - 1) for logvar, with c = 0.5 / N.
+    which is zero exactly when every mu and logvar is zero.
     """
     n = mu.shape[0]
     return float((np.exp(logvar) + mu * mu - logvar - 1.0).sum() * (0.5 / n))
+
+
+def gaussian_kl_vjp(mu: np.ndarray, logvar: np.ndarray, grad: float,
+                    mu_grad: np.ndarray, logvar_grad: np.ndarray) -> None:
+    """Add grad times the gradient of gaussian_kl(mu, logvar) to mu_grad and logvar_grad.
+
+    With c = grad * 0.5 / N that is c * (2 mu) and c * (e^logvar - 1), added
+    in place one term at a time (c * mu twice, c * e^logvar, then -c), which
+    fixes the rounding of every gradient bit.
+    """
+    c = grad * (0.5 / mu.shape[0])
+    mu_grad += c * mu  # one term per factor of mu * mu
+    mu_grad += c * mu
+    logvar_grad += c * np.exp(logvar)
+    logvar_grad -= c
 
 
 def _mode_sine_norms(prod: np.ndarray, d: int) -> np.ndarray:

@@ -508,6 +508,16 @@ class TestExitCodes:
         ("sweep", ("metrics", "folds"), 1, "metrics.folds"),
         ("sweep", ("metrics", "alpha_grid"), [], "metrics.alpha_grid"),
         ("sweep", ("metrics", "alpha_grid"), [-1, 0.1], "metrics.alpha_grid"),
+        ("train", ("model", "latent_dim"), 0, "model.latent_dim"),
+        ("train", ("model", "hidden"), [12, 0], "model.hidden"),
+        ("train", ("model", "beta"), -0.5, "model.beta"),
+        ("train", ("model", "batch_size"), 0, "model.batch_size"),
+        ("train", ("model", "val_fraction"), 1.5, "model.val_fraction"),
+        ("sweep", ("sweep", "dims"), [2, 0], "sweep.dims"),
+        ("sweep", ("sweep", "betas"), [-1.0], "sweep.betas"),
+        ("train", ("model", "seed"), -1, "model.seed"),
+        ("sweep", ("model", "seed"), -1, "model.seed"),
+        ("evaluate", ("metrics", "split_seed"), -1, "metrics.split_seed"),
     ])
     def test_wrong_typed_config_value_is_validation_error(self, tmp_path, capsys, command,
                                                           where, value, message):
@@ -638,7 +648,7 @@ class TestExitCodes:
         nothing, not even into the working directory."""
         self._rejects_path_value(tmp_path, capsys, monkeypatch, command, where, value)
 
-    @pytest.mark.parametrize("value", [".", "..", "sub/.."])
+    @pytest.mark.parametrize("value", [".", "..", "sub/..", "sub/"])
     @pytest.mark.parametrize("command,where", [
         ("generate", ("dataset", "path")),
         ("train", ("model", "checkpoint")),
@@ -649,7 +659,8 @@ class TestExitCodes:
     def test_file_path_that_names_a_directory_exits_1(self, tmp_path, capsys, monkeypatch,
                                                       command, where, value):
         """A file-valued path whose last part is "." or ".." would name out_dir
-        or a directory above it, so it is rejected like any other bad path."""
+        or a directory above it, and a trailing slash names a directory too,
+        so each is rejected like any other bad path."""
         self._rejects_path_value(tmp_path, capsys, monkeypatch, command, where, value)
 
     def _rejects_path_value(self, tmp_path, capsys, monkeypatch, command, where, value):
@@ -726,6 +737,21 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("train", "--config", str(config)) == 1
         assert "latent dim 64" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.tdvae").exists()
+
+    def test_hidden_too_wide_for_memory_exits_1(self, tmp_path, capsys):
+        """A hidden layer of 10^13 units makes a model of petabytes: more
+        bytes than an address space holds, so the allocation is refused
+        before any memory is touched."""
+        cfg = base_config(tmp_path / "out")
+        cfg["model"]["hidden"] = [10**13]
+        config = write_config(tmp_path, cfg)
+        assert run("generate", "--config", str(config)) == 0
+        capsys.readouterr()
+        assert run("train", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert "latent dim 2 with layer widths [" in err
+        assert err.count(", 10000000000000, ") == 2  # the encoder's and the decoder's
         assert not (tmp_path / "out" / "model.tdvae").exists()
 
     def test_runtime_failure_is_two(self, tmp_path):

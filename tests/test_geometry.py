@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torusvae import geometry as g
-from helpers import circular_error, sample_circles
+from helpers import circular_error, finite_diff_grads, max_relative_error, sample_circles
 
 
 def circle_point(theta):
@@ -302,6 +302,19 @@ class TestGaussianKl:
         log_p = -0.5 * samples**2
         mc = float(np.mean(np.sum(log_q - log_p, axis=(1, 2))))
         assert abs(closed - mc) / closed < 0.01
+
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3)])
+    def test_vjp_matches_finite_differences(self, shape, rng):
+        # the gradient is added to what the arrays hold (the sample's share)
+        mu = rng.standard_normal(shape)
+        logvar = rng.uniform(-2.0, 2.0, size=shape)
+        mu_share, logvar_share = rng.standard_normal(shape), rng.standard_normal(shape)
+        mu_grad, logvar_grad = mu_share.copy(), logvar_share.copy()
+        g.gaussian_kl_vjp(mu, logvar, 0.7, mu_grad, logvar_grad)
+        numeric = finite_diff_grads(lambda: 0.7 * g.gaussian_kl(mu, logvar), [mu, logvar])
+        assert max_relative_error(mu_grad - mu_share, numeric[0]) < 1e-6
+        assert max_relative_error(logvar_grad - logvar_share, numeric[1]) < 1e-6
 
 
 class TestCanonicalAngle:
