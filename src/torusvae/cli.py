@@ -5,7 +5,9 @@ reruns reproduce identical bytes. Each command reads and checks all of its
 config through errors.json_value before it loads or computes anything, so a
 bad value exits 1 having done no work. Every output goes through
 errors.write_files (staged in a temp directory, then renamed into place), so
-an interruption never leaves a truncated file.
+an interruption never leaves a truncated file. One parser reads the command
+line: a flag may come before or after the command, the last of a repeated
+flag wins, and main refuses --circle and --steps for any command but traverse.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ def _section(config: dict, name: str) -> dict:
 
 def _out_dir(config: dict, args) -> Path:
     """The output directory; the writers create it, so a rejected config leaves none."""
-    if getattr(args, "out", None):
+    if args.out:
         return Path(args.out)
     return Path(json_value(config, "out_dir", "", str, "."))
 
@@ -243,11 +245,17 @@ def cmd_evaluate(config: dict, args) -> int:
             f"checkpoint expects {model.encoder.input_dim}-dim samples, "
             f"dataset provides {dataset.x.shape[1]}"
         )
-    if settings.codes_source == "encoder" and model.latent != train_config.latent():
-        raise ConfigError(
-            f"checkpoint is {model.latent.mode}/{model.latent.dim} but config says "
-            f"{train_config.mode}/{train_config.latent_dim}"
-        )
+    if settings.codes_source == "encoder":
+        if model.latent != train_config.latent():
+            raise ConfigError(
+                f"checkpoint is {model.latent.mode}/{model.latent.dim} but config says "
+                f"{train_config.mode}/{train_config.latent_dim}"
+            )
+        hidden = list(train_config.hidden)  # the decoder's are the same, reversed
+        enc, dec = ([w for _, w, _ in net.specs[:-1]] for net in (model.encoder, model.decoder))
+        if (enc, dec[::-1]) != (hidden, hidden):
+            raise ConfigError(f"checkpoint has hidden widths {enc} (decoder {dec}) but "
+                              f"config model.hidden says {hidden}")
 
     evaluation = _validation_dci(model, dataset, train_config, settings)
     report = evaluation.report
@@ -280,7 +288,7 @@ def cmd_sweep(config: dict, args) -> int:
     jobs = [(_train_config(config, beta=beta, latent_dim=dim), settings, dataset_path)
             for beta in betas for dim in dims]
     # A pool forks all of its workers at once, so it never gets more than there are cells.
-    workers = min(max(1, getattr(args, "workers", 1) or 1), len(jobs))
+    workers = min(max(1, args.workers), len(jobs))
     if workers > 1:
         # Longest cells first, so that no worker starts a large cell last while
         # the others sit idle; the rows then go back into grid order.
@@ -328,11 +336,12 @@ def _sweep_cell(job):
 def cmd_traverse(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
     block = dict(_section(config, "traverse") if "traverse" in config else {})
-    for key in ("circle", "steps"):  # a command-line flag wins over the config
-        if getattr(args, key, None) is not None:
-            block[key] = getattr(args, key)
+    flags = {"circle": args.circle, "steps": args.steps}  # a flag wins over the config
+    block.update((key, value) for key, value in flags.items() if value is not None)
     circle = json_value(block, "circle", "traverse", int, 0, lo=0)
-    steps = json_value(block, "steps", "traverse", int, 12, lo=1)
+    # Frame names sort in step order up to {step:03d} = 999, and write_files
+    # holds one writer per frame, so the count is bounded above.
+    steps = json_value(block, "steps", "traverse", int, 12, lo=1, hi=1000)
     anchor = json_value(block, "anchor", "traverse", [float], None)
     prefix = json_value(block, "prefix", "traverse", str, "traverse")
     if json_value(_section(config, "dataset"), "kind", "dataset", str) != "2dshapes":
@@ -371,54 +380,42 @@ def cmd_traverse(config: dict, args) -> int:
 # -- entry point -----------------------------------------------------------------------
 
 
+_COMMANDS = {  # name: (function, its --help summary)
+    "generate": (cmd_generate, "write the dataset file"),
+    "train": (cmd_train, "train and checkpoint a model"),
+    "evaluate": (cmd_evaluate, "DCI report and heatmaps"),
+    "sweep": (cmd_sweep, "beta x latent-dim grid"),
+    "traverse": (cmd_traverse, "decode one circle sweep"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise ConfigError(message)
 
 
 def _build_parser() -> _Parser:
-    # The global flags exist on the root parser (usable before the subcommand)
-    # and again on every subcommand with SUPPRESS defaults, so a value given
-    # after the subcommand wins and an omitted one never clobbers the root's.
-    # The parents mechanism shares action objects, so the two positions need
-    # distinct parser instances.
-    shared = _Parser(add_help=False)
-    shared.add_argument("--config", default=argparse.SUPPRESS, help="experiment config JSON")
-    shared.add_argument("--out", default=argparse.SUPPRESS, help="output directory override")
-    shared.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                        help="parallel sweep cells")
-
-    parser = _Parser(prog="torusvae", description="circle-product VAE experiment pipeline")
-    parser.add_argument("--config", default=None, help="experiment config JSON")
-    parser.add_argument("--out", default=None, help="output directory override")
+    parser = _Parser(prog="torusvae", description="circle-product VAE experiment pipeline",
+                     formatter_class=argparse.RawDescriptionHelpFormatter,
+                     epilog="commands:\n" + "\n".join(
+                         f"  {name:<10}{summary}" for name, (_, summary) in _COMMANDS.items()))
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--config", required=True, help="experiment config JSON")
+    parser.add_argument("--out", help="output directory override")
     parser.add_argument("--workers", type=int, default=1, help="parallel sweep cells")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("generate", parents=[shared], help="write the dataset file")
-    sub.add_parser("train", parents=[shared], help="train and checkpoint a model")
-    sub.add_parser("evaluate", parents=[shared], help="DCI report and heatmaps")
-    sub.add_parser("sweep", parents=[shared], help="beta x latent-dim grid")
-    traverse = sub.add_parser("traverse", parents=[shared], help="decode one circle sweep")
-    traverse.add_argument("--circle", type=int, default=None, help="circle index to sweep")
-    traverse.add_argument("--steps", type=int, default=None, help="number of frames")
+    parser.add_argument("--circle", type=int, help="traverse: circle index to sweep")
+    parser.add_argument("--steps", type=int, help="traverse: number of frames")
     return parser
-
-
-_COMMANDS = {
-    "generate": cmd_generate,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-    "traverse": cmd_traverse,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if not args.config:
-            raise ConfigError("--config is required")
+        if args.command != "traverse" and (args.circle, args.steps) != (None, None):
+            raise ConfigError("--circle and --steps are traverse options")
         config = load_config(args.config)
-        return _COMMANDS[args.command](config, args)
+        return _COMMANDS[args.command][0](config, args)
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

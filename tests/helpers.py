@@ -1,5 +1,5 @@
 """Shared test helpers: circular error, circle sampling, finite differences, the lasso
-oracles, and a CLI command's peak memory traced in a fresh interpreter."""
+oracles, and code run in a fresh interpreter, such as a CLI command's traced peak memory."""
 import itertools
 import os
 import subprocess
@@ -119,15 +119,19 @@ print(tracemalloc.get_traced_memory()[1])
 """
 
 
+def run_fresh(code, *args) -> str:
+    """The stdout of python -c code args in a fresh interpreter that imports this torusvae."""
+    package_root = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
 def traced_peak(command, config) -> int:
     """The tracemalloc peak in bytes of one CLI command on a config file.
 
     The command runs in a fresh interpreter, so that what the tests before
     it left behind in this process does not count toward it.
     """
-    package_root = str(Path(engine.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", _TRACED_COMMAND, command, str(config)],
-                         env=env, capture_output=True, text=True, check=True)
-    return int(run.stdout.splitlines()[-1])
+    return int(run_fresh(_TRACED_COMMAND, command, config).splitlines()[-1])

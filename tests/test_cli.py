@@ -272,6 +272,20 @@ class TestEvaluate:
         mismatched = write_config(tmp_path, cfg, "mismatch.json")
         assert run("evaluate", "--config", str(mismatched)) == 1
 
+    @pytest.mark.parametrize("hidden", [[16], [12, 12], [64, 32]])
+    def test_hidden_width_mismatch_detected(self, tmp_path, capsys, hidden):
+        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        run("generate", "--config", str(config))
+        run("train", "--config", str(config))  # hidden [12]
+        cfg = base_config(tmp_path / "out")
+        cfg["model"]["hidden"] = hidden
+        mismatched = write_config(tmp_path, cfg, "mismatch.json")
+        capsys.readouterr()
+        assert run("evaluate", "--config", str(mismatched)) == 1
+        err = capsys.readouterr().err
+        assert "model.hidden" in err and "[12]" in err and str(hidden) in err
+        assert not (tmp_path / "out" / "dci_report.json").exists()
+
 
 class TestTraverse:
     def test_frames_written(self, tmp_path):
@@ -304,6 +318,33 @@ class TestTraverse:
         run("generate", "--config", str(config))
         run("train", "--config", str(config))
         assert run("traverse", "--config", str(config)) == 1
+
+    @pytest.mark.parametrize("steps", [1000, 1001])
+    @pytest.mark.parametrize("from_flag", [False, True])
+    def test_steps_bounded_before_the_checkpoint_loads(self, tmp_path, capsys, monkeypatch,
+                                                       steps, from_flag):
+        """Frame names sort in step order up to 1000 frames; a larger count
+        exits 1 before the checkpoint is loaded."""
+        class Reached(BaseException):
+            pass
+
+        def sentinel(path):
+            raise Reached
+
+        cfg = base_config(tmp_path / "out", kind="2dshapes")
+        flags = ("--steps", str(steps)) if from_flag else ()
+        if not from_flag:
+            cfg["traverse"]["steps"] = steps
+        config = write_config(tmp_path, cfg)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "model.tdvae").write_bytes(b"")
+        monkeypatch.setattr(engine, "load_checkpoint", sentinel)
+        if steps > 1000:
+            assert run("traverse", "--config", str(config), *flags) == 1
+            assert "traverse.steps" in capsys.readouterr().err
+        else:
+            with pytest.raises(Reached):
+                run("traverse", "--config", str(config), *flags)
 
 
 class TestSweep:
@@ -413,6 +454,42 @@ class TestSweep:
         assert [row[-2:] for row in rows[1:]] == [
             ["ok", ""], ["ok", "lasso_not_converged"], ["ok", "constant_code:0;dead_code:1"],
             ["ok", ""]]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_parser_for_every_command(self, tmp_path, capsys, monkeypatch, command):
+        """Shared flags parse the same on either side of the command, the later
+        of a repeated flag wins, and --circle/--steps are traverse's alone."""
+        parse = cli._build_parser().parse_args
+        flags = ["--config", "c.json", "--out", "o", "--workers", "3"]
+        before, after = parse([*flags, command]), parse([command, *flags])
+        assert before == after
+        assert (after.command, after.config, after.out, after.workers) == (
+            command, "c.json", "o", 3)
+        both = parse(["--config", "a", "--out", "a", "--workers", "2", command,
+                      "--config", "b", "--out", "b", "--workers", "4"])
+        assert (both.config, both.out, both.workers) == ("b", "b", 4)
+
+        reached = []
+
+        def stub(config, args):
+            reached.append(args)
+            return cli.EXIT_OK
+
+        monkeypatch.setitem(cli._COMMANDS, command, (stub, cli._COMMANDS[command][1]))
+        config = str(write_config(tmp_path, base_config(tmp_path / "out")))
+        for flag in ("--circle", "--steps"):
+            code = run(command, "--config", config, flag, "2")
+            if command == "traverse":
+                assert code == 0 and getattr(reached.pop(), flag[2:]) == 2
+            else:
+                assert code == 1 and flag in capsys.readouterr().err
+        assert not reached
+        assert run(command + "s", "--config", config) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert run("--config", config) == 1
+        assert "required: command" in capsys.readouterr().err
 
 
 class TestExitCodes:
