@@ -3,7 +3,8 @@
 Every command is a pure function of the JSON config and its input files, so
 reruns reproduce identical bytes. Each command reads and checks all of its
 config through errors.json_value before it loads or computes anything, so a
-bad value exits 1 having done no work. Every output goes through
+bad value exits 1 having done no work; each input file is loaded once per
+command (sweep's cells share one loaded dataset). Every output goes through
 errors.write_files (staged in a temp directory, then renamed into place), so
 an interruption never leaves a truncated file. One parser reads the command
 line: a flag may come before or after the command, the last of a repeated
@@ -134,24 +135,33 @@ def _load_dataset(path: Path) -> datasets.Dataset:
 
 
 def _train_config(config: dict, beta=None, latent_dim=None) -> engine.TrainConfig:
-    """The model block as a TrainConfig; a sweep cell passes its own beta and latent_dim."""
+    """The model block as a TrainConfig; a sweep cell passes its own beta and latent_dim.
+
+    json_value reads each value's type, and TrainConfig checks the ranges of
+    its fields; each of its messages starts with the field's name, which is
+    also the model key.
+    """
     block = _section(config, "model")
     dataset_kind = json_value(_section(config, "dataset"), "kind", "dataset", str)
-    return engine.TrainConfig(
+    fields = dict(
         mode=json_value(block, "mode", "model", str, engine.TORUS),
-        latent_dim=(json_value(block, "latent_dim", "model", int, lo=1)
+        latent_dim=(json_value(block, "latent_dim", "model", int)
                     if latent_dim is None else latent_dim),
-        beta=json_value(block, "beta", "model", default=1.0, lo=0.0) if beta is None else beta,
-        learning_rate=json_value(block, "learning_rate", "model", default=0.0001, lo=0.0),
-        batch_size=json_value(block, "batch_size", "model", int, 144, lo=1),
-        epochs=json_value(block, "epochs", "model", int, 50, lo=1),
+        beta=json_value(block, "beta", "model", default=1.0) if beta is None else beta,
+        learning_rate=json_value(block, "learning_rate", "model", default=0.0001),
+        batch_size=json_value(block, "batch_size", "model", int, 144),
+        epochs=json_value(block, "epochs", "model", int, 50),
         seed=json_value(block, "seed", "model", int, lo=0),
         hidden=tuple(json_value(block, "hidden", "model", [int], engine.TrainConfig.hidden,
                                 lo=1)),
         val_fraction=json_value(block, "val_fraction", "model",
-                                default=engine.TrainConfig.val_fraction, lo=0.0, hi=1.0),
+                                default=engine.TrainConfig.val_fraction),
         input_scale=engine.SCALE_UNIT if dataset_kind == "2dshapes" else engine.SCALE_SYMMETRIC,
     )
+    try:
+        return engine.TrainConfig(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"model.{exc}") from None
 
 
 class MetricsSettings(NamedTuple):
@@ -240,22 +250,16 @@ def cmd_evaluate(config: dict, args) -> int:
 
     dataset = _load_dataset(dataset_path)
     model = engine.load_checkpoint(_input_file(checkpoint_path, "train"))
-    if model.encoder.input_dim != dataset.x.shape[1]:
+    if model.input_dim != dataset.x.shape[1]:
         raise ConfigError(
-            f"checkpoint expects {model.encoder.input_dim}-dim samples, "
+            f"checkpoint expects {model.input_dim}-dim samples, "
             f"dataset provides {dataset.x.shape[1]}"
         )
-    if settings.codes_source == "encoder":
-        if model.latent != train_config.latent():
-            raise ConfigError(
-                f"checkpoint is {model.latent.mode}/{model.latent.dim} but config says "
-                f"{train_config.mode}/{train_config.latent_dim}"
-            )
-        hidden = list(train_config.hidden)  # the decoder's are the same, reversed
-        enc, dec = ([w for _, w, _ in net.specs[:-1]] for net in (model.encoder, model.decoder))
-        if (enc, dec[::-1]) != (hidden, hidden):
-            raise ConfigError(f"checkpoint has hidden widths {enc} (decoder {dec}) but "
-                              f"config model.hidden says {hidden}")
+    if (settings.codes_source == "encoder"
+            and (model.latent, model.hidden) != (train_config.latent(), train_config.hidden)):
+        raise ConfigError(f"checkpoint is {model.latent.mode}/{model.latent.dim} with hidden "
+                          f"widths {list(model.hidden)} but config says {train_config.mode}/"
+                          f"{train_config.latent_dim}, model.hidden {list(train_config.hidden)}")
 
     evaluation = _validation_dci(model, dataset, train_config, settings)
     report = evaluation.report
@@ -272,9 +276,9 @@ def cmd_evaluate(config: dict, args) -> int:
 def cmd_sweep(config: dict, args) -> int:
     """Train and score every (beta, latent_dim) cell.
 
-    Every cell's settings are read before the first cell starts, so a bad
-    value is a validation error; a cell that fails at run time becomes an
-    error row.
+    Every cell's settings are read, and then the dataset is loaded once,
+    before the first cell starts, so a bad value or a bad dataset file is a
+    validation error; a cell that fails at run time becomes an error row.
     """
     out_dir = _out_dir(config, args)
     sweep_block = _section(config, "sweep")
@@ -284,9 +288,9 @@ def cmd_sweep(config: dict, args) -> int:
         raise ConfigError("sweep grids must be non-empty")
     csv_path = _path(out_dir, sweep_block, "csv", "sweep", "sweep.csv")
     settings = _metrics_settings(config)
-    dataset_path = str(_input_file(_dataset_path(config, out_dir), "generate"))
-    jobs = [(_train_config(config, beta=beta, latent_dim=dim), settings, dataset_path)
-            for beta in betas for dim in dims]
+    cells = [_train_config(config, beta=beta, latent_dim=dim) for beta in betas for dim in dims]
+    dataset = _load_dataset(_dataset_path(config, out_dir))
+    jobs = [(cell, settings, dataset) for cell in cells]
     # A pool forks all of its workers at once, so it never gets more than there are cells.
     workers = min(max(1, args.workers), len(jobs))
     if workers > 1:
@@ -316,11 +320,10 @@ def cmd_sweep(config: dict, args) -> int:
 
 
 def _sweep_cell(job):
-    train_config, settings, dataset_path = job
+    train_config, settings, dataset = job
     beta, dim = train_config.beta, train_config.latent_dim
     fmt = metrics.FLOAT_FORMAT
     try:
-        dataset = datasets.load_dataset(dataset_path)
         model, report = engine.train(train_config, dataset.x)
         dci = _validation_dci(model, dataset, train_config, settings).report
         mse = report.val_mse[report.best_epoch]
@@ -358,10 +361,10 @@ def cmd_traverse(config: dict, args) -> int:
     anchor = np.zeros(d) if anchor is None else np.array(anchor)
     if anchor.shape != (d,):
         raise ConfigError(f"anchor must list {d} angles")
-    if width * height * 3 != model.encoder.input_dim:
+    if width * height * 3 != model.input_dim:
         raise ConfigError(
             f"dataset dims {width}x{height}x3 do not match the checkpoint input "
-            f"({model.encoder.input_dim})"
+            f"({model.input_dim})"
         )
 
     def write_frame(step, tmp):

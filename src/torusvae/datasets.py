@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, Reader, json_value
+from .errors import FormatError, Reader, all_finite, json_value
 from .geometry import TWO_PI
 
 DATASET_MAGIC = b"TDDS1"
@@ -402,9 +402,14 @@ def load_dataset(path) -> Dataset:
     # pixels stay there: x is their float32 view.
     records = np.frombuffer(reader.take(n * record_size), _record_dtype(k, pixels), n)
     reader.done()
+    x, factors = records["x"].reshape(n, pixels), records["z"].astype(float).reshape(n, k)
+    if not all_finite(x):
+        raise FormatError(f"non-finite pixel in {path}")
+    if not all_finite(factors):
+        raise FormatError(f"non-finite factor value in {path}")
     return Dataset(
-        x=records["x"].reshape(n, pixels),
-        factors=records["z"].astype(float).reshape(n, k),
+        x=x,
+        factors=factors,
         spec=spec,
         width=width,
         height=height,

@@ -1,16 +1,16 @@
 """Dense-network VAE engine with hand-rolled gradients.
 
 Implements the circle-product latent model and a plain Euclidean-latent
-beta-VAE baseline: encoder MLP, reparameterized sampling, the latent
-geometry of geometry.py (per-circle normalization, rank-1 latent assembly,
-KL), decoder MLP, the beta-weighted loss and Adam. A training step records
-a chain of four hand-written nodes on the tape (autodiff.py): the encoder,
-the posterior (sample, latent assembly and KL), the decoder and the
-reconstruction loss. A model has one parameter, a Tensor over the flat
-vector of all its weights and biases, and Adam steps that vector as a
-whole. Inference runs the same networks and ndarray geometry and never
-calls backward. Training is single-threaded and fully determined by the
-config seed.
+beta-VAE baseline: encoder and decoder MLPs of one architecture
+(layer_specs), reparameterized sampling, the latent geometry of geometry.py
+(per-circle normalization, rank-1 latent assembly, KL), the beta-weighted
+loss and Adam. A training step records a chain of four hand-written nodes
+on the tape (autodiff.py): the encoder, the posterior (sample, latent
+assembly and KL), the decoder and the reconstruction loss. A model has one
+parameter, a Tensor over the flat vector of all its weights and biases, and
+Adam steps that vector as a whole. Inference runs the same networks and
+ndarray geometry and never calls backward. Training is single-threaded and
+fully determined by the config seed.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, node
-from .errors import ConfigError, FormatError, NumericsError, Reader
-from .geometry import (TWO_PI, embed, embed_angles, embed_vjp, gaussian_kl, gaussian_kl_vjp,
-                       tuple_norms, unit_tuples, unit_tuples_vjp)
+from .errors import ConfigError, FormatError, NumericsError, Reader, all_finite
+from .geometry import (canonical_angle, embed, embed_angles, embed_vjp, gaussian_kl,
+                       gaussian_kl_vjp, tuple_norms, unit_tuples, unit_tuples_vjp)
 
 TORUS = "torus"
 EUCLIDEAN = "euclidean"
@@ -48,9 +48,9 @@ class LatentSpec:
 
     def __post_init__(self):
         if self.mode not in (TORUS, EUCLIDEAN):
-            raise ConfigError(f"unknown latent mode {self.mode!r}")
+            raise ConfigError(f"mode must be {TORUS!r} or {EUCLIDEAN!r}, got {self.mode!r}")
         if self.dim < 1:
-            raise ConfigError("latent dim must be >= 1")
+            raise ConfigError(f"latent_dim must be >= 1, got {self.dim}")
 
     @property
     def encoder_out_dim(self) -> int:
@@ -61,6 +61,17 @@ class LatentSpec:
         return 2**self.dim + self.dim if self.mode == TORUS else self.dim
 
 
+def layer_specs(latent: LatentSpec, input_dim: int, hidden):
+    """(encoder, decoder) (fan_in, fan_out, activation) specs of the one model
+    architecture: relu hidden layers, an identity encoder output, and a decoder
+    that mirrors the hidden widths from the latent to a tanh output."""
+    enc_dims = [input_dim, *hidden, latent.encoder_out_dim]
+    dec_dims = [latent.decoder_in_dim, *hidden[::-1], input_dim]
+    acts = ["relu"] * len(hidden)
+    return (list(zip(enc_dims, enc_dims[1:], acts + ["identity"])),
+            list(zip(dec_dims, dec_dims[1:], acts + ["tanh"])))
+
+
 def param_count(specs) -> int:
     """Number of weights and biases of (fan_in, fan_out, activation) layer specs."""
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in specs)
@@ -69,11 +80,10 @@ def param_count(specs) -> int:
 class DenseNetwork:
     """A stack of fully connected layers over slices of a model's flat vectors.
 
-    specs holds one (fan_in, fan_out, activation) per layer, as build_vae
-    makes them and load_checkpoint checks them: nonempty, chained, with an
-    activation of _ACT_TAGS. weights and biases are reshaped views of flat,
-    laid out layer by layer, weight before bias, and weight_grads and
-    bias_grads the same views of flat_grad, which forward's node writes.
+    specs holds one (fan_in, fan_out, activation) per layer, as layer_specs
+    makes them. weights and biases are reshaped views of flat, laid out
+    layer by layer, weight before bias, and weight_grads and bias_grads the
+    same views of flat_grad, which forward's node writes.
     """
 
     def __init__(self, specs, flat: np.ndarray, flat_grad: np.ndarray):
@@ -85,7 +95,6 @@ class DenseNetwork:
         self.weights, self.biases = data[::2], data[1::2]
         self.weight_grads, self.bias_grads = grads[::2], grads[1::2]
         self.input_dim = specs[0][0]
-        self.output_dim = specs[-1][1]
 
     def forward(self, x: Tensor) -> Tensor:
         """One tape node for the whole stack.
@@ -140,16 +149,21 @@ class EncoderOutput:
 class VaeModel:
     """Encoder, latent layout and decoder over one flat parameter vector.
 
-    flat holds every weight and bias, encoder first, in the TDVAE1 payload
-    order: zeros unless given, as load_checkpoint gives a file's payload.
-    flat_grad holds their gradients, and each network's weights and biases
-    are reshaped views into the two. The model's one parameter, the only
-    item of parameters(), is a Tensor whose .data is flat and whose .grad is
-    flat_grad; it is never on the tape.
+    The networks are layer_specs(latent, input_dim, hidden), and flat holds
+    every weight and bias, encoder first, in the TDVAE1 payload order: zeros
+    unless given, as load_checkpoint gives a file's payload. flat_grad holds
+    their gradients; each network's weights and biases are views into the
+    two. The model's one parameter, the only item of parameters(), is a
+    Tensor whose .data is flat and .grad is flat_grad; it is never on the tape.
     """
 
-    def __init__(self, latent: LatentSpec, encoder_specs, decoder_specs,
+    def __init__(self, latent: LatentSpec, input_dim: int, hidden,
                  input_scale: str = SCALE_SYMMETRIC, flat: np.ndarray | None = None):
+        if input_dim < 1 or any(h < 1 for h in hidden):
+            raise ConfigError("dimensions must be positive")
+        if input_scale not in (SCALE_SYMMETRIC, SCALE_UNIT):
+            raise ConfigError(f"unknown input scale {input_scale!r}")
+        encoder_specs, decoder_specs = layer_specs(latent, input_dim, hidden)
         split = param_count(encoder_specs)
         size = split + param_count(decoder_specs)
         try:
@@ -166,13 +180,9 @@ class VaeModel:
         self.param.grad = self.flat_grad
         self.encoder = DenseNetwork(encoder_specs, self.flat[:split], self.flat_grad[:split])
         self.decoder = DenseNetwork(decoder_specs, self.flat[split:], self.flat_grad[split:])
-        if self.encoder.output_dim != latent.encoder_out_dim:
-            raise ConfigError("encoder output does not match the latent layout")
-        if self.decoder.input_dim != latent.decoder_in_dim:
-            raise ConfigError("decoder input does not match the latent layout")
-        if input_scale not in (SCALE_SYMMETRIC, SCALE_UNIT):
-            raise ConfigError(f"unknown input scale {input_scale!r}")
         self.latent = latent
+        self.input_dim = input_dim
+        self.hidden = tuple(hidden)
         self.input_scale = input_scale
 
     # -- the latent step ----------------------------------------------------
@@ -240,7 +250,7 @@ class VaeModel:
         if self.latent.mode == EUCLIDEAN:
             return enc.mu
         tuple_norms(enc.mu)
-        return np.mod(np.arctan2(enc.mu[:, :, 1], enc.mu[:, :, 0]), TWO_PI)
+        return canonical_angle(np.arctan2(enc.mu[:, :, 1], enc.mu[:, :, 0]))
 
     def parameters(self):
         return [self.param]
@@ -256,14 +266,7 @@ def build_vae(latent: LatentSpec, input_dim: int, hidden, rng: np.random.Generat
               input_scale: str = SCALE_SYMMETRIC) -> VaeModel:
     """A new model: zero biases and weights uniform in +-sqrt(6 / fan_in), drawn
     layer by layer, encoder first."""
-    hidden = list(hidden)
-    if input_dim < 1 or any(h < 1 for h in hidden):
-        raise ConfigError("dimensions must be positive")
-    enc_dims = [input_dim] + hidden + [latent.encoder_out_dim]
-    dec_dims = [latent.decoder_in_dim] + hidden[::-1] + [input_dim]
-    acts = ["relu"] * len(hidden)
-    model = VaeModel(latent, list(zip(enc_dims, enc_dims[1:], acts + ["identity"])),
-                     list(zip(dec_dims, dec_dims[1:], acts + ["tanh"])), input_scale)
+    model = VaeModel(latent, input_dim, hidden, input_scale)
     for w in model.encoder.weights + model.decoder.weights:
         limit = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -354,10 +357,8 @@ def adam_step(params, state: AdamState, lr: float) -> AdamState:
     block's moments, gradient and scratch stay in cache, and no arrays are
     allocated.
     """
-    for p in params:
-        # min and max propagate NaN and reach any infinity, with no mask.
-        if not (np.isfinite(p.grad.min()) and np.isfinite(p.grad.max())):
-            raise NumericsError("non-finite gradient")
+    if not all(all_finite(p.grad) for p in params):
+        raise NumericsError("non-finite gradient")
     state.step += 1
     t = state.step
     offset = 0  # of each parameter's moments in m and v
@@ -405,17 +406,18 @@ class TrainConfig:
     input_scale: str = SCALE_SYMMETRIC
 
     def __post_init__(self):
+        """Each message starts with the name of the field it rejects."""
         if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in [0, 1)")
-        LatentSpec(self.mode, self.latent_dim)  # validates mode/dim
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        LatentSpec(self.mode, self.latent_dim)  # validates mode/latent_dim
 
     def latent(self) -> LatentSpec:
         return LatentSpec(self.mode, self.latent_dim)
@@ -583,7 +585,7 @@ def save_checkpoint(model: VaeModel, path) -> None:
             _MODE_TAGS[model.latent.mode],
             _SCALE_TAGS[model.input_scale],
             model.latent.dim,
-            model.encoder.input_dim,
+            model.input_dim,
         ),
         _pack_layers(model.encoder),
         _pack_layers(model.decoder),
@@ -600,18 +602,15 @@ def _read_layers(reader: Reader):
     specs = []
     for _ in range(count):
         fan_in, fan_out, tag = reader.unpack("<IIB")
-        if fan_in == 0 or fan_out == 0:
-            raise FormatError(f"zero-width layer in {reader.path}")
         if tag not in _TAG_ACTS:
             raise FormatError(f"unknown activation tag {tag} in {reader.path}")
-        if specs and fan_in != specs[-1][1]:
-            raise FormatError(f"layer shapes do not chain in {reader.path}")
         specs.append((fan_in, fan_out, _TAG_ACTS[tag]))
     return specs
 
 
 def load_checkpoint(path) -> VaeModel:
-    """The model a TDVAE1 file holds; its payload, uncopied, becomes the model's flat."""
+    """The model a TDVAE1 file holds, whose tables must be layer_specs of its header
+    and encoder's hidden widths; its payload, uncopied, becomes the model's flat."""
     reader = Reader(path)
     if reader.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic in {path}")
@@ -624,15 +623,21 @@ def load_checkpoint(path) -> VaeModel:
     # parameter array is allocated.
     payload = reader.take(8 * param_count(enc_specs + dec_specs))
     reader.done()
-    if enc_specs[0][0] != input_dim or dec_specs[-1][1] != input_dim:
-        raise FormatError(f"encoder input or decoder output dim mismatch in {path}")
-    # The decoder input holds at least latent_dim columns, so this bounds
-    # the 2**latent_dim of the layout check by the payload.
-    if not 0 < latent_dim <= dec_specs[0][0]:
+    # A torus decoder reads 2**latent_dim + latent_dim inputs through a u32 fan_in,
+    # so this bounds 2**latent_dim before layer_specs or the message below makes it.
+    if not 0 < latent_dim < (32 if mode_tag == _MODE_TAGS[TORUS] else 2**32):
         raise FormatError(f"latent dim {latent_dim} does not fit the decoder in {path}")
     latent = LatentSpec(_TAG_MODES[mode_tag], latent_dim)
+    hidden = [fan_out for _, fan_out, _ in enc_specs[:-1]]
+    expected = layer_specs(latent, input_dim, hidden)
+    if (enc_specs, dec_specs) != expected:
+        raise FormatError(f"layer table in {path} is not the model architecture of its header "
+                          f"and hidden widths {hidden}: expected encoder {expected[0]} and "
+                          f"decoder {expected[1]}")
+    flat = np.frombuffer(payload, dtype="<f8")
+    if not all_finite(flat):
+        raise FormatError(f"non-finite parameter in {path}")
     try:
-        return VaeModel(latent, enc_specs, dec_specs, _TAG_SCALES[scale_tag],
-                        flat=np.frombuffer(payload, dtype="<f8"))
+        return VaeModel(latent, input_dim, hidden, _TAG_SCALES[scale_tag], flat=flat)
     except ConfigError as exc:
         raise FormatError(f"{exc} in {path}") from exc

@@ -1,11 +1,13 @@
 """Exception types shared across the package, the one checked reader of JSON
-values, the bounded reader of both binary containers, and the staged writer
-of every output file."""
+values, the bounded reader of both binary containers, the one finiteness
+check of arrays, and the staged writer of every output file."""
 import math
 import os
 import struct
 import sys
 import tempfile
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -96,6 +98,15 @@ class Reader:
     def done(self):
         if self.offset != len(self.blob):
             raise FormatError(f"{len(self.blob) - self.offset} trailing bytes in {self.path}")
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every value of a float array is finite (True when it is empty).
+
+    min and max propagate NaN and reach any infinity, so no mask the size of
+    the array is allocated.
+    """
+    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
 
 
 def write_files(directory, writers) -> None:

@@ -1,7 +1,9 @@
 """Shared test helpers: circular error, circle sampling, finite differences, the lasso
-oracles, and code run in a fresh interpreter, such as a CLI command's traced peak memory."""
+oracles, crafted checkpoints that loading refuses, and code run in a fresh interpreter, such
+as a CLI command's traced peak memory."""
 import itertools
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -135,3 +137,36 @@ def traced_peak(command, config) -> int:
     it left behind in this process does not count toward it.
     """
     return int(run_fresh(_TRACED_COMMAND, command, config).splitlines()[-1])
+
+
+def write_checkpoint(path, mode, latent_dim, input_dim, encoder, decoder):
+    """A TDVAE1 file of a header and two (fan_in, fan_out, activation) layer
+    tables as given, and a zero payload sized to those tables."""
+    tags = {"identity": 0, "relu": 1, "tanh": 2}
+    header = engine.CHECKPOINT_MAGIC + struct.pack(
+        "<BBII", {"torus": 0, "euclidean": 1}[mode], 0, latent_dim, input_dim)
+    tables = b"".join(struct.pack("<B", len(specs)) + b"".join(
+        struct.pack("<IIB", fan_in, fan_out, tags[act]) for fan_in, fan_out, act in specs)
+        for specs in (encoder, decoder))
+    Path(path).write_bytes(header + tables + bytes(8 * engine.param_count(encoder + decoder)))
+
+
+# Checkpoint arguments (mode, latent dim, input width, encoder, decoder) of files
+# load_checkpoint refuses, each with a piece of its message. The foreign tables
+# chain and match the header's widths but are not the one architecture of a
+# 2-circle model of 8x8x3 images and hidden width 12. The oversized latents are
+# torus dims whose 2**latent_dim + latent_dim decoder inputs no u32 fan_in holds,
+# with decoders whose first fan_in covers the latent dim and payloads of 48 and
+# 14349 parameters.
+REFUSED_CHECKPOINTS = {
+    "relu-encoder-output": ("is not the model architecture", (
+        engine.TORUS, 2, 192, [(192, 12, "relu"), (12, 8, "relu")],
+        [(6, 12, "relu"), (12, 192, "tanh")])),
+    "unmirrored-decoder": ("is not the model architecture", (
+        engine.TORUS, 2, 192, [(192, 12, "relu"), (12, 8, "identity")],
+        [(6, 3, "tanh"), (3, 192, "relu")])),
+    "oversized-latent-zero-width-decoder": ("does not fit the decoder", (
+        engine.TORUS, 2**32 - 1, 5, [(5, 8, "identity")], [(2**32 - 1, 0, "tanh")])),
+    "oversized-latent-wide-decoder": ("does not fit the decoder", (
+        engine.TORUS, 14300, 5, [(5, 8, "identity")], [(14300, 1, "tanh")])),
+}

@@ -8,7 +8,7 @@ import pytest
 
 from torusvae import cli, datasets as ds, engine, metrics
 from torusvae.errors import ConfigError, FormatError, json_value
-from helpers import traced_peak
+from helpers import REFUSED_CHECKPOINTS, traced_peak, write_checkpoint
 
 
 def base_config(out_dir, kind="synthetic", epochs=3):
@@ -435,6 +435,32 @@ class TestSweep:
         assert [row[1] for row in rows] == ["2", "40", "2", "40"]
         assert [row[-2] == "ok" for row in rows] == [True, False, True, False]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_truncated_dataset_exits_1(self, tmp_path, capsys, workers):
+        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        run("generate", "--config", str(config))
+        path = tmp_path / "out" / "data.tdds"
+        path.write_bytes(path.read_bytes()[:-1])
+        capsys.readouterr()
+        assert run("sweep", "--config", str(config), "--workers", workers) == 1
+        assert "truncated file" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_dataset_loaded_once(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        run("generate", "--config", str(config))
+        loads = []
+        load_dataset = ds.load_dataset
+
+        def counting(path):
+            loads.append(path)
+            return load_dataset(path)
+
+        monkeypatch.setattr(ds, "load_dataset", counting)
+        assert run("sweep", "--config", str(config)) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 4 and len(loads) == 1
+
     def test_report_flags_reach_the_csv(self, tmp_path, monkeypatch):
         run_dci = metrics.run_dci
         flags = iter([[], ["lasso_not_converged"], ["constant_code:0", "dead_code:1"], []])
@@ -595,6 +621,15 @@ class TestExitCodes:
         ("train", ("model", "seed"), -1, "model.seed"),
         ("sweep", ("model", "seed"), -1, "model.seed"),
         ("evaluate", ("metrics", "split_seed"), -1, "metrics.split_seed"),
+        ("train", ("model", "learning_rate"), 0, "model.learning_rate"),
+        ("evaluate", ("model", "learning_rate"), 0, "model.learning_rate"),
+        ("sweep", ("model", "learning_rate"), 0, "model.learning_rate"),
+        ("train", ("model", "val_fraction"), 1.0, "model.val_fraction"),
+        ("evaluate", ("model", "val_fraction"), 1.0, "model.val_fraction"),
+        ("sweep", ("model", "val_fraction"), 1.0, "model.val_fraction"),
+        ("train", ("model", "mode"), "tor", "model.mode"),
+        ("evaluate", ("model", "mode"), "tor", "model.mode"),
+        ("sweep", ("model", "mode"), "tor", "model.mode"),
     ])
     def test_wrong_typed_config_value_is_validation_error(self, tmp_path, capsys, command,
                                                           where, value, message):
@@ -654,6 +689,37 @@ class TestExitCodes:
         assert "dataset.count" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("name", list(REFUSED_CHECKPOINTS))
+    def test_refused_layer_table_exits_1(self, tmp_path, capsys, name):
+        message, args = REFUSED_CHECKPOINTS[name]
+        config = write_config(tmp_path, base_config(tmp_path / "out", kind="2dshapes"))
+        assert run("generate", "--config", str(config)) == 0
+        write_checkpoint(tmp_path / "out" / "model.tdvae", *args)
+        for command in ("evaluate", "traverse"):
+            capsys.readouterr()
+            assert run(command, "--config", str(config)) == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "dci_report.json").exists()
+        assert not list((tmp_path / "out").glob("strip_*.ppm"))
+
+    @pytest.mark.parametrize("command,value", [
+        ("evaluate", "parameter"), ("traverse", "parameter"), ("train", "pixel"),
+        ("evaluate", "factor")])
+    def test_non_finite_input_file_exits_1(self, tmp_path, capsys, command, value):
+        config = trained_2dshapes(tmp_path)
+        out = tmp_path / "out"
+        if value == "parameter":
+            model = engine.load_checkpoint(out / "model.tdvae")
+            model.flat[:] = np.nan
+            engine.save_checkpoint(model, out / "model.tdvae")
+        else:
+            data = ds.load_dataset(out / "data.tdds")
+            (data.x if value == "pixel" else data.factors)[3, 1] = np.nan
+            ds.save_dataset(data, out / "data.tdds")
+        capsys.readouterr()
+        assert run(command, "--config", str(config)) == 1
+        assert f"non-finite {value}" in capsys.readouterr().err
 
     def test_number_reader_types(self):
         assert json_value({"x": 3}, "x", "w") == 3.0

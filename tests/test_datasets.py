@@ -412,6 +412,16 @@ class TestDatasetIo:
         with pytest.raises(FormatError):
             ds.load_dataset(path)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("field,what", [("x", "pixel"), ("factors", "factor")])
+    def test_non_finite_value_rejected(self, tmp_path, field, what, value):
+        data = ds.make_synthetic_dataset(2, 20, seed=1)
+        getattr(data, field)[7, 1] = value
+        path = tmp_path / "data.tdds"
+        ds.save_dataset(data, path)
+        with pytest.raises(FormatError, match=f"non-finite {what}"):
+            ds.load_dataset(path)
+
     def test_save_peak_memory_is_the_payload(self, tmp_path):
         """The records are built once and written from their own buffer."""
         import tracemalloc

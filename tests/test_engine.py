@@ -9,7 +9,7 @@ from torusvae import engine as e
 from torusvae import geometry as g
 from torusvae.autodiff import Tensor, node
 from torusvae.errors import ConfigError, FormatError
-from helpers import finite_diff_grads, max_relative_error
+from helpers import REFUSED_CHECKPOINTS, finite_diff_grads, max_relative_error, write_checkpoint
 
 
 def tiny_model(mode="torus", dim=2, input_dim=5, hidden=(8,), seed=3):
@@ -529,6 +529,14 @@ class TestCodes:
         with pytest.raises(g.DegenerateInputError, match=r"in rows \[0, 1, 2\]"):
             model.reconstruct_mean(x)
 
+    def test_angle_just_below_zero_is_zero(self):
+        # arctan2(-1e-17, 1) is -1e-17, and a bare mod by 2 pi rounds it up to 2 pi
+        model = tiny_model(dim=1)
+        model.encoder.weights[-1][...] = 0.0
+        model.encoder.biases[-1][...] = [1.0, -1e-17, 0.0, 0.0]
+        codes = model.codes(np.zeros((2, 5)))
+        assert np.array_equal(codes, np.zeros((2, 1)))
+
     def test_euclidean_codes_are_means(self, rng):
         model = tiny_model(mode="euclidean", dim=4)
         x = rng.uniform(-0.5, 0.5, size=(8, 5))
@@ -536,14 +544,17 @@ class TestCodes:
 
 
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path, rng):
-        model = tiny_model(dim=3, input_dim=7, hidden=(8, 4))
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 4)], ids=["none", "8", "8-4"])
+    @pytest.mark.parametrize("mode", ["torus", "euclidean"])
+    def test_round_trip(self, tmp_path, rng, mode, hidden):
+        model = tiny_model(mode=mode, dim=3, input_dim=7, hidden=hidden)
         path = tmp_path / "model.tdvae"
         e.save_checkpoint(model, path)
         loaded = e.load_checkpoint(path)
         assert loaded.latent.mode == model.latent.mode
         assert loaded.latent.dim == model.latent.dim
         assert loaded.input_scale == model.input_scale
+        assert (loaded.input_dim, loaded.hidden) == (7, hidden)
         for pa, pb in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(pa.data, pb.data)
         x = rng.uniform(-0.5, 0.5, size=(4, 7))
@@ -633,11 +644,11 @@ class TestCheckpoint:
         path = tmp_path / "model.tdvae"
         e.save_checkpoint(model, path)
         blob = bytearray(path.read_bytes())
-        # second encoder layer: fan_in 8 -> 7
+        # second encoder layer: fan_in 8 -> 7, with the payload cut to match
         at = len(e.CHECKPOINT_MAGIC) + struct.calcsize("<BBII") + 1 + 9
         blob[at : at + 4] = struct.pack("<I", 7)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="chain"):
+        path.write_bytes(bytes(blob[: len(blob) - 8 * 4]))
+        with pytest.raises(FormatError, match="is not the model architecture"):
             e.load_checkpoint(path)
 
     def test_zero_width_layer(self, tmp_path):
@@ -647,7 +658,7 @@ class TestCheckpoint:
                 + struct.pack("<BIIB", 1, 6, 5, 2) + b"\x00" * 8 * (8 + 35))
         path = tmp_path / "zero.tdvae"
         path.write_bytes(blob)
-        with pytest.raises(FormatError, match="zero-width"):
+        with pytest.raises(FormatError, match="is not the model architecture"):
             e.load_checkpoint(path)
 
     @pytest.mark.parametrize("latent_dim", [0, 3, 2**32 - 1])
@@ -671,7 +682,30 @@ class TestCheckpoint:
         assert struct.unpack_from("<I", blob, at) == (5,)
         struct.pack_into("<I", blob, at, 4)
         path.write_bytes(bytes(blob[: len(blob) - 8 * (8 + 1)]))
-        with pytest.raises(FormatError, match="decoder output"):
+        with pytest.raises(FormatError, match="is not the model architecture"):
+            e.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", list(REFUSED_CHECKPOINTS))
+    def test_refused_layer_table(self, tmp_path, name):
+        """A table with a payload sized to it that is not the one architecture,
+        or whose torus latent dim no decoder can hold."""
+        message, args = REFUSED_CHECKPOINTS[name]
+        path = tmp_path / "model.tdvae"
+        write_checkpoint(path, *args)
+        with pytest.raises(FormatError, match=message):
+            e.load_checkpoint(path)
+
+    def test_non_finite_payload(self, tmp_path):
+        model = tiny_model()
+        model.flat[:] = np.nan
+        path = tmp_path / "model.tdvae"
+        e.save_checkpoint(model, path)
+        with pytest.raises(FormatError, match="non-finite parameter"):
+            e.load_checkpoint(path)
+        model.flat[:] = 0.0
+        model.flat[-1] = -np.inf
+        e.save_checkpoint(model, path)
+        with pytest.raises(FormatError, match="non-finite parameter"):
             e.load_checkpoint(path)
 
     def test_network_without_layers(self, tmp_path):
