@@ -290,19 +290,25 @@ def cmd_sweep(config: dict, args) -> int:
     settings = _metrics_settings(config)
     cells = [_train_config(config, beta=beta, latent_dim=dim) for beta in betas for dim in dims]
     dataset = _load_dataset(_dataset_path(config, out_dir))
-    jobs = [(cell, settings, dataset) for cell in cells]
+    jobs = [(cell, settings) for cell in cells]
     # A pool forks all of its workers at once, so it never gets more than there are cells.
-    workers = min(max(1, args.workers), len(jobs))
+    workers = min(args.workers, len(jobs))
     if workers > 1:
         # Longest cells first, so that no worker starts a large cell last while
-        # the others sit idle; the rows then go back into grid order.
+        # the others sit idle; the rows then go back into grid order. Each
+        # worker gets the dataset once, as it starts, not once per cell.
         order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].latent_dim)
         rows = [None] * len(jobs)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_sweep_dataset,
+                                 initargs=(dataset,)) as pool:
             for i, row in zip(order, pool.map(_sweep_cell, [jobs[i] for i in order])):
                 rows[i] = row
     else:
-        rows = [_sweep_cell(job) for job in jobs]
+        _set_sweep_dataset(dataset)
+        try:
+            rows = [_sweep_cell(job) for job in jobs]
+        finally:
+            _set_sweep_dataset(None)
 
     def write(tmp):
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -319,8 +325,19 @@ def cmd_sweep(config: dict, args) -> int:
     return EXIT_OK
 
 
+_sweep_dataset = None  # the dataset of the sweep that this process runs cells of
+
+
+def _set_sweep_dataset(dataset) -> None:
+    global _sweep_dataset
+    _sweep_dataset = dataset
+
+
 def _sweep_cell(job):
-    train_config, settings, dataset = job
+    """One sweep row: train and score a (TrainConfig, MetricsSettings) job on
+    the dataset _set_sweep_dataset gave this process."""
+    train_config, settings = job
+    dataset = _sweep_dataset
     beta, dim = train_config.beta, train_config.latent_dim
     fmt = metrics.FLOAT_FORMAT
     try:
@@ -417,6 +434,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command != "traverse" and (args.circle, args.steps) != (None, None):
             raise ConfigError("--circle and --steps are traverse options")
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         config = load_config(args.config)
         return _COMMANDS[args.command][0](config, args)
     except (ConfigError, FormatError) as exc:

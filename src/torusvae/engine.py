@@ -22,8 +22,8 @@ import numpy as np
 
 from .autodiff import Tensor, node
 from .errors import ConfigError, FormatError, NumericsError, Reader, all_finite
-from .geometry import (canonical_angle, embed, embed_angles, embed_vjp, gaussian_kl,
-                       gaussian_kl_vjp, tuple_norms, unit_tuples, unit_tuples_vjp)
+from .geometry import (RowBuffers, canonical_angle, embed, embed_angles, embed_parts, embed_vjp,
+                       gaussian_kl, gaussian_kl_vjp, tuple_norms, unit_tuples, unit_tuples_vjp)
 
 TORUS = "torus"
 EUCLIDEAN = "euclidean"
@@ -195,23 +195,31 @@ class VaeModel:
             return blocks[:, :, 0:2], blocks[:, :, 2:4]
         return out[:, 0:d], out[:, d : 2 * d]
 
-    def _posterior(self, out: Tensor, noise: np.ndarray, beta: float):
+    def _posterior(self, out: Tensor, noise: np.ndarray, beta: float,
+                   buffers: RowBuffers | None = None):
         """(decoder input node, KL) of the encoder output node.
 
         The node samples mu + e^(logvar/2) * noise and, for circles,
-        normalizes and embeds the sample. Its VJP also adds beta times the
-        KL gradient, so the encoder output gets one gradient per step. It
-        adds the terms one at a time, the sample's share and then the KL's
+        normalizes and embeds the sample, building the partial products once
+        for the forward and the VJP. Its VJP also adds beta times the KL
+        gradient, so the encoder output gets one gradient per step. It adds
+        the terms one at a time, the sample's share and then the KL's
         (gaussian_kl_vjp); reordering them changes trained checkpoint bytes.
+        For circles the decoder input and the products live in buffers
+        (fresh ones when none are given; see geometry.RowBuffers), so the
+        node's data and VJP hold until the next call on the same buffers.
         """
         mu, logvar = self._split(out.data)
         sigma = np.exp(logvar * 0.5)
         m_hat = mu + sigma * noise
         torus = self.latent.mode == TORUS
-        m = unit_tuples(m_hat) if torus else m_hat
+        if torus:
+            v, mt, products = embed_parts(unit_tuples(m_hat), buffers)
+        else:
+            v = m_hat
 
         def backward(grad):
-            g = unit_tuples_vjp(m_hat, embed_vjp(m, grad)) if torus else grad
+            g = unit_tuples_vjp(m_hat, embed_vjp(mt, products, grad, buffers)) if torus else grad
             out_grad = np.zeros_like(out.data)
             mu_grad, logvar_grad = self._split(out_grad)
             mu_grad += g
@@ -219,7 +227,7 @@ class VaeModel:
             gaussian_kl_vjp(mu, logvar, beta, mu_grad, logvar_grad)
             return out_grad
 
-        return node(embed(m) if torus else m, out, backward), gaussian_kl(mu, logvar)
+        return node(v, out, backward), gaussian_kl(mu, logvar)
 
     # -- inference ----------------------------------------------------------
 
@@ -232,12 +240,13 @@ class VaeModel:
         v = np.atleast_2d(np.asarray(v, dtype=float))
         return self.decoder.forward(Tensor(v, requires_grad=False)).data
 
-    def reconstruct_mean(self, x: np.ndarray) -> np.ndarray:
-        """Noise-free reconstruction: the decoder sees the normalized posterior mean."""
+    def reconstruct_mean(self, x: np.ndarray, buffers: RowBuffers | None = None) -> np.ndarray:
+        """Noise-free reconstruction: the decoder sees the normalized posterior mean,
+        embedded in buffers (fresh ones when none are given)."""
         enc = self.encode(x)
         if self.latent.mode == EUCLIDEAN:
             return self.decode(enc.mu)
-        return self.decode(embed(unit_tuples(enc.mu)))
+        return self.decode(embed(unit_tuples(enc.mu), buffers))
 
     def codes(self, x: np.ndarray) -> np.ndarray:
         """Per-sample latent codes for the metrics pipeline.
@@ -295,7 +304,8 @@ def _reconstruction_loss(recon: Tensor, x: np.ndarray) -> Tensor:
     return node((diff * diff).sum() * (1.0 / n), recon, backward)
 
 
-def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) -> ElboResult:
+def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray,
+              buffers: RowBuffers | None = None) -> ElboResult:
     """Batch loss (mean squared reconstruction norm plus beta * KL).
 
     Its gradient is left in model.flat_grad (the .grad of the model's one
@@ -304,13 +314,14 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray) ->
     zeroed first.
 
     noise must hold one standard-normal draw per Gaussian component, shaped
-    like the encoder's mu block; the result is deterministic given it.
+    like the encoder's mu block; the result is deterministic given it. A
+    circle latent is built in buffers when given (see VaeModel._posterior).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a (N, input_dim) batch")
     out = model.encoder.forward(Tensor(x, requires_grad=False))
-    v, kl = model._posterior(out, noise, beta)
+    v, kl = model._posterior(out, noise, beta, buffers)
     recon = model.decoder.forward(v)
     recon_term = _reconstruction_loss(recon, x)
     reconstruction = float(recon_term.data)
@@ -471,13 +482,14 @@ def _noise_shape(latent: LatentSpec, n: int):
     return (n, latent.dim)
 
 
-def validation_mse(model: VaeModel, x_scaled: np.ndarray) -> float:
-    """Per-element reconstruction MSE with the noise-free latent.
+def validation_mse(model: VaeModel, x_scaled: np.ndarray,
+                   buffers: RowBuffers | None = None) -> float:
+    """Per-element reconstruction MSE with the noise-free latent (embedded in buffers).
 
     The squared error is formed in the reconstruction's own array, so the
     validation rows need one array beside them, not two.
     """
-    err = model.reconstruct_mean(x_scaled)
+    err = model.reconstruct_mean(x_scaled, buffers)
     err -= x_scaled
     err *= err
     return float(np.mean(err))
@@ -493,10 +505,16 @@ def train(config: TrainConfig, samples: np.ndarray):
     rows and the result does not depend on which of the two dtypes holds
     the same values.
 
+    A circle latent's products and decoder input are built in one set of
+    RowBuffers sized for the larger of a batch and the validation rows, made
+    once and shared by every step and validation pass: a step that made them
+    afresh would free and fault in about 1.7 MB of pages at D=8, batch 144.
+
     Deterministic per seed: initialization, the train/validation split, epoch
     shuffles and reparameterization noise all come from independent streams
     spawned off config.seed. The returned model carries the parameters of the
-    epoch with the lowest validation MSE.
+    epoch with the lowest validation MSE. A NumericsError from a step names
+    its epoch and its step within the epoch.
     """
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
@@ -513,6 +531,8 @@ def train(config: TrainConfig, samples: np.ndarray):
 
     train_rows, val_rows = split_rows(config.seed, n, config.val_fraction)
     val_x = scale_in(samples[val_rows], config.input_scale)
+    # sized for a validation pass and the largest batch (no more than the training rows)
+    buffers = RowBuffers(max(min(config.batch_size, train_rows.size), val_rows.size))
 
     params = model.parameters()
     state = AdamState.for_params(params)
@@ -525,14 +545,17 @@ def train(config: TrainConfig, samples: np.ndarray):
     for epoch in range(config.epochs):
         rows = train_rows[shuffle_rng.permutation(n_train)]
         total = 0.0
-        for lo in range(0, n_train, config.batch_size):
+        for step, lo in enumerate(range(0, n_train, config.batch_size)):
             batch = scale_in(samples[rows[lo : lo + config.batch_size]], config.input_scale)
             noise = noise_rng.standard_normal(_noise_shape(latent, batch.shape[0]))
-            result = elbo_loss(model, batch, config.beta, noise)
-            adam_step(params, state, config.learning_rate)
+            try:
+                result = elbo_loss(model, batch, config.beta, noise, buffers)
+                adam_step(params, state, config.learning_rate)
+            except NumericsError as exc:
+                raise NumericsError(f"epoch {epoch}, step {step}: {exc}") from exc
             total += result.loss * batch.shape[0]
         train_loss.append(total / n_train)
-        val_mse.append(validation_mse(model, val_x))
+        val_mse.append(validation_mse(model, val_x, buffers))
         if val_mse[epoch] < val_mse[best_epoch] or epoch == 0:
             best_epoch = epoch
             best_snapshot = model.snapshot()

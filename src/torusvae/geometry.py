@@ -5,7 +5,11 @@ tensor plus the vector of cosine components, which together form the
 decoder input. Training, inference and generation build that input, and
 the KL term, with the one implementation here on plain ndarrays; training
 differentiates it with the hand-written VJPs beside each forward
-(unit_tuples_vjp, embed_vjp). Everything here is pure and side-effect free.
+(unit_tuples_vjp, embed_vjp). The 2**D-wide latent product is built in
+RowBuffers: a training run passes one set to every step and validation
+pass, so those arrays are made once per run, and every other caller gets
+fresh ones. Apart from writing into the buffers it is given, each function
+here leaves its arguments unchanged.
 """
 from __future__ import annotations
 
@@ -64,56 +68,113 @@ def unit_tuples_vjp(raw: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return out
 
 
-def _products(mt: np.ndarray) -> list:
+class RowBuffers:
+    """Flat float64 arrays for up to `rows` rows, one per name, each made on first use.
+
+    take(name, n, width) views the first n * width elements of the array
+    called name, which holds rows * width; a call on fewer rows, such as a
+    short last batch, works in a prefix of the same memory, and nothing is
+    reallocated. What a function leaves in a buffer stays valid only until
+    the next call that takes the same name.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self._arrays = {}
+
+    def take(self, name: str, n: int, width: int) -> np.ndarray:
+        flat = self._arrays.get(name)
+        if flat is None:
+            flat = self._arrays[name] = np.empty(self.rows * width)
+        if n * width > flat.size:
+            raise ValueError(f"{n} rows of width {width} do not fit the {name!r} buffer "
+                             f"of {flat.size} elements")
+        return flat[: n * width]
+
+
+def _products(mt: np.ndarray, levels: np.ndarray) -> list:
     """Rank-1 products of the first 1..D tuples, shaped (2**a, N) for a = 1..D.
 
     mt holds the tuples circle-major, (D, 2, N), so each level is two
     multiplications over contiguous (2**a, N) blocks rather than a pass of
-    2-element inner loops per row.
+    2-element inner loops per row. The products of 2..D tuples are written
+    one after another into levels, a flat array of at least
+    (2**(D + 1) - 4) * N elements.
     """
     n = mt.shape[2]
     out = [mt[0]]
+    lo = 0
     for a in range(1, mt.shape[0]):
         p = out[-1]
-        level = np.empty((p.shape[0], 2, n))
+        level = levels[lo : lo + 2 * p.size].reshape(-1, 2, n)
+        lo += 2 * p.size
         np.multiply(p, mt[a, 0], out=level[:, 0])
         np.multiply(p, mt[a, 1], out=level[:, 1])
         out.append(level.reshape(-1, n))
     return out
 
 
-def embed(m: np.ndarray) -> np.ndarray:
+def embed_parts(m: np.ndarray, buffers: RowBuffers | None = None):
+    """(embed(m), tuples, products): the decoder input and what embed_vjp reads.
+
+    tuples is m circle-major, (D, 2, N), and products the rank-1 products of
+    the first 1..D tuples (see _products). All three are views of arrays in
+    buffers (fresh ones sized for m when none are given), so they hold until
+    the next call on the same buffers.
+    """
+    n, d = m.shape[0], m.shape[1]
+    if buffers is None:
+        buffers = RowBuffers(n)
+    mt = buffers.take("tuples", n, 2 * d).reshape(d, 2, n)
+    np.copyto(mt, m.transpose(1, 2, 0))
+    products = _products(mt, buffers.take("levels", n, 2 ** (d + 1) - 4))
+    v = buffers.take("embedding", n, 2**d + d).reshape(n, -1)
+    np.copyto(v[:, : 2**d], products[-1].T)
+    np.copyto(v[:, 2**d :], m[:, :, 0])
+    return v, mt, products
+
+
+def embed(m: np.ndarray, buffers: RowBuffers | None = None) -> np.ndarray:
     """Decoder input rows (N, 2**D + D) from (N, D, 2) unit tuples.
 
     The first 2**D columns are the flattened rank-1 product: the entry that
     takes component alpha_a of tuple a sits at sum_a alpha_a * 2**(D - 1 - a),
     so the first tuple's component index is the most significant bit. The
-    last D columns are the tuples' cosine components.
+    last D columns are the tuples' cosine components. The rows are a view of
+    buffers when given (see embed_parts).
     """
-    prod = _products(m.transpose(1, 2, 0).copy())[-1]
-    return np.concatenate([prod.T, m[:, :, 0]], axis=1)
+    return embed_parts(m, buffers)[0]
 
 
-def embed_vjp(m: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Gradient with respect to m of <grad, embed(m)>.
+def embed_vjp(mt: np.ndarray, products: list, grad: np.ndarray,
+              buffers: RowBuffers | None = None) -> np.ndarray:
+    """Gradient with respect to m of <grad, embed(m)>, from embed_parts(m)'s tuples and products.
 
     Runs back over the partial products, last tuple first, and adds the
     product block's share to m before the cosine block's; that fixed order
     fixes the rounding of the training gradients. Like embed it works
     circle-major: each sum over the 2**a entries of a level runs over axis 0
     of a (2**a, 2, N) array, adding the terms in the same order as a sum
-    over the middle axis of the row-major (N, 2**a, 2) layout.
+    over the middle axis of the row-major (N, 2**a, 2) layout. The
+    transposed gradient and each level's products are formed in buffers
+    (fresh ones when none are given); the result is a new (N, D, 2) array.
     """
-    n, d = m.shape[0], m.shape[1]
-    mt = m.transpose(1, 2, 0).copy()
-    products = _products(mt)
+    d, n = mt.shape[0], mt.shape[2]
+    if buffers is None:
+        buffers = RowBuffers(n)
     out = np.zeros_like(mt)
-    g = grad[:, : 2**d].T.copy()
+    g = buffers.take("grad", n, 2**d)
+    scratch = buffers.take("scratch", n, 2**d)
+    np.copyto(g.reshape(-1, n), grad[:, : 2**d].T)
     for a in range(d - 1, 0, -1):
-        g = g.reshape(-1, 2, n)
-        out[a] += (g * products[a - 1][:, None, :]).sum(axis=0)
-        g = (g * mt[a]).sum(axis=1)
-    out[0] += g
+        level = g[: 2 ** (a + 1) * n].reshape(-1, 2, n)
+        s = scratch[: level.size].reshape(level.shape)
+        np.multiply(level, products[a - 1][:, None, :], out=s)
+        out[a] += s.sum(axis=0)
+        np.multiply(level, mt[a], out=s)
+        # level is spent, so the next level's gradient takes its place
+        np.sum(s, axis=1, out=g[: 2**a * n].reshape(-1, n))
+    out[0] += g[: 2 * n].reshape(2, n)
     out[:, 0, :] += grad[:, 2**d :].T
     return out.transpose(2, 0, 1).copy()
 

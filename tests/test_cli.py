@@ -375,12 +375,15 @@ class TestSweep:
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == serial
 
     def test_pool_gets_longest_cells_first(self, tmp_path, monkeypatch):
-        """With workers, cells go out by descending latent_dim, stably."""
+        """With workers, cells go out by descending latent_dim, stably, and
+        each job is (cell, settings): the dataset goes to the pool's initializer."""
         submitted = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 submitted.append(max_workers)
+                assert isinstance(initargs[0], ds.Dataset)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -389,6 +392,7 @@ class TestSweep:
                 return False
 
             def map(self, fn, jobs):
+                assert all(len(job) == 2 for job in jobs)
                 submitted.extend((job[0].beta, job[0].latent_dim) for job in jobs)
                 return [fn(job) for job in jobs]
 
@@ -405,6 +409,16 @@ class TestSweep:
         assert submitted[0] == 4
         lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == ["2", "3", "2", "3"]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, monkeypatch, workers):
+        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        run("generate", "--config", str(config))
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_sweep_cell", None)  # no cell may run
+        assert run("sweep", "--config", str(config), "--workers", workers) == 1
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     @staticmethod
     def _partial_failure_rows(tmp_path, *flags):

@@ -8,7 +8,7 @@ import pytest
 from torusvae import engine as e
 from torusvae import geometry as g
 from torusvae.autodiff import Tensor, node
-from torusvae.errors import ConfigError, FormatError
+from torusvae.errors import ConfigError, FormatError, NumericsError
 from helpers import REFUSED_CHECKPOINTS, finite_diff_grads, max_relative_error, write_checkpoint
 
 
@@ -249,6 +249,47 @@ class TestElboLoss:
                 e.adam_step(params, state, 1e-2)
             assert hashlib.sha256(model.flat.tobytes()).hexdigest() == expected[mode]
 
+    def test_latent_arrays_are_reused_across_steps(self, rng):
+        """At D=8, batch 144, a step's latent product lives in the run's buffers.
+
+        On shared buffers, the posterior node's forward and VJP, and
+        embed_parts with embed_vjp alone, never hold more new memory at once
+        than one (144, 2**8) float64 array, 288 KiB, on any step after the
+        first, a full batch after a short one included; made afresh, their
+        arrays are about 1.7 MB a step. What they still allocate are the
+        (144, 8, 2) arrays of the posterior's sample, 18 KiB each, and the
+        64 KiB buffer numpy's iterator takes for a broadcasting multiply.
+        """
+        import tracemalloc
+
+        d = 8
+        model = e.build_vae(e.LatentSpec("torus", d), 5, (8,), np.random.default_rng(0))
+        buffers = g.RowBuffers(144)
+
+        def peak_rise(step, n):
+            out = Tensor(rng.standard_normal((n, 4 * d)) * 0.5, requires_grad=False)
+            noise = rng.standard_normal((n, d, 2))
+            grad = rng.standard_normal((n, 2**d + d))
+            m = g.unit_tuples(out.data.reshape(n, d, 4)[:, :, :2])
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            step(m, out, noise, grad)
+            return tracemalloc.get_traced_memory()[1] - base
+
+        def embed_step(m, out, noise, grad):
+            g.embed_vjp(*g.embed_parts(m, buffers)[1:], grad, buffers)
+
+        def posterior_step(m, out, noise, grad):
+            model._posterior(out, noise, 1.0, buffers)[0].vjp(grad)
+
+        tracemalloc.start()
+        try:
+            rises = [peak_rise(step, n) for step in (embed_step, posterior_step)
+                     for n in (144, 144, 80, 144)]
+        finally:
+            tracemalloc.stop()
+        assert max(rises[1:]) < 144 * 2**d * 8, rises
+
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self, rng):
@@ -452,6 +493,44 @@ class TestTrain:
         for params in calls:
             assert isinstance(params, list)
             assert sum(p.data.size for p in params) == model.flat.size
+
+    def test_short_last_batch_train_is_pinned(self, monkeypatch):
+        """A D=8 train of 10 rows in batches of 4 (the last one short) keeps
+        its bytes, and builds the latent products once per step plus once
+        per validation pass, whose 10 rows outnumber a batch."""
+        calls = []
+        products = g._products
+
+        def counted(*args):
+            calls.append(args[0].shape[2])
+            return products(*args)
+
+        monkeypatch.setattr(g, "_products", counted)
+        x = np.random.default_rng(5).uniform(-0.9, 0.9, size=(10, 5))
+        cfg = e.TrainConfig("torus", 8, 1.0, 1e-2, 4, 2, seed=13, hidden=(8,), val_fraction=0.0)
+        model, _ = e.train(cfg, x)
+        assert (hashlib.sha256(model.flat.tobytes()).hexdigest()
+                == "7f5be1388391e321abb7a1caab67ec57271c1ff250bea17e355e06cde3ec68bf")
+        assert calls == [4, 4, 2, 10] * 2
+
+    def test_batch_size_above_the_row_count(self):
+        """A batch holds at most the training rows, and so do the run's buffers."""
+        x = np.random.default_rng(5).uniform(-0.9, 0.9, size=(10, 5))
+        huge = e.TrainConfig("torus", 8, 1.0, 1e-2, 2**40, 2, seed=13, hidden=(8,),
+                             val_fraction=0.0)
+        whole = dataclasses.replace(huge, batch_size=10)
+        assert e.train(huge, x)[0].flat.tobytes() == e.train(whole, x)[0].flat.tobytes()
+
+    def test_numerics_error_names_epoch_and_step(self):
+        x = np.random.default_rng(2).uniform(-0.5, 0.5, size=(40, 5))
+        cfg = e.TrainConfig("torus", 2, 1.0, 1e-3, 4, 2, seed=3, hidden=(8,))
+        # the first epoch's row order, from the same split and shuffle stream as train
+        train_rows, _ = e.split_rows(cfg.seed, 40, cfg.val_fraction)
+        shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[2])
+        x[train_rows[shuffle_rng.permutation(train_rows.size)][2 * 4 + 1]] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericsError, match=r"^epoch 0, step 2: non-finite loss"):
+            e.train(cfg, x)
 
     def test_single_point_overfit(self):
         x = np.array([[0.3, -0.2, 0.5, 0.0, -0.4]])

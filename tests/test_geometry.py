@@ -155,6 +155,11 @@ def oracle_embed_vjp(m, grad):
     return out
 
 
+def embed_vjp(m, grad, buffers=None):
+    """embed_vjp of grad from embed_parts(m, buffers), as a training step calls them."""
+    return g.embed_vjp(*g.embed_parts(m, buffers)[1:], grad, buffers)
+
+
 def assert_same_bits(a, b):
     assert a.shape == b.shape
     assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
@@ -166,6 +171,8 @@ class TestOracleParity:
 
     N = 1 is where numpy may pick another inner loop for a reduction; exact
     zeros and -0.0 gradients check that no sum starts from an added +0.0.
+    Shared buffers sized for more rows, and left dirty by a call on other
+    rows, give the same bits as fresh ones.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 7, 144])
@@ -177,16 +184,25 @@ class TestOracleParity:
         grad = rng.standard_normal((n, 2**d + d))
         grad[rng.random(grad.shape) < 0.2] = -0.0
         assert_same_bits(g.embed(m), oracle_embed(m))
-        assert_same_bits(g.embed_vjp(m, grad), oracle_embed_vjp(m, grad))
+        assert_same_bits(embed_vjp(m, grad), oracle_embed_vjp(m, grad))
+        shared = g.RowBuffers(n + 3)
+        embed_vjp(rng.standard_normal((n + 3, d, 2)), rng.standard_normal((n + 3, 2**d + d)),
+                  shared)
+        assert_same_bits(g.embed(m, shared), oracle_embed(m))
+        assert_same_bits(embed_vjp(m, grad, shared), oracle_embed_vjp(m, grad))
+
+    def test_rows_beyond_the_buffers_are_refused(self, rng):
+        with pytest.raises(ValueError, match="5 rows of width 4 do not fit the 'tuples' buffer"):
+            g.embed(rng.standard_normal((5, 2, 2)), g.RowBuffers(4))
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_signed_zero_gradient(self, d, rng):
         m = rng.standard_normal((7, d, 2))
         m[:, 0, 1] = 0.0
         grad = np.full((7, 2**d + d), -0.0)
-        assert_same_bits(g.embed_vjp(m, grad), oracle_embed_vjp(m, grad))
+        assert_same_bits(embed_vjp(m, grad), oracle_embed_vjp(m, grad))
         grad[:, : 2**d] = rng.standard_normal((7, 2**d))
-        assert_same_bits(g.embed_vjp(m, grad), oracle_embed_vjp(m, grad))
+        assert_same_bits(embed_vjp(m, grad), oracle_embed_vjp(m, grad))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 144])
     @pytest.mark.parametrize("d", range(1, 11))
