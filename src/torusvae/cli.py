@@ -68,10 +68,11 @@ def _path(out_dir: Path, block: dict, key: str, where: str, default: str) -> Pat
     """A file-valued path of block: relative to out_dir unless it is absolute.
 
     It must name a file: a trailing slash or a last part of "", "." or ".."
-    names a directory (out_dir itself for "." or "sub/..", the root for "/").
+    names a directory (out_dir itself for "." or "sub/..", the root for "/"),
+    and so does a path where a directory exists.
     """
     value = json_value(block, key, where, str, default)
-    if value.endswith("/") or Path(value).name in ("", ".", ".."):
+    if value.endswith("/") or Path(value).name in ("", ".", "..") or (out_dir / value).is_dir():
         raise ConfigError(f"{where}.{key} must name a file, got {value!r}")
     return out_dir / value
 
@@ -247,6 +248,9 @@ def cmd_evaluate(config: dict, args) -> int:
     report_path = _path(out_dir, config["metrics"], "report", "metrics", "dci_report.json")
     heatmap_dir = out_dir / json_value(config["metrics"], "heatmap_dir", "metrics", str,
                                        "heatmaps")  # may name out_dir itself
+    if (heatmap_dir.resolve() == report_path.resolve()
+            or heatmap_dir.exists() and not heatmap_dir.is_dir()):
+        raise ConfigError(f"metrics.heatmap_dir must name a directory, not the file {heatmap_dir}")
 
     dataset = _load_dataset(dataset_path)
     model = engine.load_checkpoint(_input_file(checkpoint_path, "train"))

@@ -293,8 +293,8 @@ class Dataset:
 
     x holds the samples as stored: a float64 array for a dataset made in
     memory, and for a loaded one the float32 pixel view of the file buffer,
-    so loading copies no pixels. samples is x as float64, converted on each
-    read when x is float32; whoever needs only some rows converts just those.
+    so loading copies no pixels; whoever needs rows as float64 converts just
+    those (engine.scale_in).
     """
 
     x: np.ndarray  # (N, width*height*channels)
@@ -313,10 +313,6 @@ class Dataset:
             raise ValueError("sample width does not match the declared dimensions")
         if self.factors.shape[1] != self.spec.k:
             raise ValueError("factor width does not match the spec")
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self.x.astype(float, copy=False)
 
     @property
     def n(self) -> int:

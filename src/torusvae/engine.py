@@ -5,12 +5,13 @@ beta-VAE baseline: encoder and decoder MLPs of one architecture
 (layer_specs), reparameterized sampling, the latent geometry of geometry.py
 (per-circle normalization, rank-1 latent assembly, KL), the beta-weighted
 loss and Adam. A training step records a chain of four hand-written nodes
-on the tape (autodiff.py): the encoder, the posterior (sample, latent
-assembly and KL), the decoder and the reconstruction loss. A model has one
-parameter, a Tensor over the flat vector of all its weights and biases, and
-Adam steps that vector as a whole. Inference runs the same networks and
-ndarray geometry and never calls backward. Training is single-threaded and
-fully determined by the config seed.
+on the tape (autodiff.py) from the batch, a constant leaf: the encoder, the
+posterior (sample, latent assembly and KL), the decoder and the
+reconstruction loss. Their VJPs write the gradient of the model's one
+parameter, a Tensor over the flat vector of all its weights and biases,
+which Adam steps in blocks. Inference runs the same networks and ndarray
+geometry and never calls backward. Training is single-threaded and fully
+determined by the config seed.
 """
 from __future__ import annotations
 
@@ -101,8 +102,8 @@ class DenseNetwork:
 
         Its VJP walks the layers backwards, writes (not adds) each weight
         and bias gradient into its flat_grad view and returns the input's
-        gradient, or None when x is a constant. It scales the gradient it is
-        given in place, so that array must be its own.
+        gradient, or None when x is a leaf (a constant, such as the batch). It
+        scales the gradient it is given in place, so that array must be its own.
         """
         if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
             raise ValueError(
@@ -117,7 +118,7 @@ class DenseNetwork:
             elif act == "tanh":
                 np.tanh(y, out=y)
             hs.append(y)
-        input_grad = x.requires_grad
+        input_grad = x.parent is not None
 
         def backward(grad):
             for i in reversed(range(len(self.specs))):
@@ -136,14 +137,6 @@ class DenseNetwork:
             return grad
 
         return node(hs[-1], x, backward)
-
-
-@dataclass
-class EncoderOutput:
-    """Posterior parameters; mu/logvar are (N, D, 2) for circles, (N, L) otherwise."""
-
-    mu: np.ndarray
-    logvar: np.ndarray
 
 
 class VaeModel:
@@ -188,7 +181,8 @@ class VaeModel:
     # -- the latent step ----------------------------------------------------
 
     def _split(self, out: np.ndarray):
-        """(mu, logvar) views of encoder output rows; see EncoderOutput."""
+        """(mu, logvar) views of encoder output rows: (N, D, 2) each for
+        circles, per circle [mu0, mu1, logvar0, logvar1]; (N, L) otherwise."""
         n, d = out.shape[0], self.latent.dim
         if self.latent.mode == TORUS:
             blocks = out.reshape(n, d, 4)
@@ -231,22 +225,22 @@ class VaeModel:
 
     # -- inference ----------------------------------------------------------
 
-    def encode(self, x: np.ndarray) -> EncoderOutput:
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """A fresh array of the posterior means of rows x; see _split."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        mu, logvar = self._split(self.encoder.forward(Tensor(x, requires_grad=False)).data)
-        return EncoderOutput(mu.copy(), logvar.copy())
+        return self._split(self.encoder.forward(Tensor(x)).data)[0].copy()
 
     def decode(self, v: np.ndarray) -> np.ndarray:
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        return self.decoder.forward(Tensor(v, requires_grad=False)).data
+        return self.decoder.forward(Tensor(v)).data
 
     def reconstruct_mean(self, x: np.ndarray, buffers: RowBuffers | None = None) -> np.ndarray:
         """Noise-free reconstruction: the decoder sees the normalized posterior mean,
         embedded in buffers (fresh ones when none are given)."""
-        enc = self.encode(x)
+        mu = self.encode(x)
         if self.latent.mode == EUCLIDEAN:
-            return self.decode(enc.mu)
-        return self.decode(embed(unit_tuples(enc.mu), buffers))
+            return self.decode(mu)
+        return self.decode(embed(unit_tuples(mu), buffers))
 
     def codes(self, x: np.ndarray) -> np.ndarray:
         """Per-sample latent codes for the metrics pipeline.
@@ -255,11 +249,11 @@ class VaeModel:
         Euclidean mode reads the posterior means themselves. A zero tuple
         has no angle and raises DegenerateInputError.
         """
-        enc = self.encode(x)
+        mu = self.encode(x)
         if self.latent.mode == EUCLIDEAN:
-            return enc.mu
-        tuple_norms(enc.mu)
-        return canonical_angle(np.arctan2(enc.mu[:, :, 1], enc.mu[:, :, 0]))
+            return mu
+        tuple_norms(mu)
+        return canonical_angle(np.arctan2(mu[:, :, 1], mu[:, :, 0]))
 
     def parameters(self):
         return [self.param]
@@ -320,7 +314,7 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray,
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a (N, input_dim) batch")
-    out = model.encoder.forward(Tensor(x, requires_grad=False))
+    out = model.encoder.forward(Tensor(x))
     v, kl = model._posterior(out, noise, beta, buffers)
     recon = model.decoder.forward(v)
     recon_term = _reconstruction_loss(recon, x)
@@ -341,8 +335,8 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray,
 
 @dataclass
 class AdamState:
-    """First and second moments of a list of parameters, laid end to end in
-    list order, and one block of scratch for adam_step."""
+    """First and second moments of a model's one parameter, and one block of
+    scratch for adam_step."""
 
     m: np.ndarray
     v: np.ndarray
@@ -352,51 +346,49 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params):
-        size = sum(p.data.size for p in params)
+        (param,) = params
+        size = param.data.size
         block = min(ADAM_BLOCK, size)
         return cls(m=np.zeros(size), v=np.zeros(size), update=np.zeros(block),
                    scratch=np.zeros(block))
 
 
 def adam_step(params, state: AdamState, lr: float) -> AdamState:
-    """One bias-corrected Adam update of each parameter's data by its .grad, in place.
+    """One bias-corrected Adam update of the parameter's data by its .grad, in place.
 
-    params is the list the state was made for (a model's parameters(): one
-    Tensor over VaeModel.flat), each data and grad array C-contiguous. A
-    non-finite gradient raises NumericsError before anything changes. Each
-    parameter is updated one block of ADAM_BLOCK elements at a time, so a
-    block's moments, gradient and scratch stay in cache, and no arrays are
-    allocated.
+    params is the one-item list the state was made for (a model's
+    parameters(): one Tensor over VaeModel.flat), its data and grad arrays
+    C-contiguous. A non-finite gradient raises NumericsError before anything
+    changes. The parameter is updated one block of ADAM_BLOCK elements at a
+    time, so a block's moments, gradient and scratch stay in cache, and no
+    arrays are allocated.
     """
-    if not all(all_finite(p.grad) for p in params):
+    (param,) = params
+    if not all_finite(param.grad):
         raise NumericsError("non-finite gradient")
     state.step += 1
     t = state.step
-    offset = 0  # of each parameter's moments in m and v
-    for p in params:
-        data, grad = p.data.reshape(-1), p.grad.reshape(-1)
-        p_m, p_v = (u[offset : offset + data.size] for u in (state.m, state.v))
-        for lo in range(0, data.size, ADAM_BLOCK):
-            block = slice(lo, lo + ADAM_BLOCK)  # the last one stops at the end
-            g, m, v = grad[block], p_m[block], p_v[block]
-            m_hat, s = state.update[: g.size], state.scratch[: g.size]
-            # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-            m *= ADAM_BETA1
-            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-            m += s
-            v *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=s)
-            s *= g
-            v += s
-            # update = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-            np.divide(m, 1.0 - ADAM_BETA1**t, out=m_hat)
-            np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
-            np.sqrt(s, out=s)
-            s += ADAM_EPS
-            m_hat *= lr
-            m_hat /= s
-            data[block] -= m_hat
-        offset += data.size
+    data, grad = param.data.reshape(-1), param.grad.reshape(-1)
+    for lo in range(0, data.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)  # the last one stops at the end
+        g, m, v = grad[block], state.m[block], state.v[block]
+        m_hat, s = state.update[: g.size], state.scratch[: g.size]
+        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        m += s
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+        s *= g
+        v += s
+        # update = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=m_hat)
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        m_hat *= lr
+        m_hat /= s
+        data[block] -= m_hat
     return state
 
 
@@ -540,7 +532,6 @@ def train(config: TrainConfig, samples: np.ndarray):
     train_loss = []
     val_mse = []
     best_epoch = 0
-    best_snapshot = model.snapshot()
     n_train = train_rows.size
     for epoch in range(config.epochs):
         rows = train_rows[shuffle_rng.permutation(n_train)]
@@ -556,7 +547,7 @@ def train(config: TrainConfig, samples: np.ndarray):
             total += result.loss * batch.shape[0]
         train_loss.append(total / n_train)
         val_mse.append(validation_mse(model, val_x, buffers))
-        if val_mse[epoch] < val_mse[best_epoch] or epoch == 0:
+        if val_mse[epoch] < val_mse[best_epoch] or epoch == 0:  # so best_snapshot is set
             best_epoch = epoch
             best_snapshot = model.snapshot()
 

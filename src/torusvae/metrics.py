@@ -111,18 +111,18 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha, tol: float = 1e-8,
     return W.transpose(0, 2, 1).reshape(lead + shape + (d,))
 
 
-def lasso_cv(X: np.ndarray, y: np.ndarray, seed: int,
+def lasso_cv(X: np.ndarray, Y: np.ndarray, seed: int,
              grid=DEFAULT_ALPHA_GRID, folds: int = 10):
     """Pick alpha by k-fold cross validation, then refit on all rows.
 
     Folds are contiguous blocks of a seeded shuffle, shared by all columns
-    (factors) of an (N, K) y. One lasso_fit pass solves every (fold, alpha,
+    (factors) of an (N, K) Y. One lasso_fit pass solves every (fold, alpha,
     factor) problem, a second refits each factor at its alpha. Ties in mean
     held-out MSE go to the larger (sparser) alpha. Returns (best_alpha,
-    weights): a float and (D,) for a 1-d y, (K,) and (K, D) for an (N, K) y.
+    weights) of shapes (K,) and (K, D).
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     n = X.shape[0]
     if folds < 2:
         raise ConfigError(f"cross validation needs at least 2 folds, got {folds}")
@@ -131,7 +131,6 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, seed: int,
     perm = np.random.default_rng(seed).permutation(n)
     blocks = np.array_split(perm, folds)
     grid = np.asarray(sorted(grid), dtype=float)
-    Y = y.reshape(n, -1)
     W = lasso_fit(X, Y, grid[:, None], folds=[np.delete(np.arange(n), b) for b in blocks])
     mse = np.zeros((grid.size, Y.shape[1]))
     for block, w in zip(blocks, W):  # w: (A, K, D)
@@ -140,10 +139,7 @@ def lasso_cv(X: np.ndarray, y: np.ndarray, seed: int,
     # the index of the largest alpha among those tied at the least error
     best = np.where(mse == mse.min(axis=0), np.arange(grid.size)[:, None], -1).max(axis=0)
     alphas = grid[best]
-    weights = lasso_fit(X, Y, alphas)
-    if y.ndim == 1:
-        return float(alphas[0]), weights[0]
-    return alphas, weights
+    return alphas, lasso_fit(X, Y, alphas)
 
 
 # -- metric formulas --------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Shared test helpers: circular error, circle sampling, finite differences, the lasso
-oracles, crafted checkpoints that loading refuses, and code run in a fresh interpreter, such
-as a CLI command's traced peak memory."""
+"""Shared test helpers: circular error, circle sampling, gradient probes, finite
+differences, the lasso oracles, crafted checkpoints that loading refuses, and code run in a
+fresh interpreter, such as a CLI command's traced peak memory."""
 import itertools
 import os
 import struct
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from torusvae import engine, metrics
-from torusvae.autodiff import Tensor
+from torusvae.autodiff import Tensor, node
 
 
 def circular_error(a, b):
@@ -29,9 +29,19 @@ def sample_circles(mu, logvar, noise):
     model = engine.build_vae(engine.LatentSpec(engine.TORUS, 1), 1, (), np.random.default_rng(0))
     noise = np.reshape(np.asarray(noise, dtype=float), (-1, 1, 2))
     row = np.concatenate([np.asarray(mu, dtype=float), np.asarray(logvar, dtype=float)])
-    out = Tensor(np.tile(row, (noise.shape[0], 1)), requires_grad=False)
+    out = Tensor(np.tile(row, (noise.shape[0], 1)))
     v, _ = model._posterior(out, noise, 0.0)
     return v.data[:, :2]
+
+
+def grad_probe(data):
+    """(a node over a leaf of data, the list its VJP appends its gradient to).
+
+    The tape stores no gradient, so a test that needs the gradient of an
+    input puts this node under it; its VJP ends the walk.
+    """
+    grads = []
+    return node(data, Tensor(data), lambda grad: grads.append(np.array(grad))), grads
 
 
 def finite_diff_grads(f, arrays, h=1e-5):

@@ -166,15 +166,14 @@ def test_criterion_7_identity_pipeline_sanity(criterion):
 
 
 def _train_and_score(mode, dim, seed, dataset, epochs, hidden, input_scale):
+    """DC score of a model trained as `train` does and scored as `evaluate` does."""
     config = engine.TrainConfig(
         mode=mode, latent_dim=dim, beta=1.0, learning_rate=1e-3, batch_size=144,
         epochs=epochs, seed=seed, hidden=hidden, input_scale=input_scale,
     )
-    model, _ = engine.train(config, dataset.samples)
-    _, val_rows = engine.split_rows(seed, dataset.n, config.val_fraction)
-    x = engine.scale_in(dataset.samples[val_rows], input_scale)
-    report = m.run_dci(model.codes(x), dataset.factors[val_rows], split_seed=99).report
-    return report.dc_score
+    model, _ = engine.train(config, dataset.x)
+    settings = cli.MetricsSettings(99, m.DEFAULT_ALPHA_GRID, 10, 0.2, "encoder")
+    return cli._validation_dci(model, dataset, config, settings).report.dc_score
 
 
 def test_criterion_8_torus_beats_euclidean_baseline(criterion):

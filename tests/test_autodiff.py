@@ -3,7 +3,7 @@ import pytest
 
 from torusvae import engine, geometry
 from torusvae.autodiff import Tensor, node
-from helpers import finite_diff_grads, max_relative_error
+from helpers import finite_diff_grads, grad_probe, max_relative_error
 
 
 def sum_of_squares(t):
@@ -25,25 +25,26 @@ def check_vjp(f, vjp, x, rng, tol=1e-6):
 def check_dense_node(specs, x_data, rng, tol=1e-6):
     """The dense node's input and parameter gradients against finite differences.
 
-    Returns the network, its input leaf and its output node after backward
-    from sum(out * out), for exact checks on top.
+    Returns the network, its input node, the input's gradient and its output
+    node after backward from sum(out * out), for exact checks on top.
     """
     size = engine.param_count(specs)
     flat, flat_grad = rng.uniform(-1.0, 1.0, size), np.zeros(size)
     net = engine.DenseNetwork(specs, flat, flat_grad)
-    x = Tensor(x_data)
+    x, grads = grad_probe(x_data)
     out = net.forward(x)
     assert out.parent is x
     sum_of_squares(out).backward()
-    analytic = [x.grad.copy(), flat_grad.copy()]
+    (x_grad,) = grads
+    analytic = [x_grad, flat_grad.copy()]
 
     def value():
-        return float(np.sum(net.forward(Tensor(x.data, requires_grad=False)).data ** 2))
+        return float(np.sum(net.forward(Tensor(x.data)).data ** 2))
 
     numeric = finite_diff_grads(value, [x.data, flat])
     for a, n in zip(analytic, numeric):
         assert max_relative_error(a, n) < tol
-    return net, x, out
+    return net, x, x_grad, out
 
 
 def test_dense_node_matches_finite_differences(rng):
@@ -56,16 +57,17 @@ def test_dense_node_matches_finite_differences(rng):
 def test_add_broadcast(rng):
     # the bias is added to every row of the batch, so its gradient is the
     # output cotangent summed over the rows
-    net, _, out = check_dense_node([(4, 3, "identity")], rng.standard_normal((5, 4)), rng)
+    net, _, _, out = check_dense_node([(4, 3, "identity")], rng.standard_normal((5, 4)), rng)
     assert np.allclose(net.bias_grads[0], (2.0 * out.data).sum(axis=0))
 
 
 def test_matmul(rng):
     # the layer's x @ w: the weight gradient is x.T @ g and the input's g @ w.T
-    net, x, out = check_dense_node([(4, 3, "identity")], rng.standard_normal((5, 4)), rng)
+    net, x, x_grad, out = check_dense_node([(4, 3, "identity")], rng.standard_normal((5, 4)),
+                                           rng)
     g = 2.0 * out.data
     assert np.allclose(net.weight_grads[0], x.data.T @ g)
-    assert np.allclose(x.grad, g @ net.weights[0].T)
+    assert np.allclose(x_grad, g @ net.weights[0].T)
 
 
 def test_tanh_relu(rng):
@@ -79,30 +81,32 @@ def test_backward_requires_scalar(rng):
 
 
 def test_constant_leaf_gets_no_gradient(rng):
-    # the dense node still fills its parameter gradients but returns none
-    # for a constant input, and a hand-written node's gradient for a
-    # constant parent is not stored
+    # over a leaf, such as the batch, the dense node still fills its
+    # parameter gradients but computes no input gradient, and backward
+    # stores a gradient on no tensor
     specs = [(3, 2, "relu")]
     size = engine.param_count(specs)
     net = engine.DenseNetwork(specs, rng.standard_normal(size), np.zeros(size))
-    c = Tensor(rng.standard_normal((4, 3)), requires_grad=False)
+    c = Tensor(rng.standard_normal((4, 3)))
     out = net.forward(c)
-    sum_of_squares(out).backward()
-    assert c.grad is None and out.grad is None
+    assert out.vjp(2.0 * out.data) is None
     expected = c.data.T @ (2.0 * out.data * (out.data > 0.0))
     assert np.array_equal(net.weight_grads[0], expected)
-
-    d = Tensor(rng.standard_normal(3), requires_grad=False)
-    sum_of_squares(d).backward()
-    assert d.grad is None
+    net.weight_grads[0][...] = 0.0
+    sum_of_squares(out).backward()
+    assert np.array_equal(net.weight_grads[0], expected)
+    assert c.grad is None and out.grad is None
 
 
 def test_node_of_constants_only_gets_no_gradient(rng):
-    # a node computed from a constant alone stores no gradient, nor does its
-    # parent; a VJP returning None for it ends the walk before the nodes below
-    c = Tensor(rng.standard_normal(3), requires_grad=False)
-    custom = node(c.data * 2.0, c, lambda grad: grad * 2.0)
+    # backward runs a leaf's node's VJP once and stores what it returns
+    # nowhere, on the node or the leaf; a VJP returning None ends the walk
+    # before the nodes below
+    c = Tensor(rng.standard_normal(3))
+    seen = []
+    custom = node(c.data * 2.0, c, lambda grad: seen.append(grad) or grad * 2.0)
     sum_of_squares(custom).backward()
+    assert len(seen) == 1 and np.array_equal(seen[0], 2.0 * custom.data)
     assert custom.grad is None and c.grad is None
 
     below = []
@@ -133,7 +137,7 @@ def test_embed_vjp(d, rng):
 
 def posterior_value(model, out, noise, beta, w):
     """<w, decoder input> + beta * KL of encoder output rows out."""
-    v, kl = model._posterior(Tensor(out, requires_grad=False), noise, beta)
+    v, kl = model._posterior(Tensor(out), noise, beta)
     return float(np.sum(w * v.data)) + beta * kl
 
 
@@ -147,19 +151,19 @@ def test_diamond_slice_and_whole(rng):
         noise = rng.standard_normal(engine._noise_shape(latent, 3))
         w = rng.standard_normal((3, latent.decoder_in_dim))
         for beta in (0.0, 0.7):
-            leaf = Tensor(out)
-            v, _ = model._posterior(leaf, noise, beta)
+            probe, grads = grad_probe(out)
+            v, _ = model._posterior(probe, noise, beta)
             node(np.sum(w * v.data), v, lambda grad: grad * w).backward()
             numeric = finite_diff_grads(
                 lambda: posterior_value(model, out, noise, beta, w), [out])[0]
-            assert max_relative_error(leaf.grad, numeric) < 1e-6
+            assert max_relative_error(grads[0], numeric) < 1e-6
 
 
 def test_reconstruction_loss_node(rng):
     x = rng.standard_normal((4, 5))
     recon = rng.standard_normal((4, 5))
-    leaf = Tensor(recon)
-    engine._reconstruction_loss(leaf, x).backward()
+    probe, grads = grad_probe(recon)
+    engine._reconstruction_loss(probe, x).backward()
     numeric = finite_diff_grads(
         lambda: float(engine._reconstruction_loss(Tensor(recon), x).data), [recon])[0]
-    assert max_relative_error(leaf.grad, numeric) < 1e-6
+    assert max_relative_error(grads[0], numeric) < 1e-6

@@ -805,7 +805,7 @@ class TestExitCodes:
         nothing, not even into the working directory."""
         self._rejects_path_value(tmp_path, capsys, monkeypatch, command, where, value)
 
-    @pytest.mark.parametrize("value", [".", "..", "sub/..", "sub/"])
+    @pytest.mark.parametrize("value", [".", "..", "sub/..", "sub/", "made_dir"])
     @pytest.mark.parametrize("command,where", [
         ("generate", ("dataset", "path")),
         ("train", ("model", "checkpoint")),
@@ -816,9 +816,21 @@ class TestExitCodes:
     def test_file_path_that_names_a_directory_exits_1(self, tmp_path, capsys, monkeypatch,
                                                       command, where, value):
         """A file-valued path whose last part is "." or ".." would name out_dir
-        or a directory above it, and a trailing slash names a directory too,
-        so each is rejected like any other bad path."""
+        or a directory above it, a trailing slash names a directory too, and
+        so does made_dir, a directory that exists in out_dir; each is rejected
+        like any other bad path, not once the work is done and its output
+        cannot be renamed into place."""
+        (tmp_path / "out" / "made_dir").mkdir(parents=True)
         self._rejects_path_value(tmp_path, capsys, monkeypatch, command, where, value)
+
+    @pytest.mark.parametrize("value", ["model.tdvae", "dci_report.json",
+                                       "sub/../dci_report.json"])
+    def test_heatmap_dir_that_names_a_file_exits_1(self, tmp_path, capsys, monkeypatch, value):
+        """metrics.heatmap_dir names a directory: an existing file (the
+        checkpoint) or the metrics.report file, which evaluate writes first,
+        exits 1 before anything loads, so the report is not replaced."""
+        self._rejects_path_value(tmp_path, capsys, monkeypatch, "evaluate",
+                                 ("metrics", "heatmap_dir"), value)
 
     def _rejects_path_value(self, tmp_path, capsys, monkeypatch, command, where, value):
         monkeypatch.chdir(tmp_path)

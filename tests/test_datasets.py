@@ -242,7 +242,7 @@ def oracle_save(dataset, path):
     records = np.empty(dataset.n, dtype=[("z", "<f8", (dataset.spec.k,)),
                                          ("x", "<f4", (pixels,))])
     records["z"] = dataset.factors
-    records["x"] = dataset.samples
+    records["x"] = dataset.x
     with open(path, "wb") as fh:
         fh.write(ds.DATASET_MAGIC)
         fh.write(struct.pack("<IIIII", dataset.n, dataset.width, dataset.height,
@@ -317,7 +317,7 @@ class TestSyntheticMap:
     def test_deterministic(self):
         a = ds.make_synthetic_dataset(3, 100, seed=21)
         b = ds.make_synthetic_dataset(3, 100, seed=21)
-        assert np.array_equal(a.samples, b.samples) and np.array_equal(a.factors, b.factors)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.factors, b.factors)
 
     def test_angular_periodicity_of_features(self):
         spec = ds.synthetic_spec(4)
@@ -335,7 +335,7 @@ class TestSyntheticMap:
 
     def test_mutual_distinctness(self, rng):
         data = ds.make_synthetic_dataset(3, 2000, seed=21)
-        x, z, spec = data.samples, data.factors, data.spec
+        x, z, spec = data.x, data.factors, data.spec
         pairs = rng.integers(0, 2000, size=(3000, 2))
         hits = total = 0
         for i, j in pairs:
@@ -353,7 +353,7 @@ class TestSyntheticMap:
         assert hits / total >= 0.99
 
     def test_sample_range_fits_decoder(self):
-        x = ds.make_synthetic_dataset(5, 500, seed=9).samples
+        x = ds.make_synthetic_dataset(5, 500, seed=9).x
         assert np.all(np.abs(x) < 1.0)
 
     def test_k_bounds(self):
@@ -361,8 +361,8 @@ class TestSyntheticMap:
             ds.make_synthetic_dataset(9, 10, seed=1)
 
     def test_noise_is_seeded(self):
-        xa = ds.make_synthetic_dataset(2, 50, seed=4, noise_sigma=0.1).samples
-        xb = ds.make_synthetic_dataset(2, 50, seed=4, noise_sigma=0.1).samples
+        xa = ds.make_synthetic_dataset(2, 50, seed=4, noise_sigma=0.1).x
+        xb = ds.make_synthetic_dataset(2, 50, seed=4, noise_sigma=0.1).x
         assert np.array_equal(xa, xb)
 
 
@@ -372,7 +372,7 @@ class TestDatasetIo:
         path = tmp_path / "data.tdds"
         ds.save_dataset(data, path)
         loaded = ds.load_dataset(path)
-        assert np.array_equal(data.samples.astype("<f4"), loaded.samples.astype("<f4"))
+        assert np.array_equal(data.x.astype("<f4"), loaded.x.astype("<f4"))
         assert np.array_equal(data.factors, loaded.factors)
         assert loaded.spec == data.spec
         ds.save_dataset(loaded, tmp_path / "again.tdds")
@@ -427,7 +427,7 @@ class TestDatasetIo:
         import tracemalloc
 
         data = ds.shapes_source(200, seed=4, width=32, height=32).render()
-        payload = data.n * (8 * data.spec.k + 4 * data.samples.shape[1])
+        payload = data.n * (8 * data.spec.k + 4 * data.x.shape[1])
         path = tmp_path / "data.tdds"
         tracemalloc.start()
         try:
@@ -465,7 +465,7 @@ class TestDatasetIo:
         blob = bytearray(path.read_bytes())
         # width = height = channels = 65535: a record of about 1.1 PB
         struct.pack_into("<IIII", blob, 5, n, 65535, 65535, 65535)
-        path.write_bytes(bytes(blob[: len(blob) - (8 * 2 + 4 * data.samples.shape[1])]))
+        path.write_bytes(bytes(blob[: len(blob) - (8 * 2 + 4 * data.x.shape[1])]))
         tracemalloc.start()
         try:
             with pytest.raises(FormatError):

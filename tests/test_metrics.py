@@ -86,7 +86,7 @@ class TestLassoCv:
         X, _ = m.standardize_columns(rng.standard_normal((100, 5)))
         w_true = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
         y = X @ w_true
-        alpha, w = m.lasso_cv(X, y, seed=3)
+        (alpha,), (w,) = m.lasso_cv(X, y[:, None], seed=3)
         assert alpha == 1e-6
         assert np.abs(w - w_true).max() < 1e-3
 
@@ -94,23 +94,24 @@ class TestLassoCv:
         X, _ = m.standardize_columns(rng.standard_normal((100, 5)))
         y = rng.standard_normal(100)
         y = (y - y.mean()) / y.std()
-        _, w = m.lasso_cv(X, y, seed=7)
+        _, w = m.lasso_cv(X, y[:, None], seed=7)
         assert np.abs(w).sum() < 0.1
 
     def test_deterministic_given_seed(self, rng):
         X, _ = m.standardize_columns(rng.standard_normal((60, 4)))
-        y = rng.standard_normal(60)
-        assert m.lasso_cv(X, y, seed=11)[0] == m.lasso_cv(X, y, seed=11)[0]
+        y = rng.standard_normal((60, 1))
+        assert np.array_equal(m.lasso_cv(X, y, seed=11)[0], m.lasso_cv(X, y, seed=11)[0])
         assert np.array_equal(m.lasso_cv(X, y, seed=11)[1], m.lasso_cv(X, y, seed=11)[1])
 
     def test_too_few_rows(self, rng):
         with pytest.raises(ConfigError):
-            m.lasso_cv(rng.standard_normal((6, 2)), rng.standard_normal(6), seed=1, folds=10)
+            m.lasso_cv(rng.standard_normal((6, 2)), rng.standard_normal((6, 1)), seed=1, folds=10)
 
     @pytest.mark.parametrize("folds", [0, 1])
     def test_fewer_than_two_folds_rejected(self, rng, folds):
         with pytest.raises(ConfigError, match="2 folds"):
-            m.lasso_cv(rng.standard_normal((20, 2)), rng.standard_normal(20), seed=1, folds=folds)
+            m.lasso_cv(rng.standard_normal((20, 2)), rng.standard_normal((20, 1)), seed=1,
+                       folds=folds)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(20, 60), d=st.integers(1, 5), k=st.integers(2, 3),

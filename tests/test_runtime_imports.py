@@ -1,7 +1,10 @@
 """The runtime depends on numpy alone: importing every torusvae module in a
 fresh interpreter loads nothing outside numpy and the standard library. No
-module reaches past numpy to the C allocator."""
+module reaches past numpy to the C allocator, and every definition is used
+by the program itself."""
+import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import torusvae
@@ -35,3 +38,43 @@ def test_no_module_tunes_the_allocator():
         text = path.read_text(encoding="utf-8")
         for word in ("ctypes", "MALLOC_", "mallopt"):
             assert word not in text, f"{path.name} mentions {word}"
+
+
+# Definitions that only callers outside src/ reach: the criterion-2 angle
+# recovery, the in-memory 2dshapes render, and the hook argparse calls.
+OUTSIDE_CALLERS = {"recover_angles_batch", "ShapesSource.render", "_Parser.error"}
+
+
+def _references(tree, bare=True) -> Counter:
+    """Each name that tree reads as an attribute and, if bare, as a bare name."""
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute)
+                   or bare and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def _definitions(tree, prefix="", in_class=False):
+    """(qualified name, node, whether it is a method) of every function, class
+    and method in tree."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child, in_class
+            yield from _definitions(child, f"{prefix}{child.name}.",
+                                    isinstance(child, ast.ClassDef))
+        else:
+            yield from _definitions(child, prefix, in_class)
+
+
+def test_every_definition_is_referenced_elsewhere_in_src():
+    """A function, class or method that no other code in src/ names is
+    reached only from tests; it goes, or its tests move to the path the
+    commands run. A method counts only as an attribute (a local variable of
+    its name does not reach it), and dunders are called by Python itself."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(torusvae.__file__).parent.glob("*.py"))]
+    names = {bare: sum((_references(tree, bare) for tree in trees), Counter())
+             for bare in (True, False)}
+    unused = sorted(
+        qualname for tree in trees for qualname, node, method in _definitions(tree)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and names[not method][node.name] == _references(node, not method)[node.name])
+    assert unused == sorted(OUTSIDE_CALLERS)
