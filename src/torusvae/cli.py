@@ -6,9 +6,9 @@ config through errors.json_value before it loads or computes anything, so a
 bad value exits 1 having done no work; each input file is loaded once per
 command (sweep's cells share one loaded dataset). Every output goes through
 errors.write_files (staged in a temp directory, then renamed into place), so
-an interruption never leaves a truncated file. One parser reads the command
-line: a flag may come before or after the command, the last of a repeated
-flag wins, and main refuses --circle and --steps for any command but traverse.
+an interruption never leaves a truncated file; _Paths checks every path a
+command reads or writes before that. One parser reads the command line: a
+flag may come before or after the command, and the last of a repeated one wins.
 """
 from __future__ import annotations
 
@@ -57,24 +57,45 @@ def _section(config: dict, name: str) -> dict:
     return config[name]
 
 
-def _out_dir(config: dict, args) -> Path:
-    """The output directory; the writers create it, so a rejected config leaves none."""
-    if args.out:
-        return Path(args.out)
-    return Path(json_value(config, "out_dir", "", str, "."))
+class _Paths:
+    """The paths one command reads and writes, each checked as it is read: taken
+    relative to --out, else out_dir, unless absolute, a file path names no
+    directory and a directory path no file, the nearest existing ancestor of
+    either is a directory, and no two are one path. check_inputs, once every
+    config value is read, requires each input to be an existing file."""
+
+    def __init__(self, config: dict, args):
+        self.config, self.seen, self.inputs = config, {}, []
+        value = args.out or json_value(config, "out_dir", "", str, ".")
+        self.out_dir = _checked_path("--out" if args.out else "out_dir", value, Path(value), True)
+
+    def get(self, section, key, default, directory=False, made_by="", suffix="") -> Path:
+        """section.key (or default) plus suffix, checked; made_by writes an input."""
+        name = f"{section}.{key}"
+        value = json_value(_section(self.config, section), key, section, str, default) + suffix
+        path = _checked_path(name, value, self.out_dir / value, directory)
+        other = self.seen.setdefault(path.resolve(), name)  # the key that named it first
+        if other != name:
+            raise ConfigError(f"{name} and {other} name the same path {path}")
+        self.inputs += [(path, made_by)] if made_by else []
+        return path
+
+    def check_inputs(self) -> None:
+        for path, made_by in self.inputs:
+            if not path.is_file():
+                raise ConfigError(f"input file not found: {path} (run {made_by} first)")
 
 
-def _path(out_dir: Path, block: dict, key: str, where: str, default: str) -> Path:
-    """A file-valued path of block: relative to out_dir unless it is absolute.
-
-    It must name a file: a trailing slash or a last part of "", "." or ".."
-    names a directory (out_dir itself for "." or "sub/..", the root for "/"),
-    and so does a path where a directory exists.
-    """
-    value = json_value(block, key, where, str, default)
-    if value.endswith("/") or Path(value).name in ("", ".", "..") or (out_dir / value).is_dir():
-        raise ConfigError(f"{where}.{key} must name a file, got {value!r}")
-    return out_dir / value
+def _checked_path(name: str, value: str, path: Path, directory: bool) -> Path:
+    if directory and path.exists() and not path.is_dir():
+        raise ConfigError(f"{name} must name a directory, not the file {path}")
+    if not directory and (value.endswith("/") or Path(value).name in ("", ".", "..")
+                          or path.is_dir()):
+        raise ConfigError(f"{name} must name a file, not the directory {path}")
+    ancestor = next((p for p in path.parents if p.exists()), path)
+    if not ancestor.is_dir():
+        raise ConfigError(f"{name} names {path}, under the file {ancestor}")
+    return path
 
 
 def _json_writer(obj):
@@ -114,25 +135,6 @@ def _image_size(block: dict) -> tuple:
         raise ConfigError(f"dataset.width x dataset.height = {width}x{height} makes "
                           f"records larger than {limit} bytes")
     return width, height
-
-
-def _dataset_path(config: dict, out_dir: Path) -> Path:
-    return _path(out_dir, _section(config, "dataset"), "path", "dataset", "dataset.tdds")
-
-
-def _checkpoint_path(config: dict, out_dir: Path) -> Path:
-    return _path(out_dir, _section(config, "model"), "checkpoint", "model", "model.tdvae")
-
-
-def _input_file(path: Path, writer: str) -> Path:
-    """path, if it is a regular file; writer names the command that makes it."""
-    if not path.is_file():
-        raise ConfigError(f"input file not found: {path} (run {writer} first)")
-    return path
-
-
-def _load_dataset(path: Path) -> datasets.Dataset:
-    return datasets.load_dataset(_input_file(path, "generate"))
 
 
 def _train_config(config: dict, beta=None, latent_dim=None) -> engine.TrainConfig:
@@ -196,24 +198,27 @@ def _metrics_settings(config: dict) -> MetricsSettings:
 
 
 def cmd_generate(config: dict, args) -> int:
-    path = _dataset_path(config, _out_dir(config, args))
+    paths = _Paths(config, args)
+    path = paths.get("dataset", "path", "dataset.tdds")
+    sidecar = paths.get("dataset", "path", "dataset.tdds", suffix=".json")
     dataset = _build_dataset(_section(config, "dataset"))
     write_files(path.parent, {
         path.name: lambda tmp: datasets.save_dataset(dataset, tmp),
-        path.name + ".json": _json_writer(json.loads(dataset.spec.to_json())),
+        sidecar.name: _json_writer(json.loads(dataset.spec.to_json())),
     })
     print(f"wrote {dataset.n} records to {path}")
     return EXIT_OK
 
 
 def cmd_train(config: dict, args) -> int:
-    out_dir = _out_dir(config, args)
+    paths = _Paths(config, args)
     train_config = _train_config(config)
-    dataset_path = _dataset_path(config, out_dir)
-    checkpoint_path = _checkpoint_path(config, out_dir)
-    report_path = _path(out_dir, config["model"], "report", "model", "train_report.json")
+    dataset_path = paths.get("dataset", "path", "dataset.tdds", made_by="generate")
+    checkpoint_path = paths.get("model", "checkpoint", "model.tdvae")
+    report_path = paths.get("model", "report", "train_report.json")
+    paths.check_inputs()
 
-    model, report = engine.train(train_config, _load_dataset(dataset_path).x)
+    model, report = engine.train(train_config, datasets.load_dataset(dataset_path).x)
     write_files(checkpoint_path.parent,
                 {checkpoint_path.name: lambda tmp: engine.save_checkpoint(model, tmp)})
     write_files(report_path.parent,
@@ -240,20 +245,17 @@ def _validation_dci(model, dataset, train_config: engine.TrainConfig,
 
 
 def cmd_evaluate(config: dict, args) -> int:
-    out_dir = _out_dir(config, args)
+    paths = _Paths(config, args)
     train_config = _train_config(config)
     settings = _metrics_settings(config)
-    dataset_path = _dataset_path(config, out_dir)
-    checkpoint_path = _checkpoint_path(config, out_dir)
-    report_path = _path(out_dir, config["metrics"], "report", "metrics", "dci_report.json")
-    heatmap_dir = out_dir / json_value(config["metrics"], "heatmap_dir", "metrics", str,
-                                       "heatmaps")  # may name out_dir itself
-    if (heatmap_dir.resolve() == report_path.resolve()
-            or heatmap_dir.exists() and not heatmap_dir.is_dir()):
-        raise ConfigError(f"metrics.heatmap_dir must name a directory, not the file {heatmap_dir}")
+    dataset_path = paths.get("dataset", "path", "dataset.tdds", made_by="generate")
+    checkpoint_path = paths.get("model", "checkpoint", "model.tdvae", made_by="train")
+    report_path = paths.get("metrics", "report", "dci_report.json")
+    heatmap_dir = paths.get("metrics", "heatmap_dir", "heatmaps", directory=True)
+    paths.check_inputs()
 
-    dataset = _load_dataset(dataset_path)
-    model = engine.load_checkpoint(_input_file(checkpoint_path, "train"))
+    dataset = datasets.load_dataset(dataset_path)
+    model = engine.load_checkpoint(checkpoint_path)
     if model.input_dim != dataset.x.shape[1]:
         raise ConfigError(
             f"checkpoint expects {model.input_dim}-dim samples, "
@@ -284,16 +286,18 @@ def cmd_sweep(config: dict, args) -> int:
     before the first cell starts, so a bad value or a bad dataset file is a
     validation error; a cell that fails at run time becomes an error row.
     """
-    out_dir = _out_dir(config, args)
+    paths = _Paths(config, args)
     sweep_block = _section(config, "sweep")
     betas = json_value(sweep_block, "betas", "sweep", [float], (0.0, 1.0, 3.0, 6.0, 9.0), lo=0.0)
     dims = json_value(sweep_block, "dims", "sweep", [int], (4, 5, 6, 8), lo=1)
     if not betas or not dims:
         raise ConfigError("sweep grids must be non-empty")
-    csv_path = _path(out_dir, sweep_block, "csv", "sweep", "sweep.csv")
+    csv_path = paths.get("sweep", "csv", "sweep.csv")
     settings = _metrics_settings(config)
     cells = [_train_config(config, beta=beta, latent_dim=dim) for beta in betas for dim in dims]
-    dataset = _load_dataset(_dataset_path(config, out_dir))
+    dataset_path = paths.get("dataset", "path", "dataset.tdds", made_by="generate")
+    paths.check_inputs()
+    dataset = datasets.load_dataset(dataset_path)
     jobs = [(cell, settings) for cell in cells]
     # A pool forks all of its workers at once, so it never gets more than there are cells.
     workers = min(args.workers, len(jobs))
@@ -358,27 +362,27 @@ def _sweep_cell(job):
 
 
 def cmd_traverse(config: dict, args) -> int:
-    out_dir = _out_dir(config, args)
-    block = dict(_section(config, "traverse") if "traverse" in config else {})
-    flags = {"circle": args.circle, "steps": args.steps}  # a flag wins over the config
-    block.update((key, value) for key, value in flags.items() if value is not None)
+    config = {"traverse": {}, **config}  # every traverse key has a default
+    paths = _Paths(config, args)
+    block = _section(config, "traverse")
     circle = json_value(block, "circle", "traverse", int, 0, lo=0)
     # Frame names sort in step order up to {step:03d} = 999, and write_files
     # holds one writer per frame, so the count is bounded above.
     steps = json_value(block, "steps", "traverse", int, 12, lo=1, hi=1000)
     anchor = json_value(block, "anchor", "traverse", [float], None)
-    prefix = json_value(block, "prefix", "traverse", str, "traverse")
+    stem = paths.get("traverse", "prefix", "traverse", suffix="_")
     if json_value(_section(config, "dataset"), "kind", "dataset", str) != "2dshapes":
         raise ConfigError("traverse writes PPM frames and needs an image dataset (2dshapes)")
     width, height = _image_size(config["dataset"])
-    checkpoint_path = _checkpoint_path(config, out_dir)
+    checkpoint_path = paths.get("model", "checkpoint", "model.tdvae", made_by="train")
+    paths.check_inputs()
 
-    model = engine.load_checkpoint(_input_file(checkpoint_path, "train"))
+    model = engine.load_checkpoint(checkpoint_path)
     if model.latent.mode != engine.TORUS:
         raise ConfigError("traverse needs a circle-latent checkpoint")
     d = model.latent.dim
     if circle >= d:
-        raise ConfigError(f"circle index {circle} out of range for {d} circles")
+        raise ConfigError(f"traverse.circle index {circle} out of range for {d} circles")
     anchor = np.zeros(d) if anchor is None else np.array(anchor)
     if anchor.shape != (d,):
         raise ConfigError(f"anchor must list {d} angles")
@@ -394,10 +398,9 @@ def cmd_traverse(config: dict, args) -> int:
         sample = engine.scale_out(engine.generate(model, angles), model.input_scale)
         datasets.write_ppm(sample.reshape(height, width, 3), tmp)
 
-    stem = out_dir / f"{prefix}_"  # a prefix may name a subdirectory of out_dir
     write_files(stem.parent, {f"{stem.name}{step:03d}.ppm": functools.partial(write_frame, step)
                               for step in range(steps)})
-    print(f"wrote {steps} frames to {out_dir}/{prefix}_*.ppm")
+    print(f"wrote {steps} frames to {stem}*.ppm")
     return EXIT_OK
 
 
@@ -428,16 +431,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--workers", type=int, default=1, help="parallel sweep cells")
-    parser.add_argument("--circle", type=int, help="traverse: circle index to sweep")
-    parser.add_argument("--steps", type=int, help="traverse: number of frames")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command != "traverse" and (args.circle, args.steps) != (None, None):
-            raise ConfigError("--circle and --steps are traverse options")
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         config = load_config(args.config)

@@ -288,15 +288,24 @@ class TestEvaluate:
 
 
 class TestTraverse:
-    def test_frames_written(self, tmp_path):
+    def test_frames_written(self, tmp_path, capsys):
+        """The frames are <prefix>_<step>.ppm, and the message names where they
+        are, also for an absolute prefix, which does not lie under out_dir."""
         config = trained_2dshapes(tmp_path)
-        assert run("traverse", "--config", str(config)) == 0
-        frames = sorted((tmp_path / "out").glob("strip_*.ppm"))
-        assert len(frames) == 5
-        for frame in frames:
-            blob = frame.read_bytes()
-            assert blob.startswith(b"P6\n8 8\n255\n")
-            assert len(blob) == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
+        cfg = json.loads(config.read_text())
+        for prefix, stem in (("strip", tmp_path / "out" / "strip_"),
+                             (str(tmp_path / "abs" / "p"), tmp_path / "abs" / "p_")):
+            cfg["traverse"]["prefix"] = prefix
+            write_config(tmp_path, cfg)
+            capsys.readouterr()
+            assert run("traverse", "--config", str(config)) == 0
+            assert capsys.readouterr().out == f"wrote 5 frames to {stem}*.ppm\n"
+            frames = sorted(stem.parent.glob(f"{stem.name}*.ppm"))
+            assert len(frames) == 5
+            for frame in frames:
+                blob = frame.read_bytes()
+                assert blob.startswith(b"P6\n8 8\n255\n")
+                assert len(blob) == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
 
     def test_full_turn_matches_step_zero(self, tmp_path):
         config = trained_2dshapes(tmp_path)
@@ -309,9 +318,14 @@ class TestTraverse:
         run("traverse", "--config", str(moved))
         assert (tmp_path / "out" / "strip_000.ppm").read_bytes() == first
 
-    def test_circle_index_validated(self, tmp_path):
+    def test_circle_index_validated(self, tmp_path, capsys):
         config = trained_2dshapes(tmp_path)
-        assert run("traverse", "--config", str(config), "--circle", "9") == 1
+        cfg = json.loads(config.read_text())
+        cfg["traverse"]["circle"] = 9
+        write_config(tmp_path, cfg)
+        capsys.readouterr()
+        assert run("traverse", "--config", str(config)) == 1
+        assert "traverse.circle index 9 out of range for 2 circles" in capsys.readouterr().err
 
     def test_synthetic_checkpoint_rejected(self, tmp_path):
         config = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -320,9 +334,8 @@ class TestTraverse:
         assert run("traverse", "--config", str(config)) == 1
 
     @pytest.mark.parametrize("steps", [1000, 1001])
-    @pytest.mark.parametrize("from_flag", [False, True])
     def test_steps_bounded_before_the_checkpoint_loads(self, tmp_path, capsys, monkeypatch,
-                                                       steps, from_flag):
+                                                       steps):
         """Frame names sort in step order up to 1000 frames; a larger count
         exits 1 before the checkpoint is loaded."""
         class Reached(BaseException):
@@ -332,19 +345,17 @@ class TestTraverse:
             raise Reached
 
         cfg = base_config(tmp_path / "out", kind="2dshapes")
-        flags = ("--steps", str(steps)) if from_flag else ()
-        if not from_flag:
-            cfg["traverse"]["steps"] = steps
+        cfg["traverse"]["steps"] = steps
         config = write_config(tmp_path, cfg)
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "model.tdvae").write_bytes(b"")
         monkeypatch.setattr(engine, "load_checkpoint", sentinel)
         if steps > 1000:
-            assert run("traverse", "--config", str(config), *flags) == 1
+            assert run("traverse", "--config", str(config)) == 1
             assert "traverse.steps" in capsys.readouterr().err
         else:
             with pytest.raises(Reached):
-                run("traverse", "--config", str(config), *flags)
+                run("traverse", "--config", str(config))
 
 
 class TestSweep:
@@ -500,7 +511,8 @@ class TestParser:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_one_parser_for_every_command(self, tmp_path, capsys, monkeypatch, command):
         """Shared flags parse the same on either side of the command, the later
-        of a repeated flag wins, and --circle/--steps are traverse's alone."""
+        of a repeated flag wins, and no command takes --circle or --steps:
+        traverse reads its circle and steps from the config alone."""
         parse = cli._build_parser().parse_args
         flags = ["--config", "c.json", "--out", "o", "--workers", "3"]
         before, after = parse([*flags, command]), parse([command, *flags])
@@ -520,11 +532,8 @@ class TestParser:
         monkeypatch.setitem(cli._COMMANDS, command, (stub, cli._COMMANDS[command][1]))
         config = str(write_config(tmp_path, base_config(tmp_path / "out")))
         for flag in ("--circle", "--steps"):
-            code = run(command, "--config", config, flag, "2")
-            if command == "traverse":
-                assert code == 0 and getattr(reached.pop(), flag[2:]) == 2
-            else:
-                assert code == 1 and flag in capsys.readouterr().err
+            assert run(command, "--config", config, flag, "2") == 1
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert not reached
         assert run(command + "s", "--config", config) == 1
         assert "invalid choice" in capsys.readouterr().err
@@ -832,6 +841,60 @@ class TestExitCodes:
         self._rejects_path_value(tmp_path, capsys, monkeypatch, "evaluate",
                                  ("metrics", "heatmap_dir"), value)
 
+    class Reached(BaseException):
+        """Raised by every stubbed entry point of work; cli.main catches only Exceptions."""
+
+    @pytest.mark.parametrize("command,key,value,made_dir", [
+        # Under an existing file: each of these ran the whole command, then exited 2.
+        ("train", "model.checkpoint", "data.tdds/x", None),
+        ("train", "model.report", "data.tdds/x", None),
+        ("evaluate", "metrics.report", "data.tdds/x", None),
+        ("evaluate", "metrics.heatmap_dir", "data.tdds/x", None),
+        ("sweep", "sweep.csv", "data.tdds/x", None),
+        ("traverse", "traverse.prefix", "data.tdds/t", None),
+        ("generate", "dataset.path", "model.tdvae/d.tdds", None),
+        ("generate", "--out", "model.tdvae", None),
+        ("generate", "--out", "model.tdvae/o", None),
+        ("generate", "dataset.path", "data.tdds", "data.tdds.json"),
+        # The same file as another path: each of these exited 0 with a file lost.
+        ("train", "model.checkpoint", "data.tdds", None),
+        ("train", "model.report", "model.tdvae", None),
+        ("evaluate", "metrics.report", "data.tdds", None),
+        ("evaluate", "metrics.report", "model.tdvae", None),
+        ("sweep", "sweep.csv", "data.tdds", None),
+    ])
+    def test_path_that_clashes_with_a_file_exits_1_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, key, value, made_dir):
+        """A path under an existing file (or --out naming one), a sidecar where
+        a directory is, or a path equal to another path of the command exits 1
+        naming the key, before any work, and the input files keep their bytes."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "data.tdds").write_bytes(b"dataset")
+        (out / "model.tdvae").write_bytes(b"checkpoint")
+        if made_dir:
+            (out / made_dir).mkdir()
+        cfg = base_config(out, kind="2dshapes")
+        flags = ()
+        if key == "--out":
+            flags = ("--out", str(out / value))
+        else:
+            section, name = key.split(".")
+            cfg[section][name] = value
+        config = write_config(tmp_path, cfg)
+
+        def sentinel(*args, **kwargs):
+            raise self.Reached
+
+        for owner, name in self.WORK + [(cli, "write_files")]:
+            monkeypatch.setattr(owner, name, sentinel)
+        capsys.readouterr()
+        assert run(command, "--config", str(config), *flags) == 1
+        err = capsys.readouterr().err
+        assert key in err and (key != "--out" or "out_dir" not in err), err
+        assert (out / "data.tdds").read_bytes() == b"dataset"
+        assert (out / "model.tdvae").read_bytes() == b"checkpoint"
+
     def _rejects_path_value(self, tmp_path, capsys, monkeypatch, command, where, value):
         monkeypatch.chdir(tmp_path)
         cfg = json.loads(trained_2dshapes(tmp_path).read_text())
@@ -923,12 +986,17 @@ class TestExitCodes:
         assert err.count(", 10000000000000, ") == 2  # the encoder's and the decoder's
         assert not (tmp_path / "out" / "model.tdvae").exists()
 
-    def test_runtime_failure_is_two(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file where a directory must go")
-        cfg = base_config(blocker / "out")
-        config = write_config(tmp_path, cfg)
-        assert run("generate", "--config", str(config)) == 2
+    def test_runtime_failure_is_two(self, tmp_path, capsys, monkeypatch):
+        def failing_train(*args):
+            raise RuntimeError("simulated failure")
+
+        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert run("generate", "--config", str(config)) == 0
+        monkeypatch.setattr(engine, "train", failing_train)
+        capsys.readouterr()
+        assert run("train", "--config", str(config)) == 2
+        assert "runtime failure: simulated failure" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.tdvae").exists()
 
 
 class TestDeterminism:

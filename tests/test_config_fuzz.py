@@ -2,12 +2,14 @@
 
 Every case starts from a small valid config of one command and changes one
 value in it: a value of another JSON type, a dropped key, a value nested in
-an object, a huge integer of either sign, or a path of ".", "..", "/" or
-with a trailing slash. The entry points of real work (building, loading and
-writing datasets, training, loading checkpoints, DCI and the staged writer)
-raise a sentinel, so a case must either exit 1 with an error that names the
-changed key or reach the sentinel, having read and accepted its whole
-config. A file-valued path of one of the four forms must be refused. Each
+an object, a huge integer of either sign, or a path of ".", "..", "/", with
+a trailing slash, under an existing file (dataset.tdds/x) or equal to
+another file path of the command. The entry points of real work (building,
+loading and writing datasets, training, loading checkpoints, DCI and the
+staged writer) raise a sentinel, so a case must either exit 1 with an error
+that names the changed key or reach the sentinel, having read and accepted
+its whole config. A file-valued path of one of the first four forms must be
+refused, and so must a file or directory path of one of the last two. Each
 case runs under tracemalloc, and a peak over PEAK_BYTES fails it: no config
 value may size an allocation before the work starts.
 """
@@ -45,15 +47,21 @@ BLOCKS = {
 }
 COMMANDS = {"generate": (), "train": ("model",), "evaluate": ("model", "metrics"),
             "sweep": ("model", "metrics", "sweep"), "traverse": ("model", "traverse")}
-# Every path is relative to out_dir "."; the inputs are at the default names,
-# so dropping either key reads the same file.
-INPUTS = ("dataset.tdds", "model.tdvae")
+# Every path is relative to out_dir ".", where each file of the seed configs
+# exists, as after a first run: the inputs at the default names, so dropping
+# either key reads the same file, and the outputs, so an out_dir equal to any
+# file path names a file.
+FILES = ("dataset.tdds", "model.tdvae", "train_report.json", "dci_report.json", "sweep.csv")
+UNDER_A_FILE = "dataset.tdds/x"
 # The file-valued paths each command reads or writes.
 FILE_KEYS = {"generate": {"dataset.path"},
              "train": {"dataset.path", "model.checkpoint", "model.report"},
              "evaluate": {"dataset.path", "model.checkpoint", "metrics.report"},
              "sweep": {"dataset.path", "sweep.csv"},
              "traverse": {"model.checkpoint"}}
+# The directory-valued paths each command reads.
+DIR_KEYS = {command: {"out_dir"} for command in FILE_KEYS} | {
+    "evaluate": {"out_dir", "metrics.heatmap_dir"}}
 PATH_KEYS = set().union(*FILE_KEYS.values()) | {"out_dir", "metrics.heatmap_dir",
                                                  "traverse.prefix"}
 WORK = [(datasets, "shapes_source"), (datasets, "make_synthetic_dataset"),
@@ -105,7 +113,7 @@ def json_type(value) -> str:
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("configs")
-    for name in INPUTS:
+    for name in FILES:
         (path / name).write_bytes(b"")
     return path
 
@@ -169,7 +177,10 @@ def mutations(draw):
             lambda digits: 10**digits)))
         parent[key] = draw(st.sampled_from([size, -size]))
     else:
-        parent[key] = draw(st.sampled_from([".", "..", "/", old + "/"]))
+        clashes = [UNDER_A_FILE] + [base[section][name] for section, name in (
+            other.split(".") for other in sorted(FILE_KEYS[command] - {key_name(site)}))]
+        parent[key] = draw(st.sampled_from([".", "..", "/", old + "/"] + clashes))
+        kind = "clash" if parent[key] in clashes else "path"
     return command, config, site, kind
 
 
@@ -179,7 +190,8 @@ def test_mutated_config_exits_1_naming_the_key_or_reaches_the_work(case, workdir
     command, config, site, kind = case
     name = key_name(site)
     code, err, reached = attempt(command, config, workdir)
-    if kind == "path" and name in FILE_KEYS[command]:
+    if (kind == "path" and name in FILE_KEYS[command]
+            or kind == "clash" and name in FILE_KEYS[command] | DIR_KEYS[command]):
         assert code == 1 and name in err, (code, err)
     elif not reached:
         assert code == 1, err
