@@ -61,8 +61,8 @@ class _Paths:
     """The paths one command reads and writes, each checked as it is read: taken
     relative to --out, else out_dir, unless absolute, a file path names no
     directory and a directory path no file, the nearest existing ancestor of
-    either is a directory, and no two are one path. check_inputs, once every
-    config value is read, requires each input to be an existing file."""
+    either is a directory, and claim keeps the paths apart. check_inputs, once
+    every config value is read, requires each input to be an existing file."""
 
     def __init__(self, config: dict, args):
         self.config, self.seen, self.inputs = config, {}, []
@@ -74,10 +74,17 @@ class _Paths:
         name = f"{section}.{key}"
         value = json_value(_section(self.config, section), key, section, str, default) + suffix
         path = _checked_path(name, value, self.out_dir / value, directory)
-        other = self.seen.setdefault(path.resolve(), name)  # the key that named it first
-        if other != name:
-            raise ConfigError(f"{name} and {other} name the same path {path}")
         self.inputs += [(path, made_by)] if made_by else []
+        return self.claim(name, path, directory)
+
+    def claim(self, name: str, path: Path, directory: bool) -> Path:
+        """Record path, and its ancestors as directories, under the key name; refuse a
+        path that another key names too, unless both are directories."""
+        real = path.resolve()
+        for part, is_dir in [(real, directory)] + [(parent, True) for parent in real.parents]:
+            other, other_is_dir = self.seen.setdefault(part, (name, is_dir))
+            if other != name and not (is_dir and other_is_dir):
+                raise ConfigError(f"{name} names {path}, which clashes with the path of {other}")
         return path
 
     def check_inputs(self) -> None:
@@ -371,6 +378,8 @@ def cmd_traverse(config: dict, args) -> int:
     steps = json_value(block, "steps", "traverse", int, 12, lo=1, hi=1000)
     anchor = json_value(block, "anchor", "traverse", [float], None)
     stem = paths.get("traverse", "prefix", "traverse", suffix="_")
+    frames = [paths.claim("traverse.prefix", stem.with_name(f"{stem.name}{step:03d}.ppm"), False)
+              for step in range(steps)]
     if json_value(_section(config, "dataset"), "kind", "dataset", str) != "2dshapes":
         raise ConfigError("traverse writes PPM frames and needs an image dataset (2dshapes)")
     width, height = _image_size(config["dataset"])
@@ -398,8 +407,8 @@ def cmd_traverse(config: dict, args) -> int:
         sample = engine.scale_out(engine.generate(model, angles), model.input_scale)
         datasets.write_ppm(sample.reshape(height, width, 3), tmp)
 
-    write_files(stem.parent, {f"{stem.name}{step:03d}.ppm": functools.partial(write_frame, step)
-                              for step in range(steps)})
+    write_files(stem.parent, {frame.name: functools.partial(write_frame, step)
+                              for step, frame in enumerate(frames)})
     print(f"wrote {steps} frames to {stem}*.ppm")
     return EXIT_OK
 

@@ -193,35 +193,35 @@ class VaeModel:
                    buffers: RowBuffers | None = None):
         """(decoder input node, KL) of the encoder output node.
 
-        The node samples mu + e^(logvar/2) * noise and, for circles,
-        normalizes and embeds the sample, building the partial products once
-        for the forward and the VJP. Its VJP also adds beta times the KL
-        gradient, so the encoder output gets one gradient per step. It adds
-        the terms one at a time, the sample's share and then the KL's
-        (gaussian_kl_vjp); reordering them changes trained checkpoint bytes.
+        The node samples mu + e^(logvar/2) * noise from contiguous copies of
+        mu and logvar and, for circles, normalizes and embeds the sample; the
+        forward makes e^logvar, the norms and the partial products once, for
+        itself and the VJP. Its VJP also adds beta times the KL gradient, so
+        the encoder output gets one gradient per step. It adds the terms one
+        at a time, the sample's share and then the KL's (gaussian_kl_vjp);
+        reordering them changes trained checkpoint bytes.
         For circles the decoder input and the products live in buffers
         (fresh ones when none are given; see geometry.RowBuffers), so the
         node's data and VJP hold until the next call on the same buffers.
         """
-        mu, logvar = self._split(out.data)
+        mu, logvar = (np.ascontiguousarray(a) for a in self._split(out.data))
         sigma = np.exp(logvar * 0.5)
-        m_hat = mu + sigma * noise
+        m_hat = v = mu + sigma * noise
+        e = np.exp(logvar)
         torus = self.latent.mode == TORUS
         if torus:
-            v, mt, products = embed_parts(unit_tuples(m_hat), buffers)
-        else:
-            v = m_hat
+            nrm = tuple_norms(m_hat)
+            v, mt, products = embed_parts(m_hat / nrm, buffers)
 
         def backward(grad):
-            g = unit_tuples_vjp(m_hat, embed_vjp(mt, products, grad, buffers)) if torus else grad
-            out_grad = np.zeros_like(out.data)
-            mu_grad, logvar_grad = self._split(out_grad)
-            mu_grad += g
-            logvar_grad += g * noise * sigma * 0.5
-            gaussian_kl_vjp(mu, logvar, beta, mu_grad, logvar_grad)
-            return out_grad
+            g = (unit_tuples_vjp(m_hat, nrm, embed_vjp(mt, products, grad, buffers))
+                 if torus else grad)
+            mu_grad = g + 0.0  # as on a zero fill, -0.0 turns +0.0 (c * e does it for logvar)
+            logvar_grad = g * noise * sigma * 0.5
+            gaussian_kl_vjp(mu, e, beta, mu_grad, logvar_grad)
+            return np.concatenate((mu_grad, logvar_grad), axis=-1).reshape(out.data.shape)
 
-        return node(v, out, backward), gaussian_kl(mu, logvar)
+        return node(v, out, backward), gaussian_kl(mu, logvar, e)
 
     # -- inference ----------------------------------------------------------
 

@@ -37,12 +37,19 @@ def canonical_angle(theta):
     return out if out.ndim else float(out)
 
 
+def _pair_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=2, keepdims=True) of (N, D, 2) x, bit for bit (numpy's sum starts from
+    +0.0), in both places of each pair: no pass runs over 2 elements per pair."""
+    s = 0.0 + x[:, :, :1] + x[:, :, 1:]
+    return np.concatenate((s, s), axis=2)
+
+
 def tuple_norms(raw: np.ndarray) -> np.ndarray:
-    """Norms (N, D, 1) of (N, D, 2) pairs.
+    """Norms of (N, D, 2) pairs, each pair's norm in both of its places (see _pair_sums).
 
     Raises DegenerateInputError naming the rows that hold a zero pair.
     """
-    norm_sq = (raw * raw).sum(axis=2, keepdims=True)
+    norm_sq = _pair_sums(raw * raw)
     zero = norm_sq == 0.0
     if zero.any():
         rows = np.flatnonzero(zero.any(axis=(1, 2)))
@@ -55,13 +62,12 @@ def unit_tuples(raw: np.ndarray) -> np.ndarray:
     return raw / tuple_norms(raw)
 
 
-def unit_tuples_vjp(raw: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Gradient with respect to raw of <grad, unit_tuples(raw)>.
+def unit_tuples_vjp(raw: np.ndarray, nrm: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient with respect to raw of <grad, unit_tuples(raw)>, given nrm = tuple_norms(raw).
 
     The norm's share goes in twice, once per factor of raw * raw.
     """
-    nrm = tuple_norms(raw)
-    share = ((-grad * raw) / (nrm * nrm)).sum(axis=2, keepdims=True) * 0.5 / nrm * raw
+    share = _pair_sums((-grad * raw) / (nrm * nrm)) * 0.5 / nrm * raw
     out = grad / nrm
     out += share
     out += share
@@ -188,29 +194,29 @@ def embed_angles(angles) -> np.ndarray:
     return embed(np.stack([np.cos(angles), np.sin(angles)], axis=2))
 
 
-def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> float:
+def gaussian_kl(mu: np.ndarray, logvar: np.ndarray, e: np.ndarray) -> float:
     """KL divergence of the pre-normalization Gaussians from N(0, 1).
 
-    mu and logvar hold one row per sample; the result is the mean over rows
-    of the sum over every component of 0.5 * (e^logvar + mu^2 - logvar - 1),
-    which is zero exactly when every mu and logvar is zero.
+    mu and logvar hold one row per sample, and e = e^logvar; the result is
+    the mean over rows of the sum over every component of 0.5 * (e + mu^2 -
+    logvar - 1), which is zero exactly when every mu and logvar is zero.
     """
     n = mu.shape[0]
-    return float((np.exp(logvar) + mu * mu - logvar - 1.0).sum() * (0.5 / n))
+    return float((e + mu * mu - logvar - 1.0).sum() * (0.5 / n))
 
 
-def gaussian_kl_vjp(mu: np.ndarray, logvar: np.ndarray, grad: float,
+def gaussian_kl_vjp(mu: np.ndarray, e: np.ndarray, grad: float,
                     mu_grad: np.ndarray, logvar_grad: np.ndarray) -> None:
-    """Add grad times the gradient of gaussian_kl(mu, logvar) to mu_grad and logvar_grad.
+    """Add grad times the gradient of gaussian_kl(mu, logvar, e) to mu_grad and logvar_grad.
 
-    With c = grad * 0.5 / N that is c * (2 mu) and c * (e^logvar - 1), added
-    in place one term at a time (c * mu twice, c * e^logvar, then -c), which
-    fixes the rounding of every gradient bit.
+    With c = grad * 0.5 / N that is c * (2 mu) and c * (e - 1), added in
+    place one term at a time (c * mu twice, c * e, then -c), which fixes the
+    rounding of every gradient bit.
     """
     c = grad * (0.5 / mu.shape[0])
     mu_grad += c * mu  # one term per factor of mu * mu
     mu_grad += c * mu
-    logvar_grad += c * np.exp(logvar)
+    logvar_grad += c * e
     logvar_grad -= c
 
 

@@ -44,6 +44,90 @@ def grad_probe(data):
     return node(data, Tensor(data), lambda grad: grads.append(np.array(grad))), grads
 
 
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
+# The row-major product loop and its VJP over (N, 2**a, 2) arrays, kept as the
+# oracle for the circle-major code: the layouts differ, the bits may not.
+
+
+def oracle_products(m):
+    n, d = m.shape[0], m.shape[1]
+    out = [m[:, 0, :]]
+    for a in range(1, d):
+        out.append((out[-1].reshape(n, -1, 1) * m[:, a, :].reshape(n, 1, 2)).reshape(n, -1))
+    return out
+
+
+def oracle_embed(m):
+    return np.concatenate([oracle_products(m)[-1], m[:, :, 0]], axis=1)
+
+
+def oracle_embed_vjp(m, grad):
+    n, d = m.shape[0], m.shape[1]
+    products = oracle_products(m)
+    out = np.zeros_like(m)
+    gp = grad[:, : 2**d]
+    for a in range(d - 1, 0, -1):
+        gp = gp.reshape(n, -1, 2)
+        out[:, a, :] += (gp * products[a - 1].reshape(n, -1, 1)).sum(axis=1)
+        gp = (gp * m[:, a, :].reshape(n, 1, 2)).sum(axis=2)
+    out[:, 0, :] += gp
+    out[:, :, 0] += grad[:, 2**d :]
+    return out
+
+
+def oracle_posterior(out, mode, noise, beta):
+    """(decoder input, KL, VJP) of encoder rows out, as engine.VaeModel._posterior
+    once computed them: on mu and logvar views of out whose contiguous runs are
+    a circle's 2 values, recomputing the norms and e^logvar in the VJP, and
+    adding every gradient term into a zero-filled array. The reference for the
+    bits of the posterior that works on contiguous copies.
+    """
+    n, d = out.shape[0], noise.shape[1]
+
+    def split(a):
+        if mode == engine.TORUS:
+            blocks = a.reshape(n, d, 4)
+            return blocks[:, :, 0:2], blocks[:, :, 2:4]
+        return a[:, 0:d], a[:, d : 2 * d]
+
+    def norms(raw):
+        return np.sqrt((raw * raw).sum(axis=2, keepdims=True))
+
+    mu, logvar = split(out)
+    sigma = np.exp(logvar * 0.5)
+    m_hat = mu + sigma * noise
+    torus = mode == engine.TORUS
+    m = m_hat / norms(m_hat) if torus else None
+    v = oracle_embed(m) if torus else m_hat
+    kl = float((np.exp(logvar) + mu * mu - logvar - 1.0).sum() * (0.5 / n))
+
+    def vjp(grad):
+        g = grad
+        if torus:
+            g, nrm = oracle_embed_vjp(m, grad), norms(m_hat)
+            share = ((-g * m_hat) / (nrm * nrm)).sum(axis=2, keepdims=True) * 0.5 / nrm * m_hat
+            g = g / nrm
+            g += share
+            g += share
+        out_grad = np.zeros_like(out)
+        mu_grad, logvar_grad = split(out_grad)
+        mu_grad += g
+        logvar_grad += g * noise * sigma * 0.5
+        c = beta * (0.5 / n)
+        mu_grad += c * mu
+        mu_grad += c * mu
+        logvar_grad += c * np.exp(logvar)
+        logvar_grad -= c
+        return out_grad
+
+    return v, kl, vjp
+
+
 def finite_diff_grads(f, arrays, h=1e-5):
     """Central finite differences of scalar f() w.r.t. each array, in place."""
     grads = []

@@ -123,7 +123,8 @@ def test_node_of_constants_only_gets_no_gradient(rng):
 def test_normalization_chain(rng):
     # the per-circle normalization pattern used by the engine
     raw = rng.uniform(0.3, 1.5, size=(4, 3, 2))
-    check_vjp(geometry.unit_tuples, geometry.unit_tuples_vjp, raw, rng)
+    check_vjp(geometry.unit_tuples,
+              lambda raw, w: geometry.unit_tuples_vjp(raw, geometry.tuple_norms(raw), w), raw, rng)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])

@@ -862,6 +862,13 @@ class TestExitCodes:
         ("evaluate", "metrics.report", "data.tdds", None),
         ("evaluate", "metrics.report", "model.tdvae", None),
         ("sweep", "sweep.csv", "data.tdds", None),
+        # A frame of traverse.prefix "strip": exited 0 with the checkpoint replaced by frame 0.
+        ("traverse", "model.checkpoint", "strip_000.ppm", None),
+        ("traverse", "model.checkpoint", "strip_004.ppm", None),
+        # Under or above another path of the command that does not exist yet: each
+        # ran the whole command, then exited 2.
+        ("train", "model.checkpoint", "train_report.json/model.tdvae", None),
+        ("evaluate", "metrics.heatmap_dir", "dci_report.json/heatmaps", None),
     ])
     def test_path_that_clashes_with_a_file_exits_1_before_any_work(
             self, tmp_path, capsys, monkeypatch, command, key, value, made_dir):

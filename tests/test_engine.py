@@ -9,8 +9,8 @@ from torusvae import engine as e
 from torusvae import geometry as g
 from torusvae.autodiff import Tensor, node
 from torusvae.errors import ConfigError, FormatError, NumericsError
-from helpers import (REFUSED_CHECKPOINTS, finite_diff_grads, grad_probe, max_relative_error,
-                     write_checkpoint)
+from helpers import (REFUSED_CHECKPOINTS, assert_same_bits, finite_diff_grads, grad_probe,
+                     max_relative_error, oracle_posterior, write_checkpoint)
 
 
 def tiny_model(mode="torus", dim=2, input_dim=5, hidden=(8,), seed=3):
@@ -196,6 +196,39 @@ class TestElboLoss:
         prod, orient = v[:, : 2**3], v[:, 2**3 :]
         assert np.abs(np.linalg.norm(prod, axis=1) - 1.0).max() < 1e-10
         assert np.all(np.abs(orient) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 144])
+    @pytest.mark.parametrize("mode,dim", [("torus", 1), ("torus", 2), ("torus", 4), ("torus", 8),
+                                          ("euclidean", 1), ("euclidean", 3)])
+    def test_posterior_keeps_the_strided_oracles_bits(self, mode, dim, n, rng):
+        """The posterior's decoder input, KL and VJP equal oracle_posterior's
+        bit for bit, on fresh buffers and on buffers sized for more rows and
+        left dirty by a call on other rows. Whole rows of -0.0 and of 0.0 in
+        the incoming gradient, with beta 0, check the sign of the zeros that
+        a zero-filled gradient used to give."""
+        latent = e.LatentSpec(mode, dim)
+        model = e.build_vae(latent, 3, (4,), np.random.default_rng(0))
+
+        def inputs(rows):
+            out = rng.standard_normal((rows, latent.encoder_out_dim))
+            out[rng.random(out.shape) < 0.1] = 0.0
+            grad = rng.standard_normal((rows, latent.decoder_in_dim))
+            grad[rng.random(grad.shape) < 0.2] = -0.0
+            grad[rng.random(rows) < 0.3] = -0.0
+            grad[rng.random(rows) < 0.2] = 0.0
+            return out, rng.standard_normal(e._noise_shape(latent, rows)), grad
+
+        shared = g.RowBuffers(n + 5)
+        out, noise, grad = inputs(n + 5)
+        model._posterior(Tensor(out), noise, 0.7, shared)[0].vjp(grad)
+        out, noise, grad = inputs(n)
+        for beta in (0.0, 0.7):
+            expected_v, expected_kl, expected_vjp = oracle_posterior(out, mode, noise, beta)
+            for buffers in (None, shared):
+                v, kl = model._posterior(Tensor(out), noise, beta, buffers)
+                assert_same_bits(v.data, expected_v)
+                assert np.float64(kl).tobytes() == np.float64(expected_kl).tobytes()
+                assert_same_bits(v.vjp(grad.copy()), expected_vjp(grad.copy()))
 
     def test_one_call_runs_the_traced_hooks(self, rng, monkeypatch):
         """One elbo_loss call is one Tensor.backward, one forward per network
@@ -519,6 +552,23 @@ class TestTrain:
         model, _ = e.train(cfg, x)
         assert (hashlib.sha256(model.flat.tobytes()).hexdigest()
                 == "7f5be1388391e321abb7a1caab67ec57271c1ff250bea17e355e06cde3ec68bf")
+        assert calls == [4, 4, 2, 10] * 2
+
+    def test_a_step_computes_the_tuple_norms_once(self, monkeypatch):
+        """The posterior's VJP reads the norms its forward computed, so a train
+        computes tuple norms once per step plus once per validation pass."""
+        calls = []
+        norms = g.tuple_norms
+
+        def counted(raw):
+            calls.append(raw.shape[0])
+            return norms(raw)
+
+        monkeypatch.setattr(g, "tuple_norms", counted)
+        monkeypatch.setattr(e, "tuple_norms", counted)
+        x = np.random.default_rng(5).uniform(-0.9, 0.9, size=(10, 5))
+        e.train(e.TrainConfig("torus", 3, 1.0, 1e-2, 4, 2, seed=13, hidden=(8,),
+                              val_fraction=0.0), x)
         assert calls == [4, 4, 2, 10] * 2
 
     def test_batch_size_above_the_row_count(self):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from torusvae import geometry as g
-from helpers import circular_error, finite_diff_grads, max_relative_error, sample_circles
+from helpers import (assert_same_bits, circular_error, finite_diff_grads, max_relative_error,
+                     oracle_embed, oracle_embed_vjp, sample_circles)
 
 
 def circle_point(theta):
@@ -21,7 +22,8 @@ def product(tuples):
 
 def kl(mu, sigma):
     """gaussian_kl of one (D, 2) row, with logvar = 2 log sigma."""
-    return g.gaussian_kl(mu[None], 2.0 * np.log(sigma)[None])
+    logvar = 2.0 * np.log(sigma)[None]
+    return g.gaussian_kl(mu[None], logvar, np.exp(logvar))
 
 
 class TestCirclePoint:
@@ -61,6 +63,18 @@ class TestNormalizePair:
     def test_zero_vector_is_hard_error(self):
         with pytest.raises(g.DegenerateInputError):
             normalize([0.0, 0.0])
+
+    @pytest.mark.parametrize("n", [1, 7, 144])
+    def test_pair_sums_are_the_axis_sum_bit_for_bit(self, n, rng):
+        """Both places of each pair hold x.sum(axis=2) of it, for signed zeros,
+        infinities, NaNs of either sign and subnormals too."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+        x = rng.standard_normal((n, 8, 2))
+        pick = rng.random(x.shape) < 0.5
+        x[pick] = rng.choice(special, size=pick.sum())
+        with np.errstate(invalid="ignore"):
+            expected = x.sum(axis=2, keepdims=True)
+            assert_same_bits(g._pair_sums(x), np.concatenate([expected] * 2, axis=2))
 
 
 class TestTensorProduct:
@@ -125,45 +139,9 @@ class TestEmbed:
             assert np.abs(a - b).max() > 1e-9
 
 
-# The row-major product loop and its VJP over (N, 2**a, 2) arrays, kept as the
-# oracle for the circle-major code: the layouts differ, the bits may not.
-
-
-def oracle_products(m):
-    n, d = m.shape[0], m.shape[1]
-    out = [m[:, 0, :]]
-    for a in range(1, d):
-        out.append((out[-1].reshape(n, -1, 1) * m[:, a, :].reshape(n, 1, 2)).reshape(n, -1))
-    return out
-
-
-def oracle_embed(m):
-    return np.concatenate([oracle_products(m)[-1], m[:, :, 0]], axis=1)
-
-
-def oracle_embed_vjp(m, grad):
-    n, d = m.shape[0], m.shape[1]
-    products = oracle_products(m)
-    out = np.zeros_like(m)
-    gp = grad[:, : 2**d]
-    for a in range(d - 1, 0, -1):
-        gp = gp.reshape(n, -1, 2)
-        out[:, a, :] += (gp * products[a - 1].reshape(n, -1, 1)).sum(axis=1)
-        gp = (gp * m[:, a, :].reshape(n, 1, 2)).sum(axis=2)
-    out[:, 0, :] += gp
-    out[:, :, 0] += grad[:, 2**d :]
-    return out
-
-
 def embed_vjp(m, grad, buffers=None):
     """embed_vjp of grad from embed_parts(m, buffers), as a training step calls them."""
     return g.embed_vjp(*g.embed_parts(m, buffers)[1:], grad, buffers)
-
-
-def assert_same_bits(a, b):
-    assert a.shape == b.shape
-    assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
-                          np.ascontiguousarray(b).view(np.uint64))
 
 
 class TestOracleParity:
@@ -327,8 +305,9 @@ class TestGaussianKl:
         logvar = rng.uniform(-2.0, 2.0, size=shape)
         mu_share, logvar_share = rng.standard_normal(shape), rng.standard_normal(shape)
         mu_grad, logvar_grad = mu_share.copy(), logvar_share.copy()
-        g.gaussian_kl_vjp(mu, logvar, 0.7, mu_grad, logvar_grad)
-        numeric = finite_diff_grads(lambda: 0.7 * g.gaussian_kl(mu, logvar), [mu, logvar])
+        g.gaussian_kl_vjp(mu, np.exp(logvar), 0.7, mu_grad, logvar_grad)
+        numeric = finite_diff_grads(lambda: 0.7 * g.gaussian_kl(mu, logvar, np.exp(logvar)),
+                                    [mu, logvar])
         assert max_relative_error(mu_grad - mu_share, numeric[0]) < 1e-6
         assert max_relative_error(logvar_grad - logvar_share, numeric[1]) < 1e-6
 
