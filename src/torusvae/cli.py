@@ -296,7 +296,10 @@ def cmd_sweep(config: dict, args) -> int:
     paths = _Paths(config, args)
     sweep_block = _section(config, "sweep")
     betas = json_value(sweep_block, "betas", "sweep", [float], (0.0, 1.0, 3.0, 6.0, 9.0), lo=0.0)
-    dims = json_value(sweep_block, "dims", "sweep", [int], (4, 5, 6, 8), lo=1)
+    # The model's latent bound; an unknown mode is refused with the cells.
+    mode = json_value(_section(config, "model"), "mode", "model", str, engine.TORUS)
+    dims = json_value(sweep_block, "dims", "sweep", [int], (4, 5, 6, 8), lo=1,
+                      hi=engine.MAX_LATENT_DIM.get(mode))
     if not betas or not dims:
         raise ConfigError("sweep grids must be non-empty")
     csv_path = paths.get("sweep", "csv", "sweep.csv")
@@ -404,7 +407,8 @@ def cmd_traverse(config: dict, args) -> int:
     def write_frame(step, tmp):
         angles = anchor.copy()
         angles[circle] = geometry.TWO_PI * step / steps
-        sample = engine.scale_out(engine.generate(model, angles), model.input_scale)
+        sample = model.decode(geometry.embed_angles(angles[None, :]))[0]
+        sample = engine.scale_out(sample, model.input_scale)
         datasets.write_ppm(sample.reshape(height, width, 3), tmp)
 
     write_files(stem.parent, {frame.name: functools.partial(write_frame, step)

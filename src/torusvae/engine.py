@@ -12,6 +12,12 @@ parameter, a Tensor over the flat vector of all its weights and biases,
 which Adam steps in blocks. Inference runs the same networks and ndarray
 geometry and never calls backward. Training is single-threaded and fully
 determined by the config seed.
+
+A model's shape is described once: LatentSpec bounds the latent dim so that
+every width of layer_specs fits a TDVAE1 u32, for configs and files alike,
+and a checkpoint's header is those specs written out (_header), which
+load_checkpoint rebuilds from the file's fixed fields and hidden widths and
+compares byte for byte.
 """
 from __future__ import annotations
 
@@ -23,8 +29,8 @@ import numpy as np
 
 from .autodiff import Tensor, node
 from .errors import ConfigError, FormatError, NumericsError, Reader, all_finite
-from .geometry import (RowBuffers, canonical_angle, embed, embed_angles, embed_parts, embed_vjp,
-                       gaussian_kl, gaussian_kl_vjp, tuple_norms, unit_tuples, unit_tuples_vjp)
+from .geometry import (RowBuffers, canonical_angle, embed, embed_parts, embed_vjp, gaussian_kl,
+                       gaussian_kl_vjp, tuple_norms, unit_tuples, unit_tuples_vjp)
 
 TORUS = "torus"
 EUCLIDEAN = "euclidean"
@@ -42,16 +48,30 @@ ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 14
 
 
+# The largest latent dim of each mode whose layer_specs widths fit the u32
+# fields of a TDVAE1 header: 2^D + D decoder inputs for circles, 2 * L encoder
+# outputs for a Euclidean latent.
+MAX_LATENT_DIM = {TORUS: 31, EUCLIDEAN: 2**31 - 1}
+# A TDVAE1 table counts its layers, the hidden ones and the output, in a u8.
+MAX_HIDDEN_LAYERS = 254
+
+
 @dataclass(frozen=True)
 class LatentSpec:
+    """A latent mode and dim, checked against MAX_LATENT_DIM before anything
+    computes 2^dim; each message starts with the field it rejects."""
+
     mode: str
     dim: int  # number of circles (torus) or latent width (euclidean)
 
     def __post_init__(self):
-        if self.mode not in (TORUS, EUCLIDEAN):
+        if self.mode not in MAX_LATENT_DIM:
             raise ConfigError(f"mode must be {TORUS!r} or {EUCLIDEAN!r}, got {self.mode!r}")
         if self.dim < 1:
             raise ConfigError(f"latent_dim must be >= 1, got {self.dim}")
+        if self.dim > MAX_LATENT_DIM[self.mode]:
+            raise ConfigError(f"latent_dim must be <= {MAX_LATENT_DIM[self.mode]} for a "
+                              f"{self.mode} latent: latent dim {self.dim} does not fit the decoder")
 
     @property
     def encoder_out_dim(self) -> int:
@@ -162,8 +182,8 @@ class VaeModel:
         try:
             self.flat = np.zeros(size) if flat is None else flat
             self.flat_grad = np.zeros(size)
-        # ValueError: more elements than an array can index (2^64 + 64 decoder
-        # inputs at latent dim 64); MemoryError: more bytes than are free.
+        # ValueError: more elements than an array can index (a hidden width of
+        # 2^62); MemoryError: more bytes than are free.
         except (ValueError, MemoryError):
             enc, dec = ([specs[0][0]] + [out for _, out, _ in specs]
                         for specs in (encoder_specs, decoder_specs))
@@ -420,6 +440,9 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if len(self.hidden) > MAX_HIDDEN_LAYERS:
+            raise ConfigError(f"hidden must list at most {MAX_HIDDEN_LAYERS} widths, "
+                              f"got {len(self.hidden)}")
         LatentSpec(self.mode, self.latent_dim)  # validates mode/latent_dim
 
     def latent(self) -> LatentSpec:
@@ -564,94 +587,63 @@ def train(config: TrainConfig, samples: np.ndarray):
     return model, report
 
 
-def generate(model: VaeModel, angles) -> np.ndarray:
-    """Decode the embedding of explicit angles (circle-latent models only)."""
-    if model.latent.mode != TORUS:
-        raise ConfigError("generate() needs a circle-latent model")
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.shape != (model.latent.dim,):
-        raise ValueError(f"expected {model.latent.dim} angles, got shape {angles.shape}")
-    return model.decode(embed_angles(angles[None, :]))[0]
-
-
 # -- checkpoint io ---------------------------------------------------------------
 
-_ACT_TAGS = {"identity": 0, "relu": 1, "tanh": 2}
-_TAG_ACTS = {v: k for k, v in _ACT_TAGS.items()}
-_MODE_TAGS = {TORUS: 0, EUCLIDEAN: 1}
-_TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
-_SCALE_TAGS = {SCALE_SYMMETRIC: 0, SCALE_UNIT: 1}
-_TAG_SCALES = {v: k for k, v in _SCALE_TAGS.items()}
+# A tag is the index of its name here.
+_MODES = (TORUS, EUCLIDEAN)
+_SCALES = (SCALE_SYMMETRIC, SCALE_UNIT)
+_ACTIVATIONS = ("identity", "relu", "tanh")
 
 
-def _pack_layers(net: DenseNetwork) -> bytes:
-    parts = [struct.pack("<B", len(net.specs))]
-    for fan_in, fan_out, act in net.specs:
-        parts.append(struct.pack("<IIB", fan_in, fan_out, _ACT_TAGS[act]))
+def _header(latent: LatentSpec, input_scale: str, input_dim: int, hidden) -> bytes:
+    """The TDVAE1 header of a model: the magic, u8 mode and scale tags, u32 latent
+    and input dims, then the encoder's and the decoder's layer_specs, each a u8
+    layer count and one (u32 fan_in, u32 fan_out, u8 activation tag) per layer."""
+    parts = [CHECKPOINT_MAGIC, struct.pack("<BBII", _MODES.index(latent.mode),
+                                           _SCALES.index(input_scale), latent.dim, input_dim)]
+    for specs in layer_specs(latent, input_dim, hidden):
+        parts.append(struct.pack("<B", len(specs)))
+        parts += [struct.pack("<IIB", fan_in, fan_out, _ACTIVATIONS.index(act))
+                  for fan_in, fan_out, act in specs]
     return b"".join(parts)
 
 
 def save_checkpoint(model: VaeModel, path) -> None:
-    header = [
-        CHECKPOINT_MAGIC,
-        struct.pack(
-            "<BBII",
-            _MODE_TAGS[model.latent.mode],
-            _SCALE_TAGS[model.input_scale],
-            model.latent.dim,
-            model.input_dim,
-        ),
-        _pack_layers(model.encoder),
-        _pack_layers(model.decoder),
-    ]
     with open(path, "wb") as fh:
-        fh.write(b"".join(header))
+        fh.write(_header(model.latent, model.input_scale, model.input_dim, model.hidden))
         fh.write(memoryview(model.flat.astype("<f8", copy=False)).cast("B"))
 
 
-def _read_layers(reader: Reader):
-    (count,) = reader.unpack("<B")
-    if count == 0:
-        raise FormatError(f"network without layers in {reader.path}")
-    specs = []
-    for _ in range(count):
-        fan_in, fan_out, tag = reader.unpack("<IIB")
-        if tag not in _TAG_ACTS:
-            raise FormatError(f"unknown activation tag {tag} in {reader.path}")
-        specs.append((fan_in, fan_out, _TAG_ACTS[tag]))
-    return specs
-
-
 def load_checkpoint(path) -> VaeModel:
-    """The model a TDVAE1 file holds, whose tables must be layer_specs of its header
-    and encoder's hidden widths; its payload, uncopied, becomes the model's flat."""
+    """The model a TDVAE1 file holds: its header must be the _header of its mode,
+    scale, dims and encoder's hidden widths, byte for byte, and its payload,
+    uncopied, becomes the model's flat."""
     reader = Reader(path)
     if reader.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic in {path}")
     mode_tag, scale_tag, latent_dim, input_dim = reader.unpack("<BBII")
-    if mode_tag not in _TAG_MODES or scale_tag not in _TAG_SCALES:
+    if mode_tag >= len(_MODES) or scale_tag >= len(_SCALES):
         raise FormatError(f"unknown mode/scale tags in {path}")
-    enc_specs = _read_layers(reader)
-    dec_specs = _read_layers(reader)
-    # The declared sizes are checked against the bytes present before any
-    # parameter array is allocated.
-    payload = reader.take(8 * param_count(enc_specs + dec_specs))
-    reader.done()
-    # A torus decoder reads 2**latent_dim + latent_dim inputs through a u32 fan_in,
-    # so this bounds 2**latent_dim before layer_specs or the message below makes it.
-    if not 0 < latent_dim < (32 if mode_tag == _MODE_TAGS[TORUS] else 2**32):
-        raise FormatError(f"latent dim {latent_dim} does not fit the decoder in {path}")
-    latent = LatentSpec(_TAG_MODES[mode_tag], latent_dim)
-    hidden = [fan_out for _, fan_out, _ in enc_specs[:-1]]
+    (count,) = reader.unpack("<B")
+    hidden = [reader.unpack("<IIB")[1] for _ in range(count)][:-1]
+    try:
+        latent = LatentSpec(_MODES[mode_tag], latent_dim)
+    except ConfigError as exc:
+        raise FormatError(f"{exc} in {path}") from None
+    header = _header(latent, _SCALES[scale_tag], input_dim, hidden)
     expected = layer_specs(latent, input_dim, hidden)
-    if (enc_specs, dec_specs) != expected:
+    if reader.blob[: len(header)] != header:
         raise FormatError(f"layer table in {path} is not the model architecture of its header "
                           f"and hidden widths {hidden}: expected encoder {expected[0]} and "
                           f"decoder {expected[1]}")
-    flat = np.frombuffer(payload, dtype="<f8")
+    reader.offset = len(header)
+    # The payload's size is checked against the bytes present before any
+    # parameter array is allocated.
+    flat = np.frombuffer(reader.take(8 * param_count(expected[0] + expected[1])), dtype="<f8")
+    reader.done()
     if not all_finite(flat):
         raise FormatError(f"non-finite parameter in {path}")
     try:
-        return VaeModel(latent, input_dim, hidden, _TAG_SCALES[scale_tag], flat=flat)
+        return VaeModel(latent, input_dim, hidden, _SCALES[scale_tag], flat=flat)
     except ConfigError as exc:
         raise FormatError(f"{exc} in {path}") from exc

@@ -249,9 +249,10 @@ def write_checkpoint(path, mode, latent_dim, input_dim, encoder, decoder):
 # load_checkpoint refuses, each with a piece of its message. The foreign tables
 # chain and match the header's widths but are not the one architecture of a
 # 2-circle model of 8x8x3 images and hidden width 12. The oversized latents are
-# torus dims whose 2**latent_dim + latent_dim decoder inputs no u32 fan_in holds,
-# with decoders whose first fan_in covers the latent dim and payloads of 48 and
-# 14349 parameters.
+# over engine.MAX_LATENT_DIM: torus dims whose 2**latent_dim + latent_dim decoder
+# inputs no u32 fan_in holds, with decoders whose first fan_in covers the latent
+# dim and payloads of 48 and 14349 parameters, and a Euclidean dim of 2**31,
+# whose 2 * 2**31 encoder outputs no u32 fan_out holds.
 REFUSED_CHECKPOINTS = {
     "relu-encoder-output": ("is not the model architecture", (
         engine.TORUS, 2, 192, [(192, 12, "relu"), (12, 8, "relu")],
@@ -263,4 +264,6 @@ REFUSED_CHECKPOINTS = {
         engine.TORUS, 2**32 - 1, 5, [(5, 8, "identity")], [(2**32 - 1, 0, "tanh")])),
     "oversized-latent-wide-decoder": ("does not fit the decoder", (
         engine.TORUS, 14300, 5, [(5, 8, "identity")], [(14300, 1, "tanh")])),
+    "oversized-euclidean-latent": ("does not fit the decoder", (
+        engine.EUCLIDEAN, 2**31, 5, [(5, 8, "identity")], [(8, 5, "tanh")])),
 }

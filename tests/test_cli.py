@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusvae import cli, datasets as ds, engine, metrics
+from torusvae import cli, datasets as ds, engine, geometry, metrics
 from torusvae.errors import ConfigError, FormatError, json_value
 from helpers import REFUSED_CHECKPOINTS, traced_peak, write_checkpoint
 
@@ -327,6 +327,45 @@ class TestTraverse:
         assert run("traverse", "--config", str(config)) == 1
         assert "traverse.circle index 9 out of range for 2 circles" in capsys.readouterr().err
 
+    def test_frames_are_the_manual_decode_of_their_angles(self, tmp_path):
+        """Frame k decodes the embedding of the anchor with the traversed circle
+        at 2 pi k / steps, scaled back to pixels."""
+        config = trained_2dshapes(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["traverse"].update(circle=1, anchor=[0.3, 1.1])
+        write_config(tmp_path, cfg)
+        assert run("traverse", "--config", str(config)) == 0
+        model = engine.load_checkpoint(tmp_path / "out" / "model.tdvae")
+        for step in range(5):
+            angles = np.array([0.3, 2 * np.pi * step / 5])
+            sample = model.decode(geometry.embed_angles(angles[None, :]))[0]
+            expected = tmp_path / "expected.ppm"
+            ds.write_ppm(engine.scale_out(sample, model.input_scale).reshape(8, 8, 3), expected)
+            frame = tmp_path / "out" / f"strip_{step:03d}.ppm"
+            assert frame.read_bytes() == expected.read_bytes(), step
+
+    def test_euclidean_checkpoint_exits_1(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out", kind="2dshapes", epochs=1)
+        cfg["model"]["mode"] = "euclidean"
+        config = write_config(tmp_path, cfg)
+        run("generate", "--config", str(config))
+        assert run("train", "--config", str(config)) == 0
+        capsys.readouterr()
+        assert run("traverse", "--config", str(config)) == 1
+        assert "traverse needs a circle-latent checkpoint" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("strip_*.ppm"))
+
+    @pytest.mark.parametrize("anchor", [[0.0], [0.0, 0.0, 0.0]])
+    def test_anchor_of_the_wrong_length_exits_1(self, tmp_path, capsys, anchor):
+        config = trained_2dshapes(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["traverse"]["anchor"] = anchor
+        write_config(tmp_path, cfg)
+        capsys.readouterr()
+        assert run("traverse", "--config", str(config)) == 1
+        assert "anchor must list 2 angles" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("strip_*.ppm"))
+
     def test_synthetic_checkpoint_rejected(self, tmp_path):
         config = write_config(tmp_path, base_config(tmp_path / "out"))
         run("generate", "--config", str(config))
@@ -436,7 +475,7 @@ class TestSweep:
         import csv as csv_mod
 
         cfg = base_config(tmp_path / "out")
-        cfg["sweep"]["dims"] = [2, 40]  # 2**40 latent entries cannot be allocated
+        cfg["sweep"]["betas"] = [1.0, 1e308]  # beta * KL overflows on the first step
         config = write_config(tmp_path, cfg)
         run("generate", "--config", str(config))
         assert run("sweep", "--config", str(config), *flags) == 0
@@ -447,18 +486,33 @@ class TestSweep:
         assert sum(1 for s in statuses if s.startswith("error")) == 2
         for row in rows:
             if row[-2] != "ok":
-                assert "latent dim 40" in row[-2]
+                assert "non-finite loss" in row[-2]
                 assert row[2] == "" and row[-1] == ""  # failed cells carry no scores or flags
+        assert [row[1] for row in rows] == ["2", "3", "2", "3"]
+        assert [row[-2] == "ok" for row in rows] == [True, True, False, False]
         return rows
 
     def test_partial_failure_recorded(self, tmp_path):
         self._partial_failure_rows(tmp_path)
 
     def test_partial_failure_recorded_with_workers(self, tmp_path):
-        """The D=40 cells run first in the pool, but their error rows keep their grid places."""
-        rows = self._partial_failure_rows(tmp_path, "--workers", "2")
-        assert [row[1] for row in rows] == ["2", "40", "2", "40"]
-        assert [row[-2] == "ok" for row in rows] == [True, False, True, False]
+        """The D=3 cells run first in the pool, but every row keeps its grid place."""
+        self._partial_failure_rows(tmp_path, "--workers", "2")
+
+    @pytest.mark.parametrize("mode,dim", [("torus", 32), ("euclidean", 2**31)])
+    def test_dim_over_the_latent_bound_exits_1_before_any_cell(self, tmp_path, capsys,
+                                                               monkeypatch, mode, dim):
+        cfg = base_config(tmp_path / "out")
+        cfg["model"]["mode"] = mode
+        cfg["sweep"]["dims"] = [2, dim]
+        config = write_config(tmp_path, cfg)
+        run("generate", "--config", str(config))
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_sweep_cell", None)  # no cell may run
+        assert run("sweep", "--config", str(config)) == 1
+        assert f"sweep.dims must be in 1..{engine.MAX_LATENT_DIM[mode]}, got {dim}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_truncated_dataset_exits_1(self, tmp_path, capsys, workers):
@@ -653,6 +707,7 @@ class TestExitCodes:
         ("train", ("model", "mode"), "tor", "model.mode"),
         ("evaluate", ("model", "mode"), "tor", "model.mode"),
         ("sweep", ("model", "mode"), "tor", "model.mode"),
+        ("train", ("model", "hidden"), [4] * 255, "model.hidden"),
     ])
     def test_wrong_typed_config_value_is_validation_error(self, tmp_path, capsys, command,
                                                           where, value, message):
@@ -967,8 +1022,8 @@ class TestExitCodes:
         assert run(command, "--config", str(config)) == 1
 
     def test_latent_dim_too_large_for_memory_exits_1(self, tmp_path, capsys):
-        """At latent dim 64 the decoder has 2^64 + 64 inputs: more than an
-        array can index, so nothing is allocated."""
+        """At latent dim 64 the decoder would have 2^64 + 64 inputs: the latent
+        bound refuses the dim before 2^64 is computed or anything allocated."""
         cfg = base_config(tmp_path / "out")
         cfg["model"]["latent_dim"] = 64
         config = write_config(tmp_path, cfg)
@@ -977,6 +1032,22 @@ class TestExitCodes:
         assert run("train", "--config", str(config)) == 1
         assert "latent dim 64" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.tdvae").exists()
+
+    @pytest.mark.parametrize("dim", [32, 15000, 10**18])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_latent_dim_over_the_bound_exits_1(self, tmp_path, capsys, command, dim):
+        """A torus latent dim whose 2^dim + dim decoder inputs no u32 holds is
+        refused when the config is read, before 2^dim is computed."""
+        cfg = base_config(tmp_path / "out")
+        cfg["model"]["latent_dim"] = dim
+        config = write_config(tmp_path, cfg)
+        assert run("generate", "--config", str(config)) == 0
+        capsys.readouterr()
+        assert run(command, "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert f"model.latent_dim must be <= 31 for a torus latent: latent dim {dim}" in err
+        assert not (tmp_path / "out" / "model.tdvae").exists()
+        assert not (tmp_path / "out" / "dci_report.json").exists()
 
     def test_hidden_too_wide_for_memory_exits_1(self, tmp_path, capsys):
         """A hidden layer of 10^13 units makes a model of petabytes: more

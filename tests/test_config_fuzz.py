@@ -9,7 +9,9 @@ loading and writing datasets, training, loading checkpoints, DCI and the
 staged writer) raise a sentinel, so a case must either exit 1 with an error
 that names the changed key or reach the sentinel, having read and accepted
 its whole config. A file-valued path of one of the first four forms must be
-refused, and so must a file or directory path of one of the last two. Each
+refused, and so must a file or directory path of one of the last two, and a
+latent dim over engine.MAX_LATENT_DIM (model.latent_dim of train and evaluate,
+each of sweep.dims), whose layer widths no checkpoint header holds. Each
 case runs under tracemalloc, and a peak over PEAK_BYTES fails it: no config
 value may size an allocation before the work starts.
 """
@@ -59,6 +61,10 @@ FILE_KEYS = {"generate": {"dataset.path"},
              "evaluate": {"dataset.path", "model.checkpoint", "metrics.report"},
              "sweep": {"dataset.path", "sweep.csv"},
              "traverse": {"model.checkpoint"}}
+# The keys of a latent dim each command reads; every base model is a torus.
+LATENT_KEYS = {"train": {"model.latent_dim"}, "evaluate": {"model.latent_dim"},
+               "sweep": {"sweep.dims"}}
+LATENT_BOUND = engine.MAX_LATENT_DIM[BLOCKS["model"]["mode"]]
 # The directory-valued paths each command reads.
 DIR_KEYS = {command: {"out_dir"} for command in FILE_KEYS} | {
     "evaluate": {"out_dir", "metrics.heatmap_dir"}}
@@ -94,6 +100,13 @@ def sites(value, at=()):
         yield at + (key,)
         if isinstance(item, (dict, list)):
             yield from sites(item, at + (key,))
+
+
+def value_at(config, site):
+    """The value at a site of config."""
+    for key in site:
+        config = config[key]
+    return config
 
 
 def key_name(site) -> str:
@@ -190,8 +203,11 @@ def test_mutated_config_exits_1_naming_the_key_or_reaches_the_work(case, workdir
     command, config, site, kind = case
     name = key_name(site)
     code, err, reached = attempt(command, config, workdir)
+    over_bound = (kind == "huge" and name in LATENT_KEYS.get(command, ())
+                  and value_at(config, site) > LATENT_BOUND)
     if (kind == "path" and name in FILE_KEYS[command]
-            or kind == "clash" and name in FILE_KEYS[command] | DIR_KEYS[command]):
+            or kind == "clash" and name in FILE_KEYS[command] | DIR_KEYS[command]
+            or over_bound):
         assert code == 1 and name in err, (code, err)
     elif not reached:
         assert code == 1, err

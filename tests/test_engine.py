@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,18 @@ from helpers import (REFUSED_CHECKPOINTS, assert_same_bits, finite_diff_grads, g
                      max_relative_error, oracle_posterior, write_checkpoint)
 
 
+# A Euclidean L=10 checkpoint kept in the repository, trained at an earlier commit.
+COMMITTED_CHECKPOINT = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                        / "evaluate_euclidean.tdvae")
+
+
 def tiny_model(mode="torus", dim=2, input_dim=5, hidden=(8,), seed=3):
     return e.build_vae(e.LatentSpec(mode, dim), input_dim, hidden, np.random.default_rng(seed))
+
+
+def decode_angles(model, theta):
+    """The decoder on the embedding of one row of angles, as traverse renders a frame."""
+    return model.decode(g.embed_angles(np.asarray(theta, dtype=float)[None, :]))[0]
 
 
 def layer_views(model):
@@ -180,7 +191,7 @@ class TestElboLoss:
         try:
             e.elbo_loss(model, x, 1.0, noise)
             model.reconstruct_mean(x)
-            e.generate(model, [0.5, 1.0])
+            decode_angles(model, [0.5, 1.0])
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -607,42 +618,30 @@ class TestTrain:
 
 
 class TestGenerate:
+    """Images generated from explicit angles: the decoder on their embedding."""
+
     def test_periodicity(self, rng):
         model = tiny_model(dim=3, input_dim=6)
         theta = rng.uniform(0, 2 * np.pi, size=3)
         shifted = theta.copy()
         shifted[1] += 2 * np.pi
-        assert np.abs(e.generate(model, theta) - e.generate(model, shifted)).max() < 1e-9
+        assert np.abs(decode_angles(model, theta) - decode_angles(model, shifted)).max() < 1e-9
 
     def test_traversal_continuity(self, rng):
         model = tiny_model(dim=2, input_dim=6)
         theta = rng.uniform(0, 2 * np.pi, size=2)
-        base = e.generate(model, theta)
+        base = decode_angles(model, theta)
         for delta in (1e-2, 1e-4, 1e-6):
             stepped = theta.copy()
             stepped[0] += delta
-            gap = np.abs(e.generate(model, stepped) - base).max()
+            gap = np.abs(decode_angles(model, stepped) - base).max()
             assert gap < 50 * delta
-
-    def test_matches_manual_decode_of_embed(self, rng):
-        model = tiny_model(dim=2, input_dim=6)
-        theta = rng.uniform(0, 2 * np.pi, size=2)
-        manual = model.decode(g.embed_angles(theta[None]))[0]
-        assert np.array_equal(e.generate(model, theta), manual)
 
     def test_codes_reconstruction_and_generate_share_one_geometry(self, rng):
         model = tiny_model(dim=3, input_dim=6)
         x = rng.uniform(-0.5, 0.5, size=(40, 6))
         via_codes = model.decode(g.embed_angles(model.codes(x)))
         assert np.abs(model.reconstruct_mean(x) - via_codes).max() < 1e-12
-        theta = rng.uniform(-10.0, 10.0, size=3)
-        manual = model.decode(g.embed_angles(theta[None]))[0]
-        assert np.array_equal(e.generate(model, theta), manual)
-
-    def test_needs_torus_mode(self):
-        model = tiny_model(mode="euclidean", dim=3)
-        with pytest.raises(ConfigError):
-            e.generate(model, [0.0, 0.0, 0.0])
 
 
 class TestCodes:
@@ -696,6 +695,52 @@ class TestCheckpoint:
             assert np.array_equal(pa.data, pb.data)
         x = rng.uniform(-0.5, 0.5, size=(4, 7))
         assert np.array_equal(model.codes(x), loaded.codes(x))
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 4), (300, 2, 7)],
+                             ids=["none", "8", "8-4", "300-2-7"])
+    @pytest.mark.parametrize("mode,scale", [("torus", e.SCALE_SYMMETRIC),
+                                            ("euclidean", e.SCALE_UNIT)])
+    def test_header_is_written_once_and_read_back_byte_for_byte(self, tmp_path, mode, scale,
+                                                                hidden):
+        model = e.build_vae(e.LatentSpec(mode, 3), 7, hidden, np.random.default_rng(5), scale)
+        path = tmp_path / "model.tdvae"
+        e.save_checkpoint(model, path)
+        blob = path.read_bytes()
+        assert blob == e._header(model.latent, scale, 7, hidden) + model.flat.tobytes()
+        e.save_checkpoint(e.load_checkpoint(path), tmp_path / "again.tdvae")
+        assert (tmp_path / "again.tdvae").read_bytes() == blob
+
+    def test_committed_checkpoint_resaves_to_its_bytes(self, tmp_path):
+        blob = COMMITTED_CHECKPOINT.read_bytes()
+        model = e.load_checkpoint(COMMITTED_CHECKPOINT)
+        assert blob.startswith(e._header(model.latent, model.input_scale, model.input_dim,
+                                         model.hidden))
+        e.save_checkpoint(model, tmp_path / "again.tdvae")
+        assert (tmp_path / "again.tdvae").read_bytes() == blob
+
+    def test_header_layout_is_pinned(self):
+        """Tags are the indices of (torus, euclidean), (symmetric, unit) and
+        (identity, relu, tanh); every field is little-endian."""
+        def table(*rows):
+            return struct.pack("<B", len(rows)) + b"".join(struct.pack("<IIB", *r) for r in rows)
+
+        torus = e._header(e.LatentSpec(e.TORUS, 2), e.SCALE_SYMMETRIC, 5, (8,))
+        assert torus == (e.CHECKPOINT_MAGIC + struct.pack("<BBII", 0, 0, 2, 5)
+                         + table((5, 8, 1), (8, 8, 0)) + table((6, 8, 1), (8, 5, 2)))
+        euclidean = e._header(e.LatentSpec(e.EUCLIDEAN, 3), e.SCALE_UNIT, 5, ())
+        assert euclidean == (e.CHECKPOINT_MAGIC + struct.pack("<BBII", 1, 1, 3, 5)
+                             + table((5, 6, 0)) + table((3, 5, 2)))
+
+    @pytest.mark.parametrize("mode,limit", [(e.TORUS, 31), (e.EUCLIDEAN, 2**31 - 1)])
+    def test_latent_bound_is_the_widest_header(self, mode, limit):
+        """The largest latent dim of a mode has a header (no width overflows a
+        u32); one more is refused before 2^dim is computed."""
+        assert e.MAX_LATENT_DIM[mode] == limit
+        e._header(e.LatentSpec(mode, limit), e.SCALE_SYMMETRIC, 5, (4,))
+        for dim in (limit + 1, 10**18):
+            with pytest.raises(ConfigError, match=rf"^latent_dim .* latent dim {dim} does not "
+                                                  r"fit the decoder$"):
+                e.LatentSpec(mode, dim)
 
     def test_save_is_deterministic(self, tmp_path):
         model = tiny_model()
@@ -758,9 +803,11 @@ class TestCheckpoint:
             e.load_checkpoint(path)
 
     def test_oversized_header_fails_before_allocating(self, tmp_path):
+        """The header is compared with the one its fixed fields and hidden widths
+        make before the payload is sized."""
         import tracemalloc
 
-        # one 2^20 x 2^20 encoder layer and a 1 x 4 decoder layer, no payload
+        # one 2^20 x 2^20 encoder layer and a 6 x 4 decoder layer, no payload
         blob = (e.CHECKPOINT_MAGIC + struct.pack("<BBII", 0, 0, 1, 2**20)
                 + struct.pack("<BIIB", 1, 2**20, 2**20, 0)
                 + struct.pack("<BIIB", 1, 6, 4, 2))
@@ -769,7 +816,7 @@ class TestCheckpoint:
         assert len(blob) < 100
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="truncated"):
+            with pytest.raises(FormatError, match="is not the model architecture"):
                 e.load_checkpoint(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -798,7 +845,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="is not the model architecture"):
             e.load_checkpoint(path)
 
-    @pytest.mark.parametrize("latent_dim", [0, 3, 2**32 - 1])
+    @pytest.mark.parametrize("latent_dim", [0, 3, 32, 2**32 - 1])
     def test_latent_dim_that_does_not_fit_the_layers(self, tmp_path, latent_dim):
         model = tiny_model()
         path = tmp_path / "model.tdvae"
@@ -846,9 +893,10 @@ class TestCheckpoint:
             e.load_checkpoint(path)
 
     def test_network_without_layers(self, tmp_path):
+        """An empty table is one more table that is not the model architecture."""
         path = tmp_path / "empty.tdvae"
         path.write_bytes(e.CHECKPOINT_MAGIC + struct.pack("<BBII", 0, 0, 1, 5) + b"\x00\x00")
-        with pytest.raises(FormatError, match="without layers"):
+        with pytest.raises(FormatError, match="is not the model architecture"):
             e.load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
