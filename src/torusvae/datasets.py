@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, Reader, all_finite, json_value
+from .errors import FormatError, Reader, all_finite, json_value, sized_output
 from .geometry import TWO_PI
 
 DATASET_MAGIC = b"TDDS1"
@@ -359,19 +359,19 @@ def save_dataset(dataset, path) -> None:
     RECORD_BLOCK_BYTES through one reused record buffer, whose float32 pixel
     field dataset.fill_pixels fills row block by row block. So a
     ShapesSource is rendered straight into the buffer, no (N, pixels) array
-    is ever made, and the peak memory does not grow with N.
+    is ever made, and the peak memory does not grow with N. The file's blocks
+    are reserved before the header is written (errors.sized_output).
     """
     spec_blob = dataset.spec.to_json().encode("utf-8")
     n, pixels = dataset.n, dataset.width * dataset.height * dataset.channels
     record = _record_dtype(dataset.spec.k, pixels)
     # Packed fields, both assigned in full: no zero fill.
     records = np.empty(min(n, max(1, RECORD_BLOCK_BYTES // record.itemsize)), dtype=record)
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<IIIII", n, dataset.width, dataset.height,
-                             dataset.channels, dataset.spec.k))
-        fh.write(struct.pack("<I", len(spec_blob)))
-        fh.write(spec_blob)
+    header = DATASET_MAGIC + struct.pack("<IIIIII", n, dataset.width, dataset.height,
+                                         dataset.channels, dataset.spec.k,
+                                         len(spec_blob)) + spec_blob
+    with sized_output(path, len(header) + n * record.itemsize) as fh:
+        fh.write(header)
         for lo in range(0, n, len(records)):
             block = records[: min(len(records), n - lo)]
             block["z"] = dataset.factors[lo : lo + len(block)]

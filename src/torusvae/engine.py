@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, node
-from .errors import ConfigError, FormatError, NumericsError, Reader, all_finite
+from .errors import ConfigError, FormatError, NumericsError, Reader, all_finite, sized_output
 from .geometry import (RowBuffers, canonical_angle, embed, embed_parts, embed_vjp, gaussian_kl,
                        gaussian_kl_vjp, tuple_norms, unit_tuples, unit_tuples_vjp)
 
@@ -609,9 +609,11 @@ def _header(latent: LatentSpec, input_scale: str, input_dim: int, hidden) -> byt
 
 
 def save_checkpoint(model: VaeModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_header(model.latent, model.input_scale, model.input_dim, model.hidden))
-        fh.write(memoryview(model.flat.astype("<f8", copy=False)).cast("B"))
+    header = _header(model.latent, model.input_scale, model.input_dim, model.hidden)
+    payload = memoryview(model.flat.astype("<f8", copy=False)).cast("B")
+    with sized_output(path, len(header) + payload.nbytes) as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def load_checkpoint(path) -> VaeModel:

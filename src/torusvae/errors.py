@@ -1,6 +1,8 @@
 """Exception types shared across the package, the one checked reader of JSON
 values, the bounded reader of both binary containers, the one finiteness
-check of arrays, and the staged writer of every output file."""
+check of arrays, and the staged writer of every output file with the sized
+writer of the large ones."""
+import contextlib
 import math
 import os
 import struct
@@ -125,3 +127,24 @@ def write_files(directory, writers) -> None:
             write(os.path.join(tmp, name))
         for name in writers:
             os.replace(os.path.join(tmp, name), os.path.join(directory, name))
+
+
+@contextlib.contextmanager
+def sized_output(path, size: int):
+    """The file at path opened for writing, with size bytes of disk reserved
+    before any is written; a block that ends at another size raises, before
+    write_files renames anything.
+
+    Reserved blocks carry no delayed allocation, so ext4 forces no writeback
+    when the file is renamed over an earlier one, and a full disk fails here
+    before a byte is computed. Reserving after a write would wait for its
+    writeback (btrfs). Without os.posix_fallocate (not Linux) nothing is
+    reserved; nor for size 0, which posix_fallocate refuses.
+    """
+    with open(path, "wb") as fh:
+        reserve = getattr(os, "posix_fallocate", None)
+        if reserve is not None and size > 0:
+            reserve(fh.fileno(), 0, size)
+        yield fh
+        if fh.tell() != size:
+            raise RuntimeError(f"wrote {fh.tell()} bytes to {path}, expected {size}")

@@ -215,3 +215,20 @@ def test_mutated_config_exits_1_naming_the_key_or_reaches_the_work(case, workdir
         # find none where the changed out_dir points.
         missing_input = name == "out_dir" and "input file not found" in err
         assert name in err or missing_input, err
+
+
+@pytest.mark.parametrize("command,key,dim", [
+    (command, key, dim) for command in sorted(LATENT_KEYS)
+    for key in sorted(LATENT_KEYS[command]) for dim in (LATENT_BOUND + 1, 2**31)])
+def test_latent_dim_over_the_bound_exits_1_naming_the_key(command, key, dim, workdir):
+    """Each latent-dim key, whatever cases the fuzz above happens to draw: a
+    dim just over the bound, or one whose widths no u32 holds, exits 1
+    naming the key before any work (in a list, as its last item)."""
+    config = json.loads(json.dumps(next(base for c, base in BASES if c == command)))
+    section, name = key.split(".")
+    if isinstance(config[section][name], list):
+        config[section][name][-1] = dim
+    else:
+        config[section][name] = dim
+    code, err, reached = attempt(command, config, workdir)
+    assert not reached and code == 1 and key in err, (code, err)
