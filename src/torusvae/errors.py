@@ -1,7 +1,7 @@
 """Exception types shared across the package, the one checked reader of JSON
 values, the bounded reader of both binary containers, the one finiteness
 check of arrays, and the staged writer of every output file with the sized
-writer of the large ones."""
+writer of those whose size is known before their first byte."""
 import contextlib
 import math
 import os

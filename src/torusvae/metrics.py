@@ -16,12 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, write_files
+from .errors import ConfigError, sized_output, write_files
 
 DEFAULT_ALPHA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.4, 0.8, 1.0)
 RANK_REL_TOL = 1e-8
 FLOAT_FORMAT = "%.9g"
 HISTOGRAM_NAME = re.compile(r"hist_code[0-9]+_factor[0-9]+\.csv")
+FINISH_EVERY = 5  # coordinate-descent sweeps between exact finishes of the live problems
+FINISH_ROUNDS = 5  # active-set rounds of one finish
+FINISH_RESIDUAL = 1e-10  # the largest stationarity residual a finished problem may keep
 
 
 class ConvergenceWarning(UserWarning):
@@ -56,6 +59,37 @@ def _moments(X: np.ndarray, Y: np.ndarray):
     return X.T @ X / len(X), X.T @ Y / len(X)
 
 
+def _support_solve(G: np.ndarray, c: np.ndarray, x: np.ndarray, alpha: np.ndarray):
+    """Exact lasso solutions of P problems on one fold's G, from iterates x (P, D).
+
+    Each problem's support starts as the nonzero coordinates of x, signed as
+    x is, and is solved exactly: G restricted to the support times z equals
+    c - alpha * sign on it, z is 0 off it. Up to FINISH_ROUNDS rounds, each
+    followed by a new solve, drop the coordinates whose solved weight changed
+    sign and add those whose correlation |c_j - G_j.z| exceeds alpha, signed
+    as that correlation. Returns (z, solved): solved marks the problems whose
+    last z meets the lasso's KKT conditions, with the stationarity residual
+    on the support within FINISH_RESIDUAL, so that an ill-conditioned solve
+    never passes.
+    """
+    on, sign = x != 0.0, np.sign(x)
+    eye = np.eye(G.shape[0], dtype=bool)
+    a = alpha[:, None]
+    for round_ in range(FINISH_ROUNDS + 1):
+        system = np.where(on[:, :, None] & on[:, None, :], G, eye)
+        z = np.linalg.solve(system, np.where(on, c - a * sign, 0.0)[..., None])[..., 0]
+        corr = c - z @ G
+        kept = on & (np.sign(z) == sign)
+        added = ~on & (np.abs(corr) > a)
+        stable = ~((on ^ kept) | added).any(axis=1)
+        if stable.all() or round_ == FINISH_ROUNDS:
+            break
+        on, sign = kept | added, np.where(added, np.sign(corr), sign)
+    residual = np.where(on, np.abs(corr - a * sign), 0.0)
+    solved = stable & np.isfinite(z).all(axis=1) & (residual.max(axis=1) <= FINISH_RESIDUAL)
+    return z, solved
+
+
 def lasso_fit(X: np.ndarray, y: np.ndarray, alpha, tol: float = 1e-8,
               max_sweeps: int = 10_000, folds=None) -> np.ndarray:
     """Minimize (1/2n)||y - Xw||^2 + alpha*||w||_1 for a stack of lasso problems.
@@ -64,7 +98,14 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha, tol: float = 1e-8,
     fold's rows give G = X'X/n and c = X'y/n, and coordinate j of every live
     problem moves to soft_threshold(c_j - G_j.w + G_jj w_j, alpha) / G_jj;
     columns with G_jj == 0 stay zero. A problem stops after its first full
-    sweep in which no coordinate moved by tol or more. y is (N,) or (N, K);
+    sweep in which no coordinate moved by tol or more, or earlier with an
+    exact solution: every FINISH_EVERY sweeps each fold's live problems are
+    solved on their supports (_support_solve), and a problem whose solution
+    meets the lasso's KKT conditions stops with it; any other goes on from
+    its own iterate, as does every problem of a fold whose solve raises
+    LinAlgError. So no problem stops later than by descent alone, and
+    ConvergenceWarning still means that problems were still moving after
+    max_sweeps. y is (N,) or (N, K);
     alpha broadcasts against y's factor axis, so (K,) gives each factor its
     own and (A, 1) crosses A alphas with K factors. folds, if given, lists F
     row-index arrays, each of which every problem is solved on. Returns
@@ -89,7 +130,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha, tol: float = 1e-8,
     diag = np.diagonal(G, axis1=1, axis2=2)[..., None]  # (F, D, 1)
     W = np.zeros(C.shape)
     live = np.ones((C.shape[0], C.shape[2]), dtype=bool)
-    for _ in range(max_sweeps):
+    for sweep in range(1, max_sweeps + 1):
         moved = np.zeros(live.shape)
         for j in range(d):
             old = W[:, j]
@@ -99,12 +140,22 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha, tol: float = 1e-8,
             np.maximum(moved, np.abs(new - old), out=moved)
             W[:, j] = new
         live &= moved >= tol
+        if sweep % FINISH_EVERY == 0:
+            for g, c, w, fold_live in zip(G, C, W, live):
+                problems = np.flatnonzero(fold_live)
+                try:
+                    x, solved = _support_solve(g, c[:, problems].T, w[:, problems].T,
+                                               alphas[problems])
+                except np.linalg.LinAlgError:
+                    continue
+                w[:, problems[solved]] = x[solved].T
+                fold_live[problems[solved]] = False
         if not live.any():
             break
     else:
         warnings.warn(
             f"lasso coordinate descent did not converge: {int(live.sum())} of {live.size} "
-            f"problems still moved after {max_sweeps} sweeps, by up to {moved.max():.3e}",
+            f"problems still moved after {max_sweeps} sweeps, by up to {moved[live].max():.3e}",
             ConvergenceWarning,
         )
     lead = () if folds is None else (len(moments),)
@@ -409,9 +460,9 @@ def _csv_text(header, rows) -> str:
     return "".join([",".join(fields) + "\r\n" for fields in (header, *rows)])
 
 
-def _write_text(text: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write_bytes(data: bytes, path) -> None:
+    with sized_output(path, len(data)) as fh:
+        fh.write(data)
 
 
 def write_heatmap_bundle(bundle: HeatmapBundle, out_dir) -> list:
@@ -436,7 +487,7 @@ def write_heatmap_bundle(bundle: HeatmapBundle, out_dir) -> list:
     header = [f"factor_bin_{b}" for b in range(bundle.bins)]
     for (a, j), cells in histograms:
         files[f"hist_code{a}_factor{j}.csv"] = _csv_text(header, table[cells].tolist())
-    write_files(out_dir, {name: functools.partial(_write_text, text)
+    write_files(out_dir, {name: functools.partial(_write_bytes, text.encode("ascii"))
                           for name, text in files.items()})
     with os.scandir(out_dir) as entries:
         stale = [e.path for e in entries if HISTOGRAM_NAME.fullmatch(e.name) and e.name not in files]

@@ -1,11 +1,14 @@
 """Shared test helpers: circular error, circle sampling, gradient probes, finite
-differences, the lasso oracles, crafted checkpoints that loading refuses, and code run in a
-fresh interpreter, such as a CLI command's traced peak memory."""
+differences, the lasso oracles, crafted checkpoints that loading refuses, code run in a
+fresh interpreter, such as a CLI command's traced peak memory, and one small config that
+all five commands run on, with the hashes of a tree of outputs."""
+import hashlib
 import itertools
 import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +175,46 @@ def null_threshold(X, y):
     return float(np.abs(c).max())
 
 
+def oracle_lasso_cd(X, y, alpha, tol=1e-8, max_sweeps=10_000, folds=None):
+    """metrics.lasso_fit as it was before its exact finish: covariance coordinate
+    descent alone, in which a problem stops only after a sweep that moved no
+    coordinate by tol or more. The reference for the bits of every problem
+    that the finish leaves to coordinate descent.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    n, d = X.shape
+    Y = y.reshape(n, -1)
+    shape = np.broadcast_shapes(alpha.shape, y.shape[1:])
+    alphas = np.broadcast_to(alpha, shape).ravel()
+    factor = np.broadcast_to(np.arange(Y.shape[1]).reshape(y.shape[1:]), shape).ravel()
+    moments = [metrics._moments(X[rows], Y[rows])
+               for rows in ([slice(None)] if folds is None else folds)]
+    G = np.stack([g for g, _ in moments])
+    C = np.stack([c[:, factor] for _, c in moments])
+    diag = np.diagonal(G, axis1=1, axis2=2)[..., None]
+    W = np.zeros(C.shape)
+    live = np.ones((C.shape[0], C.shape[2]), dtype=bool)
+    for _ in range(max_sweeps):
+        moved = np.zeros(live.shape)
+        for j in range(d):
+            old = W[:, j]
+            rho = C[:, j] - (G[:, j, None] @ W)[:, 0] + diag[:, j] * old
+            new = np.divide(metrics.soft_threshold(rho, alphas), diag[:, j], out=old.copy(),
+                            where=live & (diag[:, j] != 0.0))
+            np.maximum(moved, np.abs(new - old), out=moved)
+            W[:, j] = new
+        live &= moved >= tol
+        if not live.any():
+            break
+    else:
+        warnings.warn(f"{int(live.sum())} of {live.size} problems still moved after "
+                      f"{max_sweeps} sweeps", metrics.ConvergenceWarning)
+    lead = () if folds is None else (len(moments),)
+    return W.transpose(0, 2, 1).reshape(lead + shape + (d,))
+
+
 def kkt_lasso_oracle(X, y, alpha):
     """Exact lasso solution by enumerating all active-set sign patterns.
 
@@ -267,3 +310,23 @@ REFUSED_CHECKPOINTS = {
     "oversized-euclidean-latent": ("does not fit the decoder", (
         engine.EUCLIDEAN, 2**31, 5, [(5, 8, "identity")], [(8, 5, "tanh")])),
 }
+
+
+# One small run of all five commands (acceptance criterion 10, the pinned output table).
+ALL_COMMANDS = ("generate", "train", "evaluate", "sweep", "traverse")
+ALL_COMMANDS_CONFIG = {
+    "dataset": {"kind": "2dshapes", "count": 100, "seed": 41,
+                "width": 8, "height": 8, "path": "data.tdds"},
+    "model": {"mode": "torus", "latent_dim": 2, "beta": 1.0,
+              "learning_rate": 2e-3, "batch_size": 25, "epochs": 3,
+              "seed": 13, "hidden": [12]},
+    "metrics": {"split_seed": 5, "folds": 5},
+    "sweep": {"betas": [0.0, 1.0], "dims": [2], "csv": "sweep.csv"},
+    "traverse": {"circle": 0, "steps": 4, "prefix": "strip"},
+}
+
+
+def hash_tree(root) -> dict:
+    """The sha256 of every file under root, keyed by its path relative to root."""
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(root).rglob("*")) if path.is_file()}

@@ -3,7 +3,6 @@
 The heavy criteria (8 and 9) train real models; the whole module stays inside
 the stated runtime budgets on a desktop CPU.
 """
-import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -13,8 +12,9 @@ import pytest
 import scipy.stats
 
 from torusvae import cli, datasets as ds, engine, geometry as g, metrics as m
-from helpers import (circular_error, finite_diff_grads, kkt_lasso_oracle, lasso_objective,
-                     max_relative_error, null_threshold, sample_circles)
+from helpers import (ALL_COMMANDS, ALL_COMMANDS_CONFIG, circular_error, finite_diff_grads,
+                     hash_tree, kkt_lasso_oracle, lasso_objective, max_relative_error,
+                     null_threshold, sample_circles)
 
 
 @pytest.fixture
@@ -257,41 +257,19 @@ def test_criterion_9_ablation_shape(tmp_path, criterion):
         assert elapsed < 1800.0, f"took {elapsed:.0f}s"
 
 
-def _hash_tree(root):
-    hashes = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            hashes[str(path.relative_to(root))] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
-    return hashes
-
-
 def test_criterion_10_byte_determinism(tmp_path, criterion):
     with criterion(10, "all commands rerun to byte-identical outputs"):
-        config = {
-            "dataset": {"kind": "2dshapes", "count": 100, "seed": 41,
-                        "width": 8, "height": 8, "path": "data.tdds"},
-            "model": {"mode": "torus", "latent_dim": 2, "beta": 1.0,
-                      "learning_rate": 2e-3, "batch_size": 25, "epochs": 3,
-                      "seed": 13, "hidden": [12]},
-            "metrics": {"split_seed": 5, "folds": 5},
-            "sweep": {"betas": [0.0, 1.0], "dims": [2], "csv": "sweep.csv"},
-            "traverse": {"circle": 0, "steps": 4, "prefix": "strip"},
-        }
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
-        commands = ("generate", "train", "evaluate", "sweep", "traverse")
-
+        config_path.write_text(json.dumps(ALL_COMMANDS_CONFIG))
         trees = []
         for out_name in ("run_a", "run_b"):
             out = tmp_path / out_name
-            for command in commands:
+            for command in ALL_COMMANDS:
                 code = cli.main([command, "--config", str(config_path), "--out", str(out)])
                 assert code == 0, f"{command} failed in {out_name}"
             # rerun everything in place: outputs must be overwritten identically
-            for command in commands:
+            for command in ALL_COMMANDS:
                 assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 0
-            trees.append(_hash_tree(out))
+            trees.append(hash_tree(out))
         assert trees[0] == trees[1]
         assert len(trees[0]) >= 10

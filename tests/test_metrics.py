@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from torusvae import metrics as m
 from torusvae.errors import ConfigError
-from helpers import kkt_lasso_oracle, lasso_objective, null_threshold
+from helpers import (assert_same_bits, kkt_lasso_oracle, lasso_objective, null_threshold,
+                     oracle_lasso_cd)
 
 
 class TestStandardize:
@@ -79,6 +80,130 @@ class TestLassoFit:
         Y = rng.standard_normal((40, 3))
         with pytest.warns(UserWarning, match=r"3 of 3 problems still moved after 1 sweeps, by up to"):
             m.lasso_fit(X, Y, 1e-3, max_sweeps=1)
+
+
+def correlated_codes(seed=1, n=400):
+    """Standardized codes (n, 10) that mix 5 standardized factors (n, 5) with
+    noise; their correlated columns make coordinate descent take over 50
+    sweeps on the default grid."""
+    rng = np.random.default_rng(seed)
+    factors = rng.uniform(-1, 1, (n, 5))
+    codes = factors @ rng.standard_normal((5, 10)) + 0.3 * rng.standard_normal((n, 10))
+    return m.standardize_columns(codes)[0], m.standardize_columns(factors)[0]
+
+
+def recorded_lasso_cv(X, Y, seed, **kwargs):
+    """lasso_cv's (best alphas, weights) and every lasso_fit call it made, as
+    (X, Y, alpha, folds, weights)."""
+    fit, calls = m.lasso_fit, []
+
+    def recording(X, Y, alpha, **kw):
+        weights = fit(X, Y, alpha, **kw)
+        calls.append((X, Y, alpha, kw.get("folds"), weights))
+        return weights
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(m, "lasso_fit", recording)
+        return m.lasso_cv(X, Y, seed, **kwargs), calls
+
+
+def kkt_residuals(X, Y, alpha, folds, weights):
+    """The largest |c - G.w - alpha*sign(w)| over the support and the largest
+    |c - G.w| - alpha off it, over every problem of one lasso_fit call."""
+    folds = [slice(None)] if folds is None else folds
+    weights = weights.reshape(len(folds), -1, Y.shape[1], X.shape[1])  # (F, A, K, D)
+    a = np.broadcast_to(alpha, weights.shape[1:3])[..., None]
+    on_support, off_support = 0.0, -np.inf
+    for rows, w in zip(folds, weights):
+        G, C = m._moments(X[rows], Y[rows])
+        corr = C.T - w @ G
+        on = w != 0.0
+        on_support = max(on_support, np.where(on, np.abs(corr - a * np.sign(w)), 0.0).max())
+        off_support = max(off_support, np.where(on, -np.inf, np.abs(corr) - a).max())
+    return on_support, off_support
+
+
+class TestLassoFinish:
+    """The exact finish of lasso_fit: every FINISH_EVERY sweeps each live
+    problem is solved on its support, and stops there if KKT holds."""
+
+    @pytest.mark.parametrize("every, rounds", [(m.FINISH_EVERY, m.FINISH_ROUNDS), (1, 0)],
+                             ids=["default", "each-sweep-no-rounds"])
+    def test_every_problem_meets_kkt(self, monkeypatch, every, rounds):
+        # with no active-set rounds, a finish after every sweep leaves many
+        # problems unsolved, and those must go on with coordinate descent
+        monkeypatch.setattr(m, "FINISH_EVERY", every)
+        monkeypatch.setattr(m, "FINISH_ROUNDS", rounds)
+        X, Y = correlated_codes()
+        _, calls = recorded_lasso_cv(X, Y, seed=7)
+        assert len(calls) == 2
+        X_, Y_, alpha, folds, _ = calls[0]
+        with pytest.warns(m.ConvergenceWarning):  # descent alone takes over 50 sweeps here
+            oracle_lasso_cd(X_, Y_, alpha, max_sweeps=50, folds=folds)
+        for X_, Y_, alpha, folds, weights in calls:
+            on_support, off_support = kkt_residuals(X_, Y_, alpha, folds, weights)
+            assert on_support <= 1e-9
+            assert off_support <= 1e-12
+
+    def test_failed_solve_leaves_coordinate_descent_bits(self, monkeypatch):
+        X, Y = correlated_codes()
+        folds = [np.arange(40, 400), np.arange(0, 360)]
+        grid = np.asarray(m.DEFAULT_ALPHA_GRID)[:, None]
+        oracle = oracle_lasso_cd(X, Y, grid, folds=folds)
+        assert not np.array_equal(m.lasso_fit(X, Y, grid, folds=folds), oracle)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert_same_bits(m.lasso_fit(X, Y, grid, folds=folds), oracle)
+
+    def test_duplicated_column_stops_without_warning(self, rng, recwarn):
+        base = rng.standard_normal((20, 3))
+        X, _ = m.standardize_columns(np.column_stack([base[:, 0], base]))
+        assert np.array_equal(X[:, 0], X[:, 1])
+        y = X[:, 0] + 0.5 * X[:, 2] + 0.3 * rng.standard_normal(20)
+        y = (y - y.mean()) / y.std()
+        for alpha in (1e-3, 0.01, 0.1):
+            w = m.lasso_fit(X, y, alpha)
+            oracle_obj, _ = kkt_lasso_oracle(X, y, alpha)
+            assert abs(lasso_objective(X, y, w, alpha) - oracle_obj) < 1e-6
+        assert not [r for r in recwarn if issubclass(r.category, m.ConvergenceWarning)]
+
+    def test_ill_conditioned_solution_is_refused(self):
+        # G's two columns differ by 2^-40, and b = c - alpha * sign lies along
+        # their difference: the solution's signs agree with the support's, but
+        # it is ~2^40 * 0.01 and its residual far above FINISH_RESIDUAL
+        rho = 1.0 - 2.0**-40
+        G = np.array([[1.0, rho], [rho, 1.0]])
+        x = np.array([[0.5, -0.5]])
+        alpha = np.array([0.1])
+        c = 0.01 * np.array([[1.0, -1.0]]) + alpha * np.sign(x)
+        z, solved = m._support_solve(G, c, x, alpha)
+        assert np.array_equal(np.sign(z), np.sign(x))
+        assert np.abs(c - z @ G - alpha * np.sign(z)).max() > m.FINISH_RESIDUAL
+        assert not solved.any()
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_other_cadences_keep_the_oracle_and_exact_zeros(self, rng, monkeypatch, every):
+        monkeypatch.setattr(m, "FINISH_EVERY", every)
+        instances = np.random.default_rng(4242)  # acceptance criterion 5's instances
+        for _ in range(25):
+            X, _ = m.standardize_columns(instances.standard_normal((20, 5)))
+            y = instances.standard_normal(20)
+            y = (y - y.mean()) / y.std()
+            oracle_obj, _ = kkt_lasso_oracle(X, y, 0.1)
+            assert abs(lasso_objective(X, y, m.lasso_fit(X, y, 0.1), 0.1) - oracle_obj) < 1e-6
+            threshold = null_threshold(X, y)
+            assert np.array_equal(m.lasso_fit(X, y, threshold), np.zeros(5))
+            assert np.array_equal(m.lasso_fit(X, y, 1.3 * threshold), np.zeros(5))
+        X, _ = m.standardize_columns(rng.standard_normal((25, 4)))  # test_null_threshold_exact's
+        y = rng.standard_normal(25)
+        y -= y.mean()
+        threshold = null_threshold(X, y)
+        assert np.array_equal(m.lasso_fit(X, y, threshold), np.zeros(4))
+        assert np.array_equal(m.lasso_fit(X, y, threshold * 1.5), np.zeros(4))
+        assert np.any(m.lasso_fit(X, y, threshold * 0.5) != 0.0)
 
 
 class TestLassoCv:
@@ -464,15 +589,15 @@ class TestHeatmaps:
 
         m.write_heatmap_bundle(bundle(), tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        opened = []
+        opened, sized_output = [], m.sized_output
 
-        def failing_open(*args, **kwargs):
+        def failing_sized_output(path, size):
             if len(opened) == written:
                 raise OSError("no space left on device")
-            opened.append(args[0])
-            return open(*args, **kwargs)
+            opened.append(path)
+            return sized_output(path, size)
 
-        monkeypatch.setattr(m, "open", failing_open, raising=False)
+        monkeypatch.setattr(m, "sized_output", failing_sized_output)
         with pytest.raises(OSError, match="no space"):
             m.write_heatmap_bundle(bundle(), tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

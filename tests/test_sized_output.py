@@ -1,4 +1,4 @@
-"""The sized writer of the dataset and the checkpoint: each file's disk blocks
+"""The sized writer of the dataset, the checkpoint and the heatmaps: each file's disk blocks
 are reserved before a byte of it is written, a writer that ends at another
 size replaces no file, a reservation that fails stops the command before it
 renders anything, and the reserved file holds the same bytes as one written
@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from torusvae import cli, datasets as ds, engine
+from torusvae import cli, datasets as ds, engine, metrics
 from torusvae.errors import sized_output, write_files
 
 
@@ -124,3 +124,12 @@ def test_reserved_file_has_the_bytes_of_an_unreserved_one(tmp_path, monkeypatch,
     monkeypatch.delattr(os, "posix_fallocate")
     OUTPUTS[name](tmp_path / "plain")
     assert (tmp_path / "plain").read_bytes() == reserved
+
+
+def test_every_heatmap_csv_is_reserved_at_its_size(tmp_path, reservations):
+    rng = np.random.default_rng(6)
+    bundle = metrics.heatmap_export(rng.standard_normal((40, 3)), rng.standard_normal((40, 2)),
+                                    np.abs(rng.standard_normal((3, 2))), bins=4)
+    paths = metrics.write_heatmap_bundle(bundle, tmp_path)
+    assert len(paths) == 7
+    assert reservations == [(0, path.stat().st_size) for path in paths]
