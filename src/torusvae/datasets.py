@@ -160,8 +160,8 @@ def render_batch(factors: np.ndarray, width: int, height: int, out=None) -> np.n
     (3..6 sides by shape index) centered in the image, circumradius
     scale * width / 64 pixels, rotated by the rotation factor, filled with
     the RGB color over a white background. Rows grow downward. Pixel
-    centers (x+0.5, y+0.5) are filled by the even-odd rule without
-    anti-aliasing, one side count at a time over all of its rows.
+    centers (x+0.5, y+0.5) are filled by the even-odd rule without anti-aliasing,
+    which for a convex polygon is one span between a pixel row's 0 or 2 edge crossings.
 
     Without out, the images come back as a new float64 (N, H*W*3) array.
     With out, a float array of that shape (such as the strided float32
@@ -174,29 +174,27 @@ def render_batch(factors: np.ndarray, width: int, height: int, out=None) -> np.n
     shape_idx, scale, rotation = factors[:, 0], factors[:, 1], factors[:, 2]
     colors = factors[:, 3:]
 
+    sides = np.array([_POLYGON_SIDES[index] for index in shape_idx])
+    # One (corners, N) vertex table: a polygon of fewer sides repeats vertex 0.
+    corners = np.arange(max(_POLYGON_SIDES.values()))[:, None]
+    angles = rotation + TWO_PI * np.where(corners < sides, corners, 0) / sides
+    radius = scale * width / 64.0
+    vx = (width / 2.0 + radius * np.cos(angles))[:, :, None]
+    vy = (height / 2.0 + radius * np.sin(angles))[:, :, None]
     px = np.arange(width) + 0.5
-    py = (np.arange(height) + 0.5)[:, None]
-    inside = np.empty((n, height, width), dtype=bool)
-    for index, sides in _POLYGON_SIDES.items():
-        rows = np.flatnonzero(shape_idx == index)
-        radius = (scale[rows] * width / 64.0)[:, None]
-        angles = rotation[rows, None] + TWO_PI * np.arange(sides) / sides
-        vx = (width / 2.0 + radius * np.cos(angles))[:, :, None, None]
-        vy = (height / 2.0 + radius * np.sin(angles))[:, :, None, None]
-        group = np.zeros((rows.size, height, width), dtype=bool)
-        hit = np.empty_like(group)
-        # A horizontal edge divides by zero, but it crosses no row, so it
-        # leaves the mask alone.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(sides):
-                x1, y1 = vx[:, i], vy[:, i]
-                x2, y2 = vx[:, (i + 1) % sides], vy[:, (i + 1) % sides]
-                crosses_row = (y1 > py) != (y2 > py)
-                x_at_row = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-                np.less(px, x_at_row, out=hit)
-                hit &= crosses_row
-                group ^= hit
-        inside[rows] = group
+    py = np.arange(height) + 0.5
+    lo = np.full((n, height), np.inf)
+    hi = np.full((n, height), -np.inf)
+    # A horizontal edge, padding's (v0, v0) among them, divides by zero,
+    # but it crosses no row, so it leaves the span alone.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x1, y1, x2, y2 in zip(vx, vy, np.roll(vx, -1, 0), np.roll(vy, -1, 0)):
+            crosses_row = (y1 > py) != (y2 > py)
+            x_at_row = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+            np.minimum(lo, x_at_row, out=lo, where=crosses_row)
+            np.maximum(hi, x_at_row, out=hi, where=crosses_row)
+    inside = np.less_equal(lo[:, :, None], px)
+    inside &= px < hi[:, :, None]
 
     if out is None:
         out = np.empty((n, height * width * 3))

@@ -119,6 +119,8 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha, tol: float = 1e-8,
         raise ValueError("X must be (N, D) and y (N,) or (N, K)")
     if np.any(alpha < 0):
         raise ValueError("alpha must be >= 0")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     n, d = X.shape
     Y = y.reshape(n, -1)
     shape = np.broadcast_shapes(alpha.shape, y.shape[1:])

@@ -1,7 +1,8 @@
 """Shared test helpers: circular error, circle sampling, gradient probes, finite
 differences, the lasso oracles, crafted checkpoints that loading refuses, code run in a
-fresh interpreter, such as a CLI command's traced peak memory, and one small config that
-all five commands run on, with the hashes of a tree of outputs."""
+fresh interpreter, such as a CLI command's traced peak memory, one small config that
+all five commands run on, with the hashes of a tree of outputs, and the parameter hash of
+a short 2dshapes train, which a spawned worker can compute too."""
 import hashlib
 import itertools
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from torusvae import engine, metrics
+from torusvae import datasets, engine, metrics
 from torusvae.autodiff import Tensor, node
 
 
@@ -330,3 +331,15 @@ def hash_tree(root) -> dict:
     """The sha256 of every file under root, keyed by its path relative to root."""
     return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(Path(root).rglob("*")) if path.is_file()}
+
+
+def shapes_train_sha256(seed: int) -> str:
+    """The sha256 of the flat parameters after a short 2dshapes train, set up as
+    acceptance criterion 8 sets up its 2dshapes trains (torus D=4, hidden 128-64,
+    batch 144, unit input scale), on 720 images for 4 epochs."""
+    shapes = datasets.shapes_source(720, seed=404, width=16, height=16).render()
+    config = engine.TrainConfig(mode="torus", latent_dim=4, beta=1.0, learning_rate=1e-3,
+                                batch_size=144, epochs=4, seed=seed, hidden=(128, 64),
+                                input_scale=engine.SCALE_UNIT)
+    model, _ = engine.train(config, shapes.x)
+    return hashlib.sha256(model.flat.tobytes()).hexdigest()

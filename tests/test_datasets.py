@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusvae import cli, datasets as ds
 from torusvae.errors import FormatError
@@ -184,6 +185,44 @@ class TestRender:
                 horizontal += int(np.sum(vy == np.roll(vy, -1)))
                 center_vertex += int(np.sum(vy - 0.5 == np.floor(vy)))
         assert horizontal > 0 and center_vertex > 0
+
+    # Rotations at which vertices fall on axes or symmetric about them, and
+    # large ones whose angles keep few fraction bits.
+    SPECIAL_ROTATIONS = (0.0, np.pi / 4, np.pi / 3, np.pi / 2, np.pi, 3 * np.pi / 2,
+                         2 * np.pi, 1e6, -1e6, 1e15)
+    # Squares with a vertex a rounding error off each axis: on these canvases
+    # some crossings fall on pixel centers, where the bits of the crossing
+    # depend on which end the edge is traced from.
+    AXIS_SQUARES = np.array([[1, s, r, 0.7, 0.2, 0.1] for s in (24.0, 30.0, 32.0)
+                             for r in (np.pi, 3 * np.pi / 2, 2 * np.pi)])
+
+    @pytest.mark.parametrize("width,height", [(8, 8), (9, 10), (16, 16), (32, 32), (64, 64)])
+    def test_crossings_on_pixel_centers_match_the_oracle(self, width, height):
+        batch = ds.render_batch(self.AXIS_SQUARES, width, height)
+        expected = oracle_batch(self.AXIS_SQUARES, width, height)
+        assert np.array_equal(batch.view(np.uint64), expected.view(np.uint64))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(rows=st.lists(st.tuples(st.integers(0, 3),
+                                   st.sampled_from((20.0, 30.0, 40.0)) | st.floats(20.0, 40.0),
+                                   st.sampled_from(SPECIAL_ROTATIONS),
+                                   st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=8),
+           width=st.integers(8, 96), height=st.integers(8, 96))
+    def test_each_pixel_row_crosses_zero_or_two_edges(self, rows, width, height):
+        """The span fill's premise, on rows drawn at special rotations: under
+        the half-open rule every pixel-center row crosses 0 or 2 edges of the
+        oracle's polygon, so one span per row is its even-odd fill."""
+        factors = np.concatenate([np.array(rows, dtype=float), self.SPECIAL_ROWS,
+                                  self.AXIS_SQUARES])
+        py = (np.arange(height) + 0.5)[:, None]
+        for z in factors:
+            _, vy = _oracle_vertices(z, width, height)
+            crossings = ((vy > py) != (np.roll(vy, -1) > py)).sum(axis=1)
+            assert set(crossings.tolist()) <= {0, 2}, (z, width, height)
+        batch = ds.render_batch(factors, width, height)
+        expected = oracle_batch(factors, width, height)
+        assert np.array_equal(batch.view(np.uint64), expected.view(np.uint64))
 
     def _rejects(self, row, match, width=16, height=16):
         """render_batch raises on a batch whose rows 2 and 4 are `row`; the message names row 2."""

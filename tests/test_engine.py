@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import multiprocessing
 import struct
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from torusvae import geometry as g
 from torusvae.autodiff import Tensor, node
 from torusvae.errors import ConfigError, FormatError, NumericsError
 from helpers import (REFUSED_CHECKPOINTS, assert_same_bits, finite_diff_grads, grad_probe,
-                     max_relative_error, oracle_posterior, write_checkpoint)
+                     max_relative_error, oracle_posterior, shapes_train_sha256,
+                     write_checkpoint)
 
 
 # A Euclidean L=10 checkpoint kept in the repository, trained at an earlier commit.
@@ -615,6 +617,15 @@ class TestTrain:
         cfg = e.TrainConfig("euclidean", 4, 1.0, 1e-3, 32, 6, seed=2, hidden=(16,))
         _, report = e.train(cfg, data.x)
         assert report.best_epoch == int(np.argmin(report.val_mse))
+
+    def test_one_blas_thread_spawn_worker_trains_the_same_bits(self, monkeypatch):
+        """A train in a spawned worker with one BLAS thread gives the parameter
+        bytes of the same train in this process with its default BLAS threads,
+        so the acceptance trains may run in such workers without moving a bit."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            in_worker = pool.apply_async(shapes_train_sha256, (1,)).get(timeout=120)
+        assert in_worker == shapes_train_sha256(1)
 
 
 class TestGenerate:

@@ -61,6 +61,11 @@ class TestLassoFit:
         assert np.array_equal(m.lasso_fit(X, y, threshold * 1.5), np.zeros(4))
         assert np.any(m.lasso_fit(X, y, threshold * 0.5) != 0.0)
 
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_refuses_fewer_than_one_sweep(self, max_sweeps):
+        with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+            m.lasso_fit(np.eye(3), np.ones(3), 0.1, max_sweeps=max_sweeps)
+
     def test_matches_kkt_oracle(self, rng):
         for _ in range(5):
             X, _ = m.standardize_columns(rng.standard_normal((20, 5)))
