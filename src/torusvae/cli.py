@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -217,6 +218,30 @@ def cmd_generate(config: dict, args) -> int:
     return EXIT_OK
 
 
+def _helper_allowed(workers: int) -> bool:
+    """Whether each of `workers` trains running at once may run engine.train's
+    helper thread: only when BLAS runs each call on one thread and this
+    process may use at least two cores per train. BLAS threads that wait for
+    work spin on their cores, so beside them the helper only slows a train
+    down."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return _blas_threads() == 1 and cores >= 2 * workers
+
+
+def _blas_threads() -> int | None:
+    """The threads OpenBLAS runs a call on, as it reads them from the
+    environment when numpy loads: the first positive count of these
+    variables, or None when none sets one (then it runs one per core)."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
 def cmd_train(config: dict, args) -> int:
     paths = _Paths(config, args)
     train_config = _train_config(config)
@@ -225,7 +250,8 @@ def cmd_train(config: dict, args) -> int:
     report_path = paths.get("model", "report", "train_report.json")
     paths.check_inputs()
 
-    model, report = engine.train(train_config, datasets.load_dataset(dataset_path).x)
+    model, report = engine.train(train_config, datasets.load_dataset(dataset_path).x,
+                                 _helper_allowed(1))
     write_files(checkpoint_path.parent,
                 {checkpoint_path.name: lambda tmp: engine.save_checkpoint(model, tmp)})
     write_files(report_path.parent,
@@ -311,22 +337,23 @@ def cmd_sweep(config: dict, args) -> int:
     jobs = [(cell, settings) for cell in cells]
     # A pool forks all of its workers at once, so it never gets more than there are cells.
     workers = min(args.workers, len(jobs))
+    process = (dataset, _helper_allowed(workers))
     if workers > 1:
         # Longest cells first, so that no worker starts a large cell last while
         # the others sit idle; the rows then go back into grid order. Each
         # worker gets the dataset once, as it starts, not once per cell.
         order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].latent_dim)
         rows = [None] * len(jobs)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_sweep_dataset,
-                                 initargs=(dataset,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_sweep_process,
+                                 initargs=process) as pool:
             for i, row in zip(order, pool.map(_sweep_cell, [jobs[i] for i in order])):
                 rows[i] = row
     else:
-        _set_sweep_dataset(dataset)
+        _set_sweep_process(*process)
         try:
             rows = [_sweep_cell(job) for job in jobs]
         finally:
-            _set_sweep_dataset(None)
+            _set_sweep_process(None, False)
 
     def write(tmp):
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -343,23 +370,25 @@ def cmd_sweep(config: dict, args) -> int:
     return EXIT_OK
 
 
-_sweep_dataset = None  # the dataset of the sweep that this process runs cells of
+# The dataset of the sweep that this process runs cells of, and whether its
+# trains may run engine.train's helper thread.
+_sweep_process = (None, False)
 
 
-def _set_sweep_dataset(dataset) -> None:
-    global _sweep_dataset
-    _sweep_dataset = dataset
+def _set_sweep_process(dataset, helper: bool) -> None:
+    global _sweep_process
+    _sweep_process = (dataset, helper)
 
 
 def _sweep_cell(job):
     """One sweep row: train and score a (TrainConfig, MetricsSettings) job on
-    the dataset _set_sweep_dataset gave this process."""
+    the dataset, with the helper answer, that _set_sweep_process gave this process."""
     train_config, settings = job
-    dataset = _sweep_dataset
+    dataset, helper = _sweep_process
     beta, dim = train_config.beta, train_config.latent_dim
     fmt = metrics.FLOAT_FORMAT
     try:
-        model, report = engine.train(train_config, dataset.x)
+        model, report = engine.train(train_config, dataset.x, helper)
         dci = _validation_dci(model, dataset, train_config, settings).report
         mse = report.val_mse[report.best_epoch]
         return [

@@ -10,8 +10,20 @@ posterior (sample, latent assembly and KL), the decoder and the
 reconstruction loss. Their VJPs write the gradient of the model's one
 parameter, a Tensor over the flat vector of all its weights and biases,
 which Adam steps in blocks. Inference runs the same networks and ndarray
-geometry and never calls backward. Training is single-threaded and fully
-determined by the config seed.
+geometry and never calls backward. Training is fully determined by the
+config seed.
+
+A train whose caller allows it runs one helper thread for the whole run
+(train's helper argument). The helper takes only work that splits without
+moving a bit, and only large work (SPLIT_MIN_WORK, SPLIT_MIN_ROWS): the
+first row half of a dense forward product, a layer's weight and bias
+gradients while the step's own thread makes the input gradient, half of
+the first encoder layer's weight gradient, and the second half of each
+Adam update. Every element of a product keeps its k-order however its rows
+are split, and Adam works element by element, so a train's output bytes do
+not depend on the helper. A job the helper has not started when its result
+is needed is run by the step's own thread instead. The helper calls nothing
+but numpy and this module's private helpers, and no thread outlives train.
 
 A model's shape is described once: LatentSpec bounds the latent dim so that
 every width of layer_specs fits a TDVAE1 u32, for configs and files alike,
@@ -21,8 +33,10 @@ compares byte for byte.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +60,15 @@ ADAM_EPS = 1e-8
 # Elements per adam_step block: 128 KiB of float64 per operand, so that the
 # moments, gradient and scratch of a block stay in cache across its passes.
 ADAM_BLOCK = 1 << 14
+
+# The helper thread takes a dense product of at least SPLIT_MIN_WORK
+# multiply-adds, and splits one by rows only when it has SPLIT_MIN_ROWS rows
+# too: above OpenBLAS's small-matrix path, where its two row halves give the
+# whole product's bits. A smaller product gains less than the 30-100 us it
+# takes to wake the helper on a 2-core host: at 2^22, a D=8 synthetic train
+# (its 264x128 layer at 144 rows, 4.9M) ran 8% slower with the helper.
+SPLIT_MIN_WORK = 1 << 23
+SPLIT_MIN_ROWS = 96
 
 
 # The largest latent dim of each mode whose layer_specs widths fit the u32
@@ -98,24 +121,61 @@ def param_count(specs) -> int:
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in specs)
 
 
+def _hand_over(pool: Executor, fn, *args):
+    """Submit fn(*args) to the helper, returning a join() that waits for it,
+    or that runs it on the calling thread when the helper has not started
+    it yet (a helper whose core is busy then delays nothing)."""
+    job = pool.submit(fn, *args)
+
+    def join():
+        if job.cancel():
+            fn(*args)
+        else:
+            job.result()
+
+    return join
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, pool: Executor | None) -> np.ndarray:
+    """np.matmul(a, b, out=out). With a pool, a product of at least
+    SPLIT_MIN_WORK multiply-adds and SPLIT_MIN_ROWS rows is made as two row
+    halves of out, the first handed to the pool's thread: the same bits,
+    since each element keeps its k-order."""
+    rows = a.shape[0]
+    if pool is None or rows < SPLIT_MIN_ROWS or rows * a.shape[1] * b.shape[1] < SPLIT_MIN_WORK:
+        return np.matmul(a, b, out=out)
+    half = rows // 2
+    first = _hand_over(pool, np.matmul, a[:half], b, out[:half])
+    np.matmul(a[half:], b, out=out[half:])
+    first()
+    return out
+
+
 class DenseNetwork:
     """A stack of fully connected layers over slices of a model's flat vectors.
 
     specs holds one (fan_in, fan_out, activation) per layer, as layer_specs
     makes them. weights and biases are reshaped views of flat, laid out
     layer by layer, weight before bias, and weight_grads and bias_grads the
-    same views of flat_grad, which forward's node writes.
+    same views of flat_grad, which forward's node writes; a network given no
+    flat_grad has none and only infers. pool, when train sets it, is the
+    helper thread that forward and its node share their work with.
     """
 
-    def __init__(self, specs, flat: np.ndarray, flat_grad: np.ndarray):
+    def __init__(self, specs, flat: np.ndarray, flat_grad: np.ndarray | None):
         self.specs = list(specs)
         shapes = [s for fan_in, fan_out, _ in specs for s in ((fan_in, fan_out), (fan_out,))]
         ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
-        data, grads = ([part.reshape(s) for part, s in zip(np.split(vector, ends), shapes)]
-                       for vector in (flat, flat_grad))
+
+        def views(vector):
+            return [part.reshape(s) for part, s in zip(np.split(vector, ends), shapes)]
+
+        data = views(flat)
         self.weights, self.biases = data[::2], data[1::2]
+        grads = views(flat_grad) if flat_grad is not None else [None] * len(shapes)
         self.weight_grads, self.bias_grads = grads[::2], grads[1::2]
         self.input_dim = specs[0][0]
+        self.pool: Executor | None = None
 
     def forward(self, x: Tensor) -> Tensor:
         """One tape node for the whole stack.
@@ -129,9 +189,10 @@ class DenseNetwork:
             raise ValueError(
                 f"expected input shape (N, {self.input_dim}), got {x.data.shape}"
             )
+        pool = self.pool
         hs = [x.data]  # each layer's input, then the network's output
         for w, b, (_, _, act) in zip(self.weights, self.biases, self.specs):
-            y = hs[-1] @ w
+            y = _matmul(hs[-1], w, np.empty((hs[-1].shape[0], w.shape[1])), pool)
             y += b
             if act == "relu":
                 np.maximum(y, 0.0, out=y)
@@ -141,22 +202,38 @@ class DenseNetwork:
         input_grad = x.parent is not None
 
         def backward(grad):
-            for i in reversed(range(len(self.specs))):
-                act, y = self.specs[i][2], hs[i + 1]
-                if act == "relu":
-                    np.multiply(grad, y > 0.0, out=grad)
-                elif act == "tanh":
-                    t = y * y
-                    np.subtract(1.0, t, out=t)
-                    grad *= t
-                np.sum(grad, axis=0, out=self.bias_grads[i])
-                np.matmul(hs[i].T, grad, out=self.weight_grads[i])
-                if i == 0 and not input_grad:
-                    return None
-                grad = grad @ self.weights[i].T
-            return grad
+            joins = []  # the helper's parameter gradients, all done before this returns
+            try:
+                for i in reversed(range(len(self.specs))):
+                    act, y = self.specs[i][2], hs[i + 1]
+                    if act == "relu":
+                        np.multiply(grad, y > 0.0, out=grad)
+                    elif act == "tanh":
+                        t = y * y
+                        np.subtract(1.0, t, out=t)
+                        grad *= t
+                    if i == 0 and not input_grad:
+                        # no input gradient to overlap: the weight gradient takes both threads
+                        np.sum(grad, axis=0, out=self.bias_grads[0])
+                        _matmul(hs[0].T, grad, self.weight_grads[0], pool)
+                        return None
+                    if pool is None or hs[i].size * grad.shape[1] < SPLIT_MIN_WORK:
+                        self._parameter_grads(i, hs[i], grad)
+                    else:
+                        joins.append(_hand_over(pool, self._parameter_grads, i, hs[i], grad))
+                    grad = grad @ self.weights[i].T
+                return grad
+            finally:
+                for join in joins:
+                    join()
 
         return node(hs[-1], x, backward)
+
+    def _parameter_grads(self, i: int, h: np.ndarray, grad: np.ndarray) -> None:
+        """Write layer i's bias and weight gradients, given its input h and the
+        gradient of its pre-activation."""
+        np.sum(grad, axis=0, out=self.bias_grads[i])
+        np.matmul(h.T, grad, out=self.weight_grads[i])
 
 
 class VaeModel:
@@ -165,9 +242,11 @@ class VaeModel:
     The networks are layer_specs(latent, input_dim, hidden), and flat holds
     every weight and bias, encoder first, in the TDVAE1 payload order: zeros
     unless given, as load_checkpoint gives a file's payload. flat_grad holds
-    their gradients; each network's weights and biases are views into the
-    two. The model's one parameter, the only item of parameters(), is a
-    Tensor whose .data is flat and .grad is flat_grad; it is never on the tape.
+    their gradients for a new model, the kind train builds; a model over
+    given parameters only infers, and its flat_grad is None. Each network's
+    weights and biases are views into the two. The model's one parameter, the
+    only item of parameters(), is a Tensor whose .data is flat and .grad is
+    flat_grad; it is never on the tape.
     """
 
     def __init__(self, latent: LatentSpec, input_dim: int, hidden,
@@ -181,7 +260,7 @@ class VaeModel:
         size = split + param_count(decoder_specs)
         try:
             self.flat = np.zeros(size) if flat is None else flat
-            self.flat_grad = np.zeros(size)
+            self.flat_grad = np.zeros(size) if flat is None else None
         # ValueError: more elements than an array can index (a hidden width of
         # 2^62); MemoryError: more bytes than are free.
         except (ValueError, MemoryError):
@@ -191,8 +270,10 @@ class VaeModel:
                               f"a model of {size} parameters, more than memory holds") from None
         self.param = Tensor(self.flat)
         self.param.grad = self.flat_grad
-        self.encoder = DenseNetwork(encoder_specs, self.flat[:split], self.flat_grad[:split])
-        self.decoder = DenseNetwork(decoder_specs, self.flat[split:], self.flat_grad[split:])
+        enc_grad, dec_grad = ((None, None) if self.flat_grad is None
+                              else (self.flat_grad[:split], self.flat_grad[split:]))
+        self.encoder = DenseNetwork(encoder_specs, self.flat[:split], enc_grad)
+        self.decoder = DenseNetwork(decoder_specs, self.flat[split:], dec_grad)
         self.latent = latent
         self.input_dim = input_dim
         self.hidden = tuple(hidden)
@@ -201,19 +282,27 @@ class VaeModel:
     # -- the latent step ----------------------------------------------------
 
     def _split(self, out: np.ndarray):
-        """(mu, logvar) views of encoder output rows: (N, D, 2) each for
-        circles, per circle [mu0, mu1, logvar0, logvar1]; (N, L) otherwise."""
+        """Contiguous copies of (mu, logvar) of C-contiguous encoder output
+        rows: (N, D, 2) each for circles, per circle [mu0, mu1, logvar0,
+        logvar1], each pair copied as one complex128; (N, L) otherwise."""
         n, d = out.shape[0], self.latent.dim
         if self.latent.mode == TORUS:
-            blocks = out.reshape(n, d, 4)
-            return blocks[:, :, 0:2], blocks[:, :, 2:4]
-        return out[:, 0:d], out[:, d : 2 * d]
+            pairs = out.view(np.complex128).reshape(n, d, 2)
+            return tuple(pairs[:, :, k].copy().view(float).reshape(n, d, 2) for k in (0, 1))
+        return out[:, 0:d].copy(), out[:, d : 2 * d].copy()
+
+    def _join(self, mu_grad: np.ndarray, logvar_grad: np.ndarray) -> np.ndarray:
+        """The encoder output rows whose _split is (mu_grad, logvar_grad), both C-contiguous."""
+        if self.latent.mode == TORUS:
+            pairs = (mu_grad.view(np.complex128), logvar_grad.view(np.complex128))
+            return np.concatenate(pairs, axis=-1).view(float).reshape(mu_grad.shape[0], -1)
+        return np.concatenate((mu_grad, logvar_grad), axis=-1)
 
     def _posterior(self, out: Tensor, noise: np.ndarray, beta: float,
                    buffers: RowBuffers | None = None):
         """(decoder input node, KL) of the encoder output node.
 
-        The node samples mu + e^(logvar/2) * noise from contiguous copies of
+        The node samples mu + e^(logvar/2) * noise from _split's copies of
         mu and logvar and, for circles, normalizes and embeds the sample; the
         forward makes e^logvar, the norms and the partial products once, for
         itself and the VJP. Its VJP also adds beta times the KL gradient, so
@@ -224,7 +313,7 @@ class VaeModel:
         (fresh ones when none are given; see geometry.RowBuffers), so the
         node's data and VJP hold until the next call on the same buffers.
         """
-        mu, logvar = (np.ascontiguousarray(a) for a in self._split(out.data))
+        mu, logvar = self._split(out.data)
         sigma = np.exp(logvar * 0.5)
         m_hat = v = mu + sigma * noise
         e = np.exp(logvar)
@@ -239,7 +328,7 @@ class VaeModel:
             mu_grad = g + 0.0  # as on a zero fill, -0.0 turns +0.0 (c * e does it for logvar)
             logvar_grad = g * noise * sigma * 0.5
             gaussian_kl_vjp(mu, e, beta, mu_grad, logvar_grad)
-            return np.concatenate((mu_grad, logvar_grad), axis=-1).reshape(out.data.shape)
+            return self._join(mu_grad, logvar_grad)
 
         return node(v, out, backward), gaussian_kl(mu, logvar, e)
 
@@ -248,7 +337,7 @@ class VaeModel:
     def encode(self, x: np.ndarray) -> np.ndarray:
         """A fresh array of the posterior means of rows x; see _split."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._split(self.encoder.forward(Tensor(x)).data)[0].copy()
+        return self._split(self.encoder.forward(Tensor(x)).data)[0]
 
     def decode(self, v: np.ndarray) -> np.ndarray:
         v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -356,21 +445,28 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray,
 @dataclass
 class AdamState:
     """First and second moments of a model's one parameter, and one block of
-    scratch for adam_step."""
+    scratch (update, scratch) for adam_step. A state made with a helper pool
+    for a parameter of at least 4 * ADAM_BLOCK elements also holds the pool
+    and a second block of scratch, helper_scratch, for the helper's half."""
 
     m: np.ndarray
     v: np.ndarray
     update: np.ndarray
     scratch: np.ndarray
     step: int = 0
+    pool: Executor | None = None
+    helper_scratch: np.ndarray | None = None  # (2, ADAM_BLOCK): the helper's update, scratch
 
     @classmethod
-    def for_params(cls, params):
+    def for_params(cls, params, pool: Executor | None = None):
         (param,) = params
         size = param.data.size
         block = min(ADAM_BLOCK, size)
-        return cls(m=np.zeros(size), v=np.zeros(size), update=np.zeros(block),
-                   scratch=np.zeros(block))
+        state = cls(m=np.zeros(size), v=np.zeros(size), update=np.zeros(block),
+                    scratch=np.zeros(block))
+        if pool is not None and size >= 4 * ADAM_BLOCK:
+            state.pool, state.helper_scratch = pool, np.zeros((2, ADAM_BLOCK))
+        return state
 
 
 def adam_step(params, state: AdamState, lr: float) -> AdamState:
@@ -381,18 +477,37 @@ def adam_step(params, state: AdamState, lr: float) -> AdamState:
     C-contiguous. A non-finite gradient raises NumericsError before anything
     changes. The parameter is updated one block of ADAM_BLOCK elements at a
     time, so a block's moments, gradient and scratch stay in cache, and no
-    arrays are allocated.
+    arrays are allocated. With the state's pool, the second half of the
+    blocks is handed to the helper thread, each element updated by the same
+    operations.
     """
     (param,) = params
     if not all_finite(param.grad):
         raise NumericsError("non-finite gradient")
     state.step += 1
-    t = state.step
     data, grad = param.data.reshape(-1), param.grad.reshape(-1)
-    for lo in range(0, data.size, ADAM_BLOCK):
-        block = slice(lo, lo + ADAM_BLOCK)  # the last one stops at the end
+    if state.pool is None:
+        _adam_blocks(state, data, grad, 0, data.size, state.update, state.scratch, lr)
+        return state
+    mid = -(-data.size // (2 * ADAM_BLOCK)) * ADAM_BLOCK  # the first ceil(blocks / 2) blocks
+    second = _hand_over(state.pool, _adam_blocks, state, data, grad, mid, data.size,
+                        *state.helper_scratch, lr)
+    try:
+        _adam_blocks(state, data, grad, 0, mid, state.update, state.scratch, lr)
+    finally:
+        second()
+    return state
+
+
+def _adam_blocks(state: AdamState, data: np.ndarray, grad: np.ndarray, start: int, stop: int,
+                 update: np.ndarray, scratch: np.ndarray, lr: float) -> None:
+    """adam_step's update of elements [start, stop), in ADAM_BLOCK blocks from
+    start, with one block of update and scratch."""
+    t = state.step
+    for lo in range(start, stop, ADAM_BLOCK):
+        block = slice(lo, min(lo + ADAM_BLOCK, stop))
         g, m, v = grad[block], state.m[block], state.v[block]
-        m_hat, s = state.update[: g.size], state.scratch[: g.size]
+        m_hat, s = update[: g.size], scratch[: g.size]
         # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=s)
@@ -409,7 +524,6 @@ def adam_step(params, state: AdamState, lr: float) -> AdamState:
         m_hat *= lr
         m_hat /= s
         data[block] -= m_hat
-    return state
 
 
 # -- training -------------------------------------------------------------------
@@ -510,7 +624,23 @@ def validation_mse(model: VaeModel, x_scaled: np.ndarray,
     return float(np.mean(err))
 
 
-def train(config: TrainConfig, samples: np.ndarray):
+@contextlib.contextmanager
+def _helper_pool(model: VaeModel, helper: bool):
+    """The helper thread's pool for a train of model, set on its networks,
+    or None when helper is false. Leaving the block takes the pool off the
+    networks and waits for its thread to end, also on an exception."""
+    if not helper:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="torusvae-helper") as pool:
+        model.encoder.pool = model.decoder.pool = pool
+        try:
+            yield pool
+        finally:
+            model.encoder.pool = model.decoder.pool = None
+
+
+def train(config: TrainConfig, samples: np.ndarray, helper: bool = False):
     """Train a model on raw samples; returns (model, report).
 
     samples is a float32 or float64 (N, input_dim) array, such as the float32
@@ -530,6 +660,10 @@ def train(config: TrainConfig, samples: np.ndarray):
     spawned off config.seed. The returned model carries the parameters of the
     epoch with the lowest validation MSE. A NumericsError from a step names
     its epoch and its step within the epoch.
+
+    helper is the caller's answer to whether train may run a second thread
+    beside its own (see the module docstring); the model and report are the
+    same bytes either way.
     """
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
@@ -550,29 +684,29 @@ def train(config: TrainConfig, samples: np.ndarray):
     buffers = RowBuffers(max(min(config.batch_size, train_rows.size), val_rows.size))
 
     params = model.parameters()
-    state = AdamState.for_params(params)
-
     train_loss = []
     val_mse = []
     best_epoch = 0
     n_train = train_rows.size
-    for epoch in range(config.epochs):
-        rows = train_rows[shuffle_rng.permutation(n_train)]
-        total = 0.0
-        for step, lo in enumerate(range(0, n_train, config.batch_size)):
-            batch = scale_in(samples[rows[lo : lo + config.batch_size]], config.input_scale)
-            noise = noise_rng.standard_normal(_noise_shape(latent, batch.shape[0]))
-            try:
-                result = elbo_loss(model, batch, config.beta, noise, buffers)
-                adam_step(params, state, config.learning_rate)
-            except NumericsError as exc:
-                raise NumericsError(f"epoch {epoch}, step {step}: {exc}") from exc
-            total += result.loss * batch.shape[0]
-        train_loss.append(total / n_train)
-        val_mse.append(validation_mse(model, val_x, buffers))
-        if val_mse[epoch] < val_mse[best_epoch] or epoch == 0:  # so best_snapshot is set
-            best_epoch = epoch
-            best_snapshot = model.snapshot()
+    with _helper_pool(model, helper) as pool:
+        state = AdamState.for_params(params, pool)
+        for epoch in range(config.epochs):
+            rows = train_rows[shuffle_rng.permutation(n_train)]
+            total = 0.0
+            for step, lo in enumerate(range(0, n_train, config.batch_size)):
+                batch = scale_in(samples[rows[lo : lo + config.batch_size]], config.input_scale)
+                noise = noise_rng.standard_normal(_noise_shape(latent, batch.shape[0]))
+                try:
+                    result = elbo_loss(model, batch, config.beta, noise, buffers)
+                    adam_step(params, state, config.learning_rate)
+                except NumericsError as exc:
+                    raise NumericsError(f"epoch {epoch}, step {step}: {exc}") from exc
+                total += result.loss * batch.shape[0]
+            train_loss.append(total / n_train)
+            val_mse.append(validation_mse(model, val_x, buffers))
+            if val_mse[epoch] < val_mse[best_epoch] or epoch == 0:  # so best_snapshot is set
+                best_epoch = epoch
+                best_snapshot = model.snapshot()
 
     model.restore(best_snapshot)
     report = TrainReport(
@@ -620,7 +754,7 @@ def load_checkpoint(path) -> VaeModel:
     """The model a TDVAE1 file holds: its header must be the _header of its mode,
     scale, dims and encoder's hidden widths, byte for byte, and its payload,
     uncopied, becomes the model's flat."""
-    reader = Reader(path)
+    reader = Reader(path, tail_alignment=8)  # the float64 payload ends the file
     if reader.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic in {path}")
     mode_tag, scale_tag, latent_dim, input_dim = reader.unpack("<BBII")

@@ -77,13 +77,17 @@ class Reader:
 
     Every read is checked against the bytes present before it is made, so a
     size field in a header can never make the parser allocate or read past
-    the end; take() hands out views of the buffer, not copies.
+    the end; take() hands out views of the buffer, not copies. The buffer
+    ends on a multiple of tail_alignment bytes, so that a payload of items
+    that size at the end of the file is aligned for numpy.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, tail_alignment: int = 1):
         self.path = path
         with open(path, "rb") as fh:
-            blob = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
+            size = os.fstat(fh.fileno()).st_size
+            pad = -size % tail_alignment
+            blob = memoryview(bytearray(pad + size))[pad:]
             self.blob = blob[: fh.readinto(blob)]
         self.offset = 0
 

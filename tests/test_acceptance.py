@@ -166,12 +166,13 @@ def test_criterion_7_identity_pipeline_sanity(criterion):
 
 
 def _train_and_score(mode, dim, seed, dataset, epochs, hidden, input_scale):
-    """DC score of a model trained as `train` does and scored as `evaluate` does."""
+    """DC score of a model trained as `train` does, with the helper thread
+    when this process has the cores for it, and scored as `evaluate` does."""
     config = engine.TrainConfig(
         mode=mode, latent_dim=dim, beta=1.0, learning_rate=1e-3, batch_size=144,
         epochs=epochs, seed=seed, hidden=hidden, input_scale=input_scale,
     )
-    model, _ = engine.train(config, dataset.x)
+    model, _ = engine.train(config, dataset.x, cli._helper_allowed(1))
     settings = cli.MetricsSettings(99, m.DEFAULT_ALPHA_GRID, 10, 0.2, "encoder")
     return cli._validation_dci(model, dataset, config, settings).report.dc_score
 

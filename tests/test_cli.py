@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -423,6 +424,46 @@ class TestSweep:
         serial = (tmp_path / "out" / "sweep.csv").read_bytes()
         run("sweep", "--config", str(config), "--workers", "2")
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == serial
+
+    def test_two_workers_on_two_cores_train_without_the_helper(self, tmp_path, monkeypatch):
+        """On two cores with one BLAS thread, a serial sweep trains each cell
+        with the helper thread, and `--workers 2` trains its cells without
+        one (two threads per core otherwise) and writes the same CSV."""
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        main, serial_helpers, train = os.getpid(), [], engine.train
+
+        def checked(config, samples, helper=False):
+            if os.getpid() == main:
+                serial_helpers.append(helper)
+            elif helper:
+                raise AssertionError("a pool worker's train ran the helper thread")
+            return train(config, samples, helper)
+
+        monkeypatch.setattr(engine, "train", checked)
+        cfg = base_config(tmp_path / "out")
+        config = write_config(tmp_path, cfg)
+        run("generate", "--config", str(config))
+        run("sweep", "--config", str(config))
+        serial = (tmp_path / "out" / "sweep.csv").read_bytes()
+        assert serial_helpers == [True] * 4
+        run("sweep", "--config", str(config), "--workers", "2")
+        assert serial_helpers == [True] * 4  # every cell ran in a pool worker
+        assert (tmp_path / "out" / "sweep.csv").read_bytes() == serial
+
+    @pytest.mark.parametrize("cores,blas,workers,allowed", [
+        (2, "1", 1, True), (2, "1", 2, False), (4, "1", 2, True), (1, "1", 1, False),
+        (2, None, 1, False), (4, "2", 1, False), (4, "0", 1, False)])
+    def test_helper_needs_one_blas_thread_and_two_cores_per_train(
+            self, monkeypatch, cores, blas, workers, allowed):
+        """A train may run the helper thread only beside a one-thread BLAS (by
+        default OpenBLAS runs one thread per core) and with two cores per train."""
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        if blas is not None:
+            monkeypatch.setenv("OMP_NUM_THREADS", blas)
+        assert cli._helper_allowed(workers) is allowed
 
     def test_pool_gets_longest_cells_first(self, tmp_path, monkeypatch):
         """With workers, cells go out by descending latent_dim, stably, and

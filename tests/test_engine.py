@@ -2,11 +2,15 @@ import dataclasses
 import hashlib
 import multiprocessing
 import struct
+import sys
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from torusvae import datasets as ds
 from torusvae import engine as e
 from torusvae import geometry as g
 from torusvae.autodiff import Tensor, node
@@ -445,7 +449,8 @@ class TestFlatParameters:
         assert model.parameters()[0].data is model.flat
         for data, grad in layer_views(model):
             assert np.shares_memory(data, model.flat)
-            assert np.shares_memory(grad, model.flat_grad)
+            assert grad is None  # a loaded model only infers: it has no gradient vector
+        assert model.flat_grad is None and model.parameters()[0].grad is None
         assert model.flat.flags.writeable
 
     def test_initial_weights_are_pinned(self):
@@ -628,6 +633,149 @@ class TestTrain:
         assert in_worker == shapes_train_sha256(1)
 
 
+def _helper_case(kind, count, mode, dim, hidden):
+    data = (ds.shapes_source(count, seed=404, width=16, height=16).render() if kind == "2dshapes"
+            else ds.make_synthetic_dataset(5, count, seed=505))
+    scale = e.SCALE_UNIT if kind == "2dshapes" else e.SCALE_SYMMETRIC
+    return data.x, e.TrainConfig(mode, dim, 1.0, 1e-3, 144, 2, seed=3, hidden=hidden,
+                                 input_scale=scale)
+
+
+# name -> (kind, rows, mode, latent dim, hidden), and the work the helper takes
+HELPER_CASES = {
+    # the README model: 144-row batches and validation
+    "readme-2dshapes": (("2dshapes", 720, "torus", 4, (128, 64)),
+                        {"matmul", "_parameter_grads", "_adam_blocks"}),
+    # 800 training rows: a last batch of 80, below SPLIT_MIN_ROWS; 200 validation rows
+    "short-last-batch": (("2dshapes", 1000, "torus", 4, (128, 64)),
+                         {"matmul", "_parameter_grads", "_adam_blocks"}),
+    "euclidean-2dshapes": (("2dshapes", 720, "euclidean", 10, (128, 64)),
+                           {"matmul", "_parameter_grads", "_adam_blocks"}),
+    # only the 264x128 decoder layer's 800-row validation forwards are large
+    # enough to share; 42k parameters are too few for Adam halves
+    "synthetic-d8": (("synthetic", 4000, "torus", 8, (128,)), {"matmul"}),
+}
+
+# Every product the helper splits by rows in tests/ and perfbench/, as (rows,
+# k, n, transposed): the 2dshapes dense forwards at 144, 200 and 800 rows,
+# the D=8 264x128 layer at 800 validation rows (at 144 and 200 it is below
+# SPLIT_MIN_WORK), and the first 2dshapes encoder layer's weight gradient,
+# (768, 144) as a transposed view of a batch.
+SPLIT_PRODUCTS = ([(rows, k, n, False) for rows in (144, 200, 800)
+                   for k, n in ((768, 128), (128, 768))]
+                  + [(800, 264, 128, False), (768, 144, 128, True)])
+
+
+class TestHelperThread:
+    @pytest.mark.parametrize("rows,k,n,transposed", SPLIT_PRODUCTS)
+    def test_row_halves_give_the_whole_products_bits(self, rows, k, n, transposed, rng):
+        """The premise of the helper's row split: on this BLAS, two row halves
+        of each product it splits equal the whole product bit for bit. A BLAS
+        that picks its kernel by row count fails here, not as a trained
+        checkpoint whose bytes depend on the helper."""
+        a = rng.standard_normal((k, rows)).T if transposed else rng.standard_normal((rows, k))
+        b = rng.standard_normal((k, n))
+        assert rows >= e.SPLIT_MIN_ROWS and rows * k * n >= e.SPLIT_MIN_WORK
+        whole = a @ b
+        half = rows // 2
+        halves = np.concatenate((a[:half] @ b, a[half:] @ b))
+        assert halves.tobytes() == whole.tobytes(), (
+            f"two row halves of a ({rows}, {k}) @ ({k}, {n}) product differ from the whole "
+            f"on this BLAS: the helper thread's split would change trained bytes")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert e._matmul(a, b, np.empty((rows, n)), pool).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("case", HELPER_CASES)
+    def test_train_bytes_do_not_depend_on_the_helper(self, case, monkeypatch):
+        """A train with the helper thread gives the parameters and report of
+        the same train without it, and the helper gets the work expected."""
+        (kind, count, mode, dim, hidden), expected = HELPER_CASES[case]
+        x, cfg = _helper_case(kind, count, mode, dim, hidden)
+        taken = set()
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                taken.add(fn.__name__)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(e, "ThreadPoolExecutor", RecordingPool)
+        alone, alone_report = e.train(cfg, x)
+        assert not taken
+        shared, shared_report = e.train(cfg, x, helper=True)
+        assert taken == expected
+        assert shared.flat.tobytes() == alone.flat.tobytes()
+        assert dataclasses.asdict(shared_report) == dataclasses.asdict(alone_report)
+        assert shared.encoder.pool is None and shared.decoder.pool is None
+
+    def test_jobs_the_helper_never_starts_are_taken_back(self, monkeypatch):
+        """A helper whose core never frees starts nothing: each job handed to
+        it is cancelled and run by the step's own thread, and the train keeps
+        its bytes."""
+        taken = []
+
+        class NeverStarted(Future):
+            def result(self, timeout=None):
+                raise AssertionError("waited for a job the helper never started")
+
+        class IdleHelper:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                taken.append(fn.__name__)
+                return NeverStarted()
+
+        monkeypatch.setattr(e, "ThreadPoolExecutor", IdleHelper)
+        x, cfg = _helper_case(*HELPER_CASES["readme-2dshapes"][0])
+        alone = e.train(cfg, x)[0].flat.tobytes()
+        assert e.train(cfg, x, helper=True)[0].flat.tobytes() == alone
+        assert set(taken) == HELPER_CASES["readme-2dshapes"][1]
+
+    def test_a_short_switch_interval_keeps_the_bytes(self):
+        """The two threads write disjoint parts of each output; with the
+        interpreter switching threads every 10 us, a train with the helper
+        still gives the bytes of one without it."""
+        x, cfg = _helper_case(*HELPER_CASES["readme-2dshapes"][0])
+        alone = e.train(cfg, x)[0].flat.tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            shared = e.train(cfg, x, helper=True)[0].flat.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == alone
+
+    def test_non_finite_gradient_changes_nothing(self, rng):
+        """Under the helper, a NaN in the helper's half of the gradient raises
+        NumericsError with the parameter, moments and step as they were."""
+        size = 4 * e.ADAM_BLOCK + 5
+        params = [stand_in(rng.standard_normal(size), rng.standard_normal(size))]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            state = e.AdamState.for_params(params, pool)
+            assert state.pool is pool
+            e.adam_step(params, state, 1e-3)
+            before = [a.tobytes() for a in (params[0].data, state.m, state.v)]
+            params[0].grad[-1] = np.nan
+            with pytest.raises(NumericsError, match="non-finite gradient"):
+                e.adam_step(params, state, 1e-3)
+        assert [a.tobytes() for a in (params[0].data, state.m, state.v)] == before
+        assert state.step == 1
+
+    def test_no_thread_outlives_a_failed_train(self):
+        x, cfg = _helper_case("2dshapes", 720, "torus", 4, (128, 64))
+        x = x.copy()
+        x[:, 0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match=r"^epoch 0, step 0"):
+            e.train(cfg, x, helper=True)
+        assert not [t for t in threading.enumerate() if t.name.startswith("torusvae-helper")]
+
+
 class TestGenerate:
     """Images generated from explicit angles: the decoder on their embedding."""
 
@@ -797,6 +945,23 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak <= 3.2 * path.stat().st_size
+
+    def test_committed_checkpoint_loads_in_about_its_file_size(self):
+        """A loaded model only infers: the file's buffer, whose float64 payload
+        becomes flat aligned and uncopied, is all the memory a load holds. A
+        gradient vector would add another 1.0x, and a finite check of an
+        unaligned payload numpy's 64 KiB iterator buffer (2.12x before both)."""
+        import tracemalloc
+
+        e.load_checkpoint(COMMITTED_CHECKPOINT)  # first-call imports and caches stay out
+        tracemalloc.start()
+        try:
+            model = e.load_checkpoint(COMMITTED_CHECKPOINT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.flat_grad is None and model.flat.flags.aligned
+        assert peak <= 1.15 * COMMITTED_CHECKPOINT.stat().st_size
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad"
