@@ -18,12 +18,14 @@ import numpy as np
 
 class Tensor:
     """An array on the tape: a leaf (parent None) or a node with a VJP. Only a
-    model's parameter, never on the tape, has a grad (see engine.VaeModel)."""
+    model's parameter, never on the tape, has a grad (see engine.VaeModel).
+    A float array keeps its dtype; anything else becomes float64."""
 
     __slots__ = ("data", "grad", "parent", "vjp")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=float)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(float)
         self.grad = None
         self.parent = None
         self.vjp = None

@@ -153,6 +153,24 @@ def _checked_rows(factors, width: int, height: int) -> np.ndarray:
     return factors
 
 
+def _span_mask(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
+    """(..., width) bool mask of the pixel centres x + 0.5 with lo <= x + 0.5 < hi.
+
+    Each span's first and end columns come from searchsorted over the
+    centres, and its row is the AND of two rows of (width + 1, width)
+    tables, columns >= first and columns < end: the bits of comparing
+    every centre with lo and hi, in about half the time.
+    """
+    px = np.arange(width) + 0.5
+    columns = np.arange(width)
+    bounds = np.arange(width + 1)[:, None]
+    first = np.searchsorted(px, lo)
+    end = np.searchsorted(px, hi)
+    inside = np.take(columns >= bounds, first, axis=0)
+    inside &= np.take(columns < bounds, end, axis=0)
+    return inside
+
+
 def render_batch(factors: np.ndarray, width: int, height: int, out=None) -> np.ndarray:
     """Rasterize each factor row to one flattened (H*W*3) image in [0, 1].
 
@@ -181,7 +199,6 @@ def render_batch(factors: np.ndarray, width: int, height: int, out=None) -> np.n
     radius = scale * width / 64.0
     vx = (width / 2.0 + radius * np.cos(angles))[:, :, None]
     vy = (height / 2.0 + radius * np.sin(angles))[:, :, None]
-    px = np.arange(width) + 0.5
     py = np.arange(height) + 0.5
     lo = np.full((n, height), np.inf)
     hi = np.full((n, height), -np.inf)
@@ -193,8 +210,7 @@ def render_batch(factors: np.ndarray, width: int, height: int, out=None) -> np.n
             x_at_row = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
             np.minimum(lo, x_at_row, out=lo, where=crosses_row)
             np.maximum(hi, x_at_row, out=hi, where=crosses_row)
-    inside = np.less_equal(lo[:, :, None], px)
-    inside &= px < hi[:, :, None]
+    inside = _span_mask(lo, hi, width)
 
     if out is None:
         out = np.empty((n, height * width * 3))

@@ -13,17 +13,12 @@ which Adam steps in blocks. Inference runs the same networks and ndarray
 geometry and never calls backward. Training is fully determined by the
 config seed.
 
-A train whose caller allows it runs one helper thread for the whole run
-(train's helper argument). The helper takes only work that splits without
-moving a bit, and only large work (SPLIT_MIN_WORK, SPLIT_MIN_ROWS): the
-first row half of a dense forward product, a layer's weight and bias
-gradients while the step's own thread makes the input gradient, half of
-the first encoder layer's weight gradient, and the second half of each
-Adam update. Every element of a product keeps its k-order however its rows
-are split, and Adam works element by element, so a train's output bytes do
-not depend on the helper. A job the helper has not started when its result
-is needed is run by the step's own thread instead. The helper calls nothing
-but numpy and this module's private helpers, and no thread outlives train.
+Every function here computes in the dtype of the model or arrays it is
+given, float64 unless said otherwise. train alone picks another: it steps
+in float32 (TRAIN_DTYPE), where BLAS and numpy's element-wise loops run two
+to four times faster, and sums the validation MSE and reported loss terms in
+float64. It returns its best parameters as a float64 inference model, their
+exact upcast, so checkpoints, codes, traversals and metrics stay float64.
 
 A model's shape is described once: LatentSpec bounds the latent dim so that
 every width of layer_specs fits a TDVAE1 u32, for configs and files alike,
@@ -33,10 +28,8 @@ compares byte for byte.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +54,12 @@ ADAM_EPS = 1e-8
 # moments, gradient and scratch of a block stay in cache across its passes.
 ADAM_BLOCK = 1 << 14
 
-# The helper thread takes a dense product of at least SPLIT_MIN_WORK
-# multiply-adds, and splits one by rows only when it has SPLIT_MIN_ROWS rows
-# too: above OpenBLAS's small-matrix path, where its two row halves give the
-# whole product's bits. A smaller product gains less than the 30-100 us it
-# takes to wake the helper on a 2-core host: at 2^22, a D=8 synthetic train
-# (its 264x128 layer at 144 rows, 4.9M) ran 8% slower with the helper.
-SPLIT_MIN_WORK = 1 << 23
-SPLIT_MIN_ROWS = 96
+# The dtype train steps in, read by train alone: every other function
+# computes in the dtype of the model or arrays it is given. On a 2-core x86
+# host with one OpenBLAS 0.3.31 thread, float32 ran a (144, 768) @ (768, 128)
+# product in 146 us against 410, and tanh over 110K elements in 43 us
+# against 194; a trained model is handed back as its exact float64 upcast.
+TRAIN_DTYPE = np.float32
 
 
 # The largest latent dim of each mode whose layer_specs widths fit the u32
@@ -121,36 +112,6 @@ def param_count(specs) -> int:
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out, _ in specs)
 
 
-def _hand_over(pool: Executor, fn, *args):
-    """Submit fn(*args) to the helper, returning a join() that waits for it,
-    or that runs it on the calling thread when the helper has not started
-    it yet (a helper whose core is busy then delays nothing)."""
-    job = pool.submit(fn, *args)
-
-    def join():
-        if job.cancel():
-            fn(*args)
-        else:
-            job.result()
-
-    return join
-
-
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, pool: Executor | None) -> np.ndarray:
-    """np.matmul(a, b, out=out). With a pool, a product of at least
-    SPLIT_MIN_WORK multiply-adds and SPLIT_MIN_ROWS rows is made as two row
-    halves of out, the first handed to the pool's thread: the same bits,
-    since each element keeps its k-order."""
-    rows = a.shape[0]
-    if pool is None or rows < SPLIT_MIN_ROWS or rows * a.shape[1] * b.shape[1] < SPLIT_MIN_WORK:
-        return np.matmul(a, b, out=out)
-    half = rows // 2
-    first = _hand_over(pool, np.matmul, a[:half], b, out[:half])
-    np.matmul(a[half:], b, out=out[half:])
-    first()
-    return out
-
-
 class DenseNetwork:
     """A stack of fully connected layers over slices of a model's flat vectors.
 
@@ -158,8 +119,7 @@ class DenseNetwork:
     makes them. weights and biases are reshaped views of flat, laid out
     layer by layer, weight before bias, and weight_grads and bias_grads the
     same views of flat_grad, which forward's node writes; a network given no
-    flat_grad has none and only infers. pool, when train sets it, is the
-    helper thread that forward and its node share their work with.
+    flat_grad has none and only infers.
     """
 
     def __init__(self, specs, flat: np.ndarray, flat_grad: np.ndarray | None):
@@ -175,7 +135,6 @@ class DenseNetwork:
         grads = views(flat_grad) if flat_grad is not None else [None] * len(shapes)
         self.weight_grads, self.bias_grads = grads[::2], grads[1::2]
         self.input_dim = specs[0][0]
-        self.pool: Executor | None = None
 
     def forward(self, x: Tensor) -> Tensor:
         """One tape node for the whole stack.
@@ -189,10 +148,9 @@ class DenseNetwork:
             raise ValueError(
                 f"expected input shape (N, {self.input_dim}), got {x.data.shape}"
             )
-        pool = self.pool
         hs = [x.data]  # each layer's input, then the network's output
         for w, b, (_, _, act) in zip(self.weights, self.biases, self.specs):
-            y = _matmul(hs[-1], w, np.empty((hs[-1].shape[0], w.shape[1])), pool)
+            y = hs[-1] @ w
             y += b
             if act == "relu":
                 np.maximum(y, 0.0, out=y)
@@ -202,38 +160,27 @@ class DenseNetwork:
         input_grad = x.parent is not None
 
         def backward(grad):
-            joins = []  # the helper's parameter gradients, all done before this returns
-            try:
-                for i in reversed(range(len(self.specs))):
-                    act, y = self.specs[i][2], hs[i + 1]
-                    if act == "relu":
-                        np.multiply(grad, y > 0.0, out=grad)
-                    elif act == "tanh":
-                        t = y * y
-                        np.subtract(1.0, t, out=t)
-                        grad *= t
-                    if i == 0 and not input_grad:
-                        # no input gradient to overlap: the weight gradient takes both threads
-                        np.sum(grad, axis=0, out=self.bias_grads[0])
-                        _matmul(hs[0].T, grad, self.weight_grads[0], pool)
-                        return None
-                    if pool is None or hs[i].size * grad.shape[1] < SPLIT_MIN_WORK:
-                        self._parameter_grads(i, hs[i], grad)
-                    else:
-                        joins.append(_hand_over(pool, self._parameter_grads, i, hs[i], grad))
-                    grad = grad @ self.weights[i].T
-                return grad
-            finally:
-                for join in joins:
-                    join()
+            for i in reversed(range(len(self.specs))):
+                act, y = self.specs[i][2], hs[i + 1]
+                if act == "relu":
+                    np.multiply(grad, y > 0.0, out=grad)
+                elif act == "tanh":
+                    t = y * y
+                    np.subtract(1.0, t, out=t)
+                    grad *= t
+                np.sum(grad, axis=0, out=self.bias_grads[i])
+                np.matmul(hs[i].T, grad, out=self.weight_grads[i])
+                if i == 0 and not input_grad:
+                    return None
+                grad = grad @ self.weights[i].T
+            return grad
 
         return node(hs[-1], x, backward)
 
-    def _parameter_grads(self, i: int, h: np.ndarray, grad: np.ndarray) -> None:
-        """Write layer i's bias and weight gradients, given its input h and the
-        gradient of its pre-activation."""
-        np.sum(grad, axis=0, out=self.bias_grads[i])
-        np.matmul(h.T, grad, out=self.weight_grads[i])
+
+def _pair_dtype(a: np.ndarray) -> np.dtype:
+    """The complex dtype whose one element is two of a's: complex64 for float32."""
+    return np.result_type(a, np.complex64)
 
 
 class VaeModel:
@@ -246,11 +193,13 @@ class VaeModel:
     given parameters only infers, and its flat_grad is None. Each network's
     weights and biases are views into the two. The model's one parameter, the
     only item of parameters(), is a Tensor whose .data is flat and .grad is
-    flat_grad; it is never on the tape.
+    flat_grad; it is never on the tape. A new model's vectors are of dtype;
+    a given flat keeps its own, and the model computes in the dtype of flat.
     """
 
     def __init__(self, latent: LatentSpec, input_dim: int, hidden,
-                 input_scale: str = SCALE_SYMMETRIC, flat: np.ndarray | None = None):
+                 input_scale: str = SCALE_SYMMETRIC, flat: np.ndarray | None = None,
+                 dtype=np.float64):
         if input_dim < 1 or any(h < 1 for h in hidden):
             raise ConfigError("dimensions must be positive")
         if input_scale not in (SCALE_SYMMETRIC, SCALE_UNIT):
@@ -259,8 +208,8 @@ class VaeModel:
         split = param_count(encoder_specs)
         size = split + param_count(decoder_specs)
         try:
-            self.flat = np.zeros(size) if flat is None else flat
-            self.flat_grad = np.zeros(size) if flat is None else None
+            self.flat = np.zeros(size, dtype) if flat is None else flat
+            self.flat_grad = np.zeros(size, dtype) if flat is None else None
         # ValueError: more elements than an array can index (a hidden width of
         # 2^62); MemoryError: more bytes than are free.
         except (ValueError, MemoryError):
@@ -284,18 +233,20 @@ class VaeModel:
     def _split(self, out: np.ndarray):
         """Contiguous copies of (mu, logvar) of C-contiguous encoder output
         rows: (N, D, 2) each for circles, per circle [mu0, mu1, logvar0,
-        logvar1], each pair copied as one complex128; (N, L) otherwise."""
+        logvar1], each pair copied as one complex element of twice the
+        rows' dtype; (N, L) otherwise."""
         n, d = out.shape[0], self.latent.dim
         if self.latent.mode == TORUS:
-            pairs = out.view(np.complex128).reshape(n, d, 2)
-            return tuple(pairs[:, :, k].copy().view(float).reshape(n, d, 2) for k in (0, 1))
+            pairs = out.view(_pair_dtype(out)).reshape(n, d, 2)
+            return tuple(pairs[:, :, k].copy().view(out.dtype).reshape(n, d, 2) for k in (0, 1))
         return out[:, 0:d].copy(), out[:, d : 2 * d].copy()
 
     def _join(self, mu_grad: np.ndarray, logvar_grad: np.ndarray) -> np.ndarray:
         """The encoder output rows whose _split is (mu_grad, logvar_grad), both C-contiguous."""
         if self.latent.mode == TORUS:
-            pairs = (mu_grad.view(np.complex128), logvar_grad.view(np.complex128))
-            return np.concatenate(pairs, axis=-1).view(float).reshape(mu_grad.shape[0], -1)
+            pair = _pair_dtype(mu_grad)
+            joined = np.concatenate((mu_grad.view(pair), logvar_grad.view(pair)), axis=-1)
+            return joined.view(mu_grad.dtype).reshape(mu_grad.shape[0], -1)
         return np.concatenate((mu_grad, logvar_grad), axis=-1)
 
     def _posterior(self, out: Tensor, noise: np.ndarray, beta: float,
@@ -335,12 +286,12 @@ class VaeModel:
     # -- inference ----------------------------------------------------------
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        """A fresh array of the posterior means of rows x; see _split."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """A fresh array of the posterior means of rows x, in the model's dtype; see _split."""
+        x = np.atleast_2d(np.asarray(x, dtype=self.flat.dtype))
         return self._split(self.encoder.forward(Tensor(x)).data)[0]
 
     def decode(self, v: np.ndarray) -> np.ndarray:
-        v = np.atleast_2d(np.asarray(v, dtype=float))
+        v = np.atleast_2d(np.asarray(v, dtype=self.flat.dtype))
         return self.decoder.forward(Tensor(v)).data
 
     def reconstruct_mean(self, x: np.ndarray, buffers: RowBuffers | None = None) -> np.ndarray:
@@ -370,15 +321,12 @@ class VaeModel:
     def snapshot(self) -> np.ndarray:
         return self.flat.copy()
 
-    def restore(self, snapshot: np.ndarray) -> None:
-        np.copyto(self.flat, snapshot)
-
 
 def build_vae(latent: LatentSpec, input_dim: int, hidden, rng: np.random.Generator,
-              input_scale: str = SCALE_SYMMETRIC) -> VaeModel:
-    """A new model: zero biases and weights uniform in +-sqrt(6 / fan_in), drawn
-    layer by layer, encoder first."""
-    model = VaeModel(latent, input_dim, hidden, input_scale)
+              input_scale: str = SCALE_SYMMETRIC, dtype=np.float64) -> VaeModel:
+    """A new model of dtype: zero biases and weights uniform in +-sqrt(6 / fan_in),
+    drawn in float64 layer by layer, encoder first, and rounded to dtype."""
+    model = VaeModel(latent, input_dim, hidden, input_scale, dtype=dtype)
     for w in model.encoder.weights + model.decoder.weights:
         limit = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -396,15 +344,16 @@ class ElboResult:
 
 
 def _reconstruction_loss(recon: Tensor, x: np.ndarray) -> Tensor:
-    """Node of the batch mean of the squared reconstruction norm."""
+    """Node of the batch mean of the squared reconstruction norm, summed in
+    float64; its VJP keeps the dtype of recon."""
     diff = recon.data - x
     n = x.shape[0]
 
     def backward(grad):
-        a = grad * (1.0 / n) * diff
+        a = float(grad) * (1.0 / n) * diff
         return a + a  # one term per factor of diff * diff
 
-    return node((diff * diff).sum() * (1.0 / n), recon, backward)
+    return node(np.sum(diff * diff, dtype=np.float64) * (1.0 / n), recon, backward)
 
 
 def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray,
@@ -419,8 +368,9 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray,
     noise must hold one standard-normal draw per Gaussian component, shaped
     like the encoder's mu block; the result is deterministic given it. A
     circle latent is built in buffers when given (see VaeModel._posterior).
+    The step runs in the model's dtype, to which x is converted.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=model.flat.dtype)
     if x.ndim != 2:
         raise ValueError("expected a (N, input_dim) batch")
     out = model.encoder.forward(Tensor(x))
@@ -445,28 +395,21 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray,
 @dataclass
 class AdamState:
     """First and second moments of a model's one parameter, and one block of
-    scratch (update, scratch) for adam_step. A state made with a helper pool
-    for a parameter of at least 4 * ADAM_BLOCK elements also holds the pool
-    and a second block of scratch, helper_scratch, for the helper's half."""
+    scratch for adam_step, all of the parameter's dtype."""
 
     m: np.ndarray
     v: np.ndarray
     update: np.ndarray
     scratch: np.ndarray
     step: int = 0
-    pool: Executor | None = None
-    helper_scratch: np.ndarray | None = None  # (2, ADAM_BLOCK): the helper's update, scratch
 
     @classmethod
-    def for_params(cls, params, pool: Executor | None = None):
+    def for_params(cls, params):
         (param,) = params
-        size = param.data.size
+        size, dtype = param.data.size, param.data.dtype
         block = min(ADAM_BLOCK, size)
-        state = cls(m=np.zeros(size), v=np.zeros(size), update=np.zeros(block),
-                    scratch=np.zeros(block))
-        if pool is not None and size >= 4 * ADAM_BLOCK:
-            state.pool, state.helper_scratch = pool, np.zeros((2, ADAM_BLOCK))
-        return state
+        return cls(m=np.zeros(size, dtype), v=np.zeros(size, dtype),
+                   update=np.zeros(block, dtype), scratch=np.zeros(block, dtype))
 
 
 def adam_step(params, state: AdamState, lr: float) -> AdamState:
@@ -477,37 +420,18 @@ def adam_step(params, state: AdamState, lr: float) -> AdamState:
     C-contiguous. A non-finite gradient raises NumericsError before anything
     changes. The parameter is updated one block of ADAM_BLOCK elements at a
     time, so a block's moments, gradient and scratch stay in cache, and no
-    arrays are allocated. With the state's pool, the second half of the
-    blocks is handed to the helper thread, each element updated by the same
-    operations.
+    arrays are allocated.
     """
     (param,) = params
     if not all_finite(param.grad):
         raise NumericsError("non-finite gradient")
     state.step += 1
-    data, grad = param.data.reshape(-1), param.grad.reshape(-1)
-    if state.pool is None:
-        _adam_blocks(state, data, grad, 0, data.size, state.update, state.scratch, lr)
-        return state
-    mid = -(-data.size // (2 * ADAM_BLOCK)) * ADAM_BLOCK  # the first ceil(blocks / 2) blocks
-    second = _hand_over(state.pool, _adam_blocks, state, data, grad, mid, data.size,
-                        *state.helper_scratch, lr)
-    try:
-        _adam_blocks(state, data, grad, 0, mid, state.update, state.scratch, lr)
-    finally:
-        second()
-    return state
-
-
-def _adam_blocks(state: AdamState, data: np.ndarray, grad: np.ndarray, start: int, stop: int,
-                 update: np.ndarray, scratch: np.ndarray, lr: float) -> None:
-    """adam_step's update of elements [start, stop), in ADAM_BLOCK blocks from
-    start, with one block of update and scratch."""
     t = state.step
-    for lo in range(start, stop, ADAM_BLOCK):
-        block = slice(lo, min(lo + ADAM_BLOCK, stop))
+    data, grad = param.data.reshape(-1), param.grad.reshape(-1)
+    for lo in range(0, data.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)  # the last one stops at the end
         g, m, v = grad[block], state.m[block], state.v[block]
-        m_hat, s = update[: g.size], scratch[: g.size]
+        m_hat, s = state.update[: g.size], state.scratch[: g.size]
         # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=s)
@@ -524,6 +448,7 @@ def _adam_blocks(state: AdamState, data: np.ndarray, grad: np.ndarray, start: in
         m_hat *= lr
         m_hat /= s
         data[block] -= m_hat
+    return state
 
 
 # -- training -------------------------------------------------------------------
@@ -574,15 +499,18 @@ class TrainReport:
     beta: float
 
 
-def scale_in(x: np.ndarray, input_scale: str) -> np.ndarray:
-    """Map dataset values (float32 or float64) to the model's float64 [-1, 1] input range.
+def scale_in(x: np.ndarray, input_scale: str, dtype=np.float64) -> np.ndarray:
+    """Map dataset values (float32 or float64) to the model's [-1, 1] input range, in dtype.
 
-    float32 to float64 is exact and the map works element by element, so the
-    rows of a float32 array scale to the same bits as the same rows of its
-    float64 copy.
+    The map runs in the wider of the values' dtype and dtype, and its result
+    is rounded to dtype once. float32 to float64 is exact and the map works
+    element by element, so the rows of a float32 array scale to the same
+    bits as the same rows of its float64 copy.
     """
-    x = np.asarray(x, dtype=float)
-    return 2.0 * x - 1.0 if input_scale == SCALE_UNIT else x
+    x = np.asarray(x)
+    x = np.asarray(x, dtype=np.promote_types(x.dtype, dtype))
+    x = 2.0 * x - 1.0 if input_scale == SCALE_UNIT else x
+    return x.astype(dtype, copy=False)
 
 
 def scale_out(y: np.ndarray, input_scale: str) -> np.ndarray:
@@ -616,39 +544,30 @@ def validation_mse(model: VaeModel, x_scaled: np.ndarray,
     """Per-element reconstruction MSE with the noise-free latent (embedded in buffers).
 
     The squared error is formed in the reconstruction's own array, so the
-    validation rows need one array beside them, not two.
+    validation rows need one array beside them, not two, and averaged in
+    float64 whatever the model's dtype.
     """
     err = model.reconstruct_mean(x_scaled, buffers)
     err -= x_scaled
     err *= err
-    return float(np.mean(err))
+    return float(np.mean(err, dtype=np.float64))
 
 
-@contextlib.contextmanager
-def _helper_pool(model: VaeModel, helper: bool):
-    """The helper thread's pool for a train of model, set on its networks,
-    or None when helper is false. Leaving the block takes the pool off the
-    networks and waits for its thread to end, also on an exception."""
-    if not helper:
-        yield None
-        return
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="torusvae-helper") as pool:
-        model.encoder.pool = model.decoder.pool = pool
-        try:
-            yield pool
-        finally:
-            model.encoder.pool = model.decoder.pool = None
-
-
-def train(config: TrainConfig, samples: np.ndarray, helper: bool = False):
+def train(config: TrainConfig, samples: np.ndarray):
     """Train a model on raw samples; returns (model, report).
 
     samples is a float32 or float64 (N, input_dim) array, such as the float32
     pixel view of a loaded dataset's file buffer. Each batch gathers its rows
     and only then converts and scales them (scale_in), and the validation
-    rows are converted once, so train holds no float64 copy of the training
+    rows are converted once, so train holds no second copy of the training
     rows and the result does not depend on which of the two dtypes holds
     the same values.
+
+    The whole step runs in TRAIN_DTYPE: the batches and validation rows, the
+    model's parameters and gradient, Adam's moments and the run's buffers.
+    The initial weights and the noise are drawn in float64 from the streams
+    below and rounded to it. The validation MSE and the reported loss terms
+    are summed in float64.
 
     A circle latent's products and decoder input are built in one set of
     RowBuffers sized for the larger of a batch and the validation rows, made
@@ -657,13 +576,10 @@ def train(config: TrainConfig, samples: np.ndarray, helper: bool = False):
 
     Deterministic per seed: initialization, the train/validation split, epoch
     shuffles and reparameterization noise all come from independent streams
-    spawned off config.seed. The returned model carries the parameters of the
-    epoch with the lowest validation MSE. A NumericsError from a step names
-    its epoch and its step within the epoch.
-
-    helper is the caller's answer to whether train may run a second thread
-    beside its own (see the module docstring); the model and report are the
-    same bytes either way.
+    spawned off config.seed. The returned model is a float64 inference model
+    (its flat_grad is None, as for a loaded one) holding the exact upcast of
+    the parameters of the epoch with the lowest validation MSE. A
+    NumericsError from a step names its epoch and its step within the epoch.
     """
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
@@ -675,40 +591,42 @@ def train(config: TrainConfig, samples: np.ndarray, helper: bool = False):
         np.random.default_rng(s) for s in (init_seq, shuffle_seq, noise_seq)
     )
 
+    dtype = TRAIN_DTYPE
     latent = config.latent()
-    model = build_vae(latent, input_dim, config.hidden, init_rng, config.input_scale)
+    model = build_vae(latent, input_dim, config.hidden, init_rng, config.input_scale, dtype)
 
     train_rows, val_rows = split_rows(config.seed, n, config.val_fraction)
-    val_x = scale_in(samples[val_rows], config.input_scale)
+    val_x = scale_in(samples[val_rows], config.input_scale, dtype)
     # sized for a validation pass and the largest batch (no more than the training rows)
-    buffers = RowBuffers(max(min(config.batch_size, train_rows.size), val_rows.size))
+    buffers = RowBuffers(max(min(config.batch_size, train_rows.size), val_rows.size), dtype)
 
     params = model.parameters()
+    state = AdamState.for_params(params)
     train_loss = []
     val_mse = []
     best_epoch = 0
     n_train = train_rows.size
-    with _helper_pool(model, helper) as pool:
-        state = AdamState.for_params(params, pool)
-        for epoch in range(config.epochs):
-            rows = train_rows[shuffle_rng.permutation(n_train)]
-            total = 0.0
-            for step, lo in enumerate(range(0, n_train, config.batch_size)):
-                batch = scale_in(samples[rows[lo : lo + config.batch_size]], config.input_scale)
-                noise = noise_rng.standard_normal(_noise_shape(latent, batch.shape[0]))
-                try:
-                    result = elbo_loss(model, batch, config.beta, noise, buffers)
-                    adam_step(params, state, config.learning_rate)
-                except NumericsError as exc:
-                    raise NumericsError(f"epoch {epoch}, step {step}: {exc}") from exc
-                total += result.loss * batch.shape[0]
-            train_loss.append(total / n_train)
-            val_mse.append(validation_mse(model, val_x, buffers))
-            if val_mse[epoch] < val_mse[best_epoch] or epoch == 0:  # so best_snapshot is set
-                best_epoch = epoch
-                best_snapshot = model.snapshot()
+    for epoch in range(config.epochs):
+        rows = train_rows[shuffle_rng.permutation(n_train)]
+        total = 0.0
+        for step, lo in enumerate(range(0, n_train, config.batch_size)):
+            batch = scale_in(samples[rows[lo : lo + config.batch_size]], config.input_scale, dtype)
+            noise = noise_rng.standard_normal(_noise_shape(latent, batch.shape[0]))
+            try:
+                result = elbo_loss(model, batch, config.beta, noise.astype(dtype, copy=False),
+                                   buffers)
+                adam_step(params, state, config.learning_rate)
+            except NumericsError as exc:
+                raise NumericsError(f"epoch {epoch}, step {step}: {exc}") from exc
+            total += result.loss * batch.shape[0]
+        train_loss.append(total / n_train)
+        val_mse.append(validation_mse(model, val_x, buffers))
+        if val_mse[epoch] < val_mse[best_epoch] or epoch == 0:  # so best_snapshot is set
+            best_epoch = epoch
+            best_snapshot = model.snapshot()
 
-    model.restore(best_snapshot)
+    best = VaeModel(latent, input_dim, config.hidden, config.input_scale,
+                    flat=best_snapshot.astype(np.float64))
     report = TrainReport(
         train_loss=train_loss,
         val_mse=val_mse,
@@ -718,7 +636,7 @@ def train(config: TrainConfig, samples: np.ndarray, helper: bool = False):
         latent_dim=config.latent_dim,
         beta=config.beta,
     )
-    return model, report
+    return best, report
 
 
 # -- checkpoint io ---------------------------------------------------------------

@@ -75,7 +75,7 @@ def unit_tuples_vjp(raw: np.ndarray, nrm: np.ndarray, grad: np.ndarray) -> np.nd
 
 
 class RowBuffers:
-    """Flat float64 arrays for up to `rows` rows, one per name, each made on first use.
+    """Flat arrays of dtype for up to `rows` rows, one per name, each made on first use.
 
     take(name, n, width) views the first n * width elements of the array
     called name, which holds rows * width; a call on fewer rows, such as a
@@ -84,14 +84,15 @@ class RowBuffers:
     the next call that takes the same name.
     """
 
-    def __init__(self, rows: int):
+    def __init__(self, rows: int, dtype=np.float64):
         self.rows = rows
+        self.dtype = np.dtype(dtype)
         self._arrays = {}
 
     def take(self, name: str, n: int, width: int) -> np.ndarray:
         flat = self._arrays.get(name)
         if flat is None:
-            flat = self._arrays[name] = np.empty(self.rows * width)
+            flat = self._arrays[name] = np.empty(self.rows * width, self.dtype)
         if n * width > flat.size:
             raise ValueError(f"{n} rows of width {width} do not fit the {name!r} buffer "
                              f"of {flat.size} elements")
@@ -125,12 +126,12 @@ def embed_parts(m: np.ndarray, buffers: RowBuffers | None = None):
 
     tuples is m circle-major, (D, 2, N), and products the rank-1 products of
     the first 1..D tuples (see _products). All three are views of arrays in
-    buffers (fresh ones sized for m when none are given), so they hold until
-    the next call on the same buffers.
+    buffers (fresh ones sized for m, of its dtype, when none are given), so
+    they hold until the next call on the same buffers.
     """
     n, d = m.shape[0], m.shape[1]
     if buffers is None:
-        buffers = RowBuffers(n)
+        buffers = RowBuffers(n, m.dtype)
     mt = buffers.take("tuples", n, 2 * d).reshape(d, 2, n)
     np.copyto(mt, m.transpose(1, 2, 0))
     products = _products(mt, buffers.take("levels", n, 2 ** (d + 1) - 4))
@@ -167,7 +168,7 @@ def embed_vjp(mt: np.ndarray, products: list, grad: np.ndarray,
     """
     d, n = mt.shape[0], mt.shape[2]
     if buffers is None:
-        buffers = RowBuffers(n)
+        buffers = RowBuffers(n, mt.dtype)
     out = np.zeros_like(mt)
     g = buffers.take("grad", n, 2**d)
     scratch = buffers.take("scratch", n, 2**d)
@@ -199,10 +200,11 @@ def gaussian_kl(mu: np.ndarray, logvar: np.ndarray, e: np.ndarray) -> float:
 
     mu and logvar hold one row per sample, and e = e^logvar; the result is
     the mean over rows of the sum over every component of 0.5 * (e + mu^2 -
-    logvar - 1), which is zero exactly when every mu and logvar is zero.
+    logvar - 1), which is zero exactly when every mu and logvar is zero. The
+    terms are formed in the arrays' dtype and summed in float64.
     """
     n = mu.shape[0]
-    return float((e + mu * mu - logvar - 1.0).sum() * (0.5 / n))
+    return float(np.sum(e + mu * mu - logvar - 1.0, dtype=np.float64) * (0.5 / n))
 
 
 def gaussian_kl_vjp(mu: np.ndarray, e: np.ndarray, grad: float,

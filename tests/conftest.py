@@ -14,7 +14,7 @@ def rng():
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
     """Fail a test that leaves a thread alive that was not there before it
-    ran, such as a train's helper thread whose pool was never shut down."""
+    ran, such as the management thread of a process pool that was never shut down."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

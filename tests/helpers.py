@@ -1,8 +1,9 @@
 """Shared test helpers: circular error, circle sampling, gradient probes, finite
 differences, the lasso oracles, crafted checkpoints that loading refuses, code run in a
 fresh interpreter, such as a CLI command's traced peak memory, one small config that
-all five commands run on, with the hashes of a tree of outputs, and the parameter hash of
-a short 2dshapes train, which a spawned worker can compute too."""
+all five commands run on, with the hashes of a tree of outputs, and two trains that a
+spawned worker can run too: the parameter hash of a short 2dshapes train, and the DC
+score of one of acceptance criterion 8's trains."""
 import hashlib
 import itertools
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from torusvae import datasets, engine, metrics
+from torusvae import cli, datasets, engine, metrics
 from torusvae.autodiff import Tensor, node
 
 
@@ -343,3 +344,14 @@ def shapes_train_sha256(seed: int) -> str:
                                 input_scale=engine.SCALE_UNIT)
     model, _ = engine.train(config, shapes.x)
     return hashlib.sha256(model.flat.tobytes()).hexdigest()
+
+
+def train_and_score(mode, dim, seed, dataset, epochs, hidden, input_scale) -> float:
+    """DC score of a model trained as `train` does and scored as `evaluate` does."""
+    config = engine.TrainConfig(
+        mode=mode, latent_dim=dim, beta=1.0, learning_rate=1e-3, batch_size=144,
+        epochs=epochs, seed=seed, hidden=hidden, input_scale=input_scale,
+    )
+    model, _ = engine.train(config, dataset.x)
+    settings = cli.MetricsSettings(99, metrics.DEFAULT_ALPHA_GRID, 10, 0.2, "encoder")
+    return cli._validation_dci(model, dataset, config, settings).report.dc_score

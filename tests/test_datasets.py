@@ -224,6 +224,21 @@ class TestRender:
         expected = oracle_batch(factors, width, height)
         assert np.array_equal(batch.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("width", [1, 7, 16])
+    def test_span_mask_is_the_comparison_of_every_centre(self, width, rng):
+        """The table mask is the bits of comparing each pixel centre with a
+        row's span, for infinite ends, ends on exact centres, ends outside
+        [0, width] and spans whose first column is past their end."""
+        centres = np.arange(width) + 0.5
+        ends = np.concatenate([[-np.inf, np.inf, -3.0, 0.0, width, width + 2.5],
+                               centres, centres - 0.5, np.nextafter(centres, np.inf),
+                               rng.uniform(-1.0, width + 1.0, 40)])
+        lo, hi = np.meshgrid(ends, ends)  # every pair of ends, as (rows, spans) arrays
+        expected = (lo[..., None] <= centres) & (centres < hi[..., None])
+        mask = ds._span_mask(lo, hi, width)
+        assert mask.dtype == bool and np.array_equal(mask, expected)
+        assert (lo > hi).any() and not mask[lo >= hi].any()
+
     def _rejects(self, row, match, width=16, height=16):
         """render_batch raises on a batch whose rows 2 and 4 are `row`; the message names row 2."""
         factors = np.tile([1, 30.0, 0.0, 0.5, 0.5, 0.5], (5, 1))

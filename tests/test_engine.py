@@ -2,9 +2,6 @@ import dataclasses
 import hashlib
 import multiprocessing
 import struct
-import sys
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +303,27 @@ class TestElboLoss:
                 e.adam_step(params, state, 1e-2)
             assert hashlib.sha256(model.flat.tobytes()).hexdigest() == expected[mode]
 
+    def test_three_float32_training_steps_are_pinned(self):
+        """The float32 twin of the test above, as train steps: a float32 model
+        over float32 batches and noise, rounded from the same float64 draws."""
+        expected = {
+            "torus": "97e81c2ad1813f476fc872a8730a146e2d59c2df68e5b39581a97b45943dd518",
+            "euclidean": "398251ea9aa66a26b32f29eaf7e72707ca0fece2488fc40e64fa43b61cfdff85",
+        }
+        for mode, dim in (("torus", 2), ("euclidean", 3)):
+            model = e.build_vae(e.LatentSpec(mode, dim), 5, (8, 6), np.random.default_rng(11),
+                                dtype=np.float32)
+            rng = np.random.default_rng(12)
+            params = model.parameters()
+            state = e.AdamState.for_params(params)
+            for _ in range(3):
+                x = rng.uniform(-0.8, 0.8, size=(7, 5)).astype(np.float32)
+                noise = rng.standard_normal(e._noise_shape(model.latent, 7)).astype(np.float32)
+                e.elbo_loss(model, x, 0.5, noise)
+                e.adam_step(params, state, 1e-2)
+            assert model.flat.dtype == np.float32
+            assert hashlib.sha256(model.flat.tobytes()).hexdigest() == expected[mode]
+
     def test_latent_arrays_are_reused_across_steps(self, rng):
         """At D=8, batch 144, a step's latent product lives in the run's buffers.
 
@@ -461,14 +479,12 @@ class TestFlatParameters:
             "c28b6d69d72caa6f254cff522264935e699f3831e708146fb72428e96be11b04")
         assert not model.encoder.biases[0].any()
 
-    def test_snapshot_and_restore(self, rng):
+    def test_snapshot_is_a_copy(self, rng):
         model = tiny_model()
         saved = model.snapshot()
-        before = [p.data.copy() for p in model.parameters()]
+        before = saved.copy()
         model.flat += rng.standard_normal(model.flat.size)
-        model.restore(saved)
-        for p, b in zip(model.parameters(), before):
-            assert np.array_equal(p.data, b)
+        assert np.array_equal(saved, before) and not np.array_equal(model.flat, saved)
 
 
 class TestTrain:
@@ -569,7 +585,7 @@ class TestTrain:
         cfg = e.TrainConfig("torus", 8, 1.0, 1e-2, 4, 2, seed=13, hidden=(8,), val_fraction=0.0)
         model, _ = e.train(cfg, x)
         assert (hashlib.sha256(model.flat.tobytes()).hexdigest()
-                == "7f5be1388391e321abb7a1caab67ec57271c1ff250bea17e355e06cde3ec68bf")
+                == "763240a8485588bff586f33f73ccbaa1c439c2c793ae03726e6f33239c62b87c")
         assert calls == [4, 4, 2, 10] * 2
 
     def test_a_step_computes_the_tuple_norms_once(self, monkeypatch):
@@ -633,147 +649,80 @@ class TestTrain:
         assert in_worker == shapes_train_sha256(1)
 
 
-def _helper_case(kind, count, mode, dim, hidden):
-    data = (ds.shapes_source(count, seed=404, width=16, height=16).render() if kind == "2dshapes"
-            else ds.make_synthetic_dataset(5, count, seed=505))
-    scale = e.SCALE_UNIT if kind == "2dshapes" else e.SCALE_SYMMETRIC
-    return data.x, e.TrainConfig(mode, dim, 1.0, 1e-3, 144, 2, seed=3, hidden=hidden,
-                                 input_scale=scale)
+class TestTrainPrecision:
+    """train steps in e.TRAIN_DTYPE (float32) and hands back a float64 model."""
 
+    @pytest.mark.parametrize("mode,dim", [("torus", 3), ("euclidean", 3)])
+    def test_a_float32_step_stays_float32(self, mode, dim, monkeypatch):
+        """Every array of a float32 model's step is float32: the parameters,
+        their gradient, Adam's moments, the run's buffers, and the data and
+        VJP result of each tape node but the loss, whose scalar is the
+        reported term and is summed in float64."""
+        nodes, vjps = [], []
+        make_node = e.node
 
-# name -> (kind, rows, mode, latent dim, hidden), and the work the helper takes
-HELPER_CASES = {
-    # the README model: 144-row batches and validation
-    "readme-2dshapes": (("2dshapes", 720, "torus", 4, (128, 64)),
-                        {"matmul", "_parameter_grads", "_adam_blocks"}),
-    # 800 training rows: a last batch of 80, below SPLIT_MIN_ROWS; 200 validation rows
-    "short-last-batch": (("2dshapes", 1000, "torus", 4, (128, 64)),
-                         {"matmul", "_parameter_grads", "_adam_blocks"}),
-    "euclidean-2dshapes": (("2dshapes", 720, "euclidean", 10, (128, 64)),
-                           {"matmul", "_parameter_grads", "_adam_blocks"}),
-    # only the 264x128 decoder layer's 800-row validation forwards are large
-    # enough to share; 42k parameters are too few for Adam halves
-    "synthetic-d8": (("synthetic", 4000, "torus", 8, (128,)), {"matmul"}),
-}
+        def recording(data, parent, vjp):
+            def traced(grad):
+                out = vjp(grad)
+                vjps.append(None if out is None else out.dtype)
+                return out
 
-# Every product the helper splits by rows in tests/ and perfbench/, as (rows,
-# k, n, transposed): the 2dshapes dense forwards at 144, 200 and 800 rows,
-# the D=8 264x128 layer at 800 validation rows (at 144 and 200 it is below
-# SPLIT_MIN_WORK), and the first 2dshapes encoder layer's weight gradient,
-# (768, 144) as a transposed view of a batch.
-SPLIT_PRODUCTS = ([(rows, k, n, False) for rows in (144, 200, 800)
-                   for k, n in ((768, 128), (128, 768))]
-                  + [(800, 264, 128, False), (768, 144, 128, True)])
+            out = make_node(data, parent, traced)
+            nodes.append(out.data)
+            return out
 
+        monkeypatch.setattr(e, "node", recording)
+        model = e.build_vae(e.LatentSpec(mode, dim), 6, (8, 5), np.random.default_rng(2),
+                            dtype=np.float32)
+        buffers = g.RowBuffers(9, np.float32)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-0.9, 0.9, size=(9, 6)).astype(np.float32)
+        noise = rng.standard_normal(e._noise_shape(model.latent, 9)).astype(np.float32)
+        result = e.elbo_loss(model, x, 1.0, noise, buffers)
+        params = model.parameters()
+        state = e.AdamState.for_params(params)
+        e.adam_step(params, state, 1e-3)
+        *rows, loss = nodes
+        assert len(rows) == 3 and all(a.dtype == np.float32 for a in rows)
+        assert loss.dtype == np.float64 and float(loss) == result.reconstruction
+        # the loss, decoder and posterior VJPs; the encoder's, over the batch, returns None
+        assert vjps == [np.float32] * 3 + [None]
+        arrays = [model.flat, model.flat_grad, state.m, state.v, state.update, state.scratch,
+                  *buffers._arrays.values()]
+        assert all(a.dtype == np.float32 for a in arrays)
+        assert len(buffers._arrays) == (5 if mode == "torus" else 0)
 
-class TestHelperThread:
-    @pytest.mark.parametrize("rows,k,n,transposed", SPLIT_PRODUCTS)
-    def test_row_halves_give_the_whole_products_bits(self, rows, k, n, transposed, rng):
-        """The premise of the helper's row split: on this BLAS, two row halves
-        of each product it splits equal the whole product bit for bit. A BLAS
-        that picks its kernel by row count fails here, not as a trained
-        checkpoint whose bytes depend on the helper."""
-        a = rng.standard_normal((k, rows)).T if transposed else rng.standard_normal((rows, k))
-        b = rng.standard_normal((k, n))
-        assert rows >= e.SPLIT_MIN_ROWS and rows * k * n >= e.SPLIT_MIN_WORK
-        whole = a @ b
-        half = rows // 2
-        halves = np.concatenate((a[:half] @ b, a[half:] @ b))
-        assert halves.tobytes() == whole.tobytes(), (
-            f"two row halves of a ({rows}, {k}) @ ({k}, {n}) product differ from the whole "
-            f"on this BLAS: the helper thread's split would change trained bytes")
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            assert e._matmul(a, b, np.empty((rows, n)), pool).tobytes() == whole.tobytes()
+    @pytest.mark.parametrize("case", ["readme-2dshapes", "synthetic-d8"])
+    def test_float32_tracks_the_float64_train(self, case, monkeypatch):
+        """Per-epoch validation MSE of a float32 train is within 1e-2 relative
+        of the same train in float64, on the README model and on a D=8 model."""
+        if case == "readme-2dshapes":
+            data = ds.shapes_source(720, seed=404, width=16, height=16).render()
+            cfg = e.TrainConfig("torus", 4, 1.0, 1e-3, 144, 4, seed=7, hidden=(128, 64),
+                                input_scale=e.SCALE_UNIT)
+        else:
+            data = ds.make_synthetic_dataset(5, 1000, seed=505)
+            cfg = e.TrainConfig("torus", 8, 1.0, 1e-3, 144, 12, seed=7, hidden=(128,))
+        single = e.train(cfg, data.x)[1].val_mse
+        monkeypatch.setattr(e, "TRAIN_DTYPE", np.float64)
+        double = e.train(cfg, data.x)[1].val_mse
+        assert single != double  # the two dtypes did run
+        np.testing.assert_allclose(single, double, rtol=1e-2)
 
-    @pytest.mark.parametrize("case", HELPER_CASES)
-    def test_train_bytes_do_not_depend_on_the_helper(self, case, monkeypatch):
-        """A train with the helper thread gives the parameters and report of
-        the same train without it, and the helper gets the work expected."""
-        (kind, count, mode, dim, hidden), expected = HELPER_CASES[case]
-        x, cfg = _helper_case(kind, count, mode, dim, hidden)
-        taken = set()
-
-        class RecordingPool(ThreadPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                taken.add(fn.__name__)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(e, "ThreadPoolExecutor", RecordingPool)
-        alone, alone_report = e.train(cfg, x)
-        assert not taken
-        shared, shared_report = e.train(cfg, x, helper=True)
-        assert taken == expected
-        assert shared.flat.tobytes() == alone.flat.tobytes()
-        assert dataclasses.asdict(shared_report) == dataclasses.asdict(alone_report)
-        assert shared.encoder.pool is None and shared.decoder.pool is None
-
-    def test_jobs_the_helper_never_starts_are_taken_back(self, monkeypatch):
-        """A helper whose core never frees starts nothing: each job handed to
-        it is cancelled and run by the step's own thread, and the train keeps
-        its bytes."""
-        taken = []
-
-        class NeverStarted(Future):
-            def result(self, timeout=None):
-                raise AssertionError("waited for a job the helper never started")
-
-        class IdleHelper:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                taken.append(fn.__name__)
-                return NeverStarted()
-
-        monkeypatch.setattr(e, "ThreadPoolExecutor", IdleHelper)
-        x, cfg = _helper_case(*HELPER_CASES["readme-2dshapes"][0])
-        alone = e.train(cfg, x)[0].flat.tobytes()
-        assert e.train(cfg, x, helper=True)[0].flat.tobytes() == alone
-        assert set(taken) == HELPER_CASES["readme-2dshapes"][1]
-
-    def test_a_short_switch_interval_keeps_the_bytes(self):
-        """The two threads write disjoint parts of each output; with the
-        interpreter switching threads every 10 us, a train with the helper
-        still gives the bytes of one without it."""
-        x, cfg = _helper_case(*HELPER_CASES["readme-2dshapes"][0])
-        alone = e.train(cfg, x)[0].flat.tobytes()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            shared = e.train(cfg, x, helper=True)[0].flat.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-        assert shared == alone
-
-    def test_non_finite_gradient_changes_nothing(self, rng):
-        """Under the helper, a NaN in the helper's half of the gradient raises
-        NumericsError with the parameter, moments and step as they were."""
-        size = 4 * e.ADAM_BLOCK + 5
-        params = [stand_in(rng.standard_normal(size), rng.standard_normal(size))]
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            state = e.AdamState.for_params(params, pool)
-            assert state.pool is pool
-            e.adam_step(params, state, 1e-3)
-            before = [a.tobytes() for a in (params[0].data, state.m, state.v)]
-            params[0].grad[-1] = np.nan
-            with pytest.raises(NumericsError, match="non-finite gradient"):
-                e.adam_step(params, state, 1e-3)
-        assert [a.tobytes() for a in (params[0].data, state.m, state.v)] == before
-        assert state.step == 1
-
-    def test_no_thread_outlives_a_failed_train(self):
-        x, cfg = _helper_case("2dshapes", 720, "torus", 4, (128, 64))
-        x = x.copy()
-        x[:, 0] = np.inf
-        with np.errstate(all="ignore"), pytest.raises(NumericsError, match=r"^epoch 0, step 0"):
-            e.train(cfg, x, helper=True)
-        assert not [t for t in threading.enumerate() if t.name.startswith("torusvae-helper")]
+    def test_train_returns_the_float64_upcast(self, tmp_path):
+        """train's model is float64, infers only, and holds float32 values; its
+        checkpoint loads back to the same flat bytes and the same codes."""
+        data = ds.shapes_source(300, seed=8).render()
+        cfg = e.TrainConfig("torus", 3, 1.0, 2e-3, 32, 2, seed=6, hidden=(16,),
+                            input_scale=e.SCALE_UNIT)
+        model, _ = e.train(cfg, data.x)
+        assert model.flat.dtype == np.float64 and model.flat_grad is None
+        assert model.flat.astype(np.float32).astype(np.float64).tobytes() == model.flat.tobytes()
+        e.save_checkpoint(model, tmp_path / "model.tdvae")
+        loaded = e.load_checkpoint(tmp_path / "model.tdvae")
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        x = e.scale_in(data.x, cfg.input_scale)
+        assert loaded.codes(x).tobytes() == model.codes(x).tobytes()
 
 
 class TestGenerate:
