@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import multiprocessing
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,34 @@ class TestAdam:
         params = [stand_in(rng.standard_normal(17))]
         self._matches_per_array_formula(params, [(p.data, p.grad) for p in params], rng)
 
+    @pytest.mark.parametrize("block", [4, 17, 1 << 14])
+    def test_float32_blocks_match_bit_for_bit(self, block, rng, monkeypatch):
+        """Over a float32 parameter, as train steps it, each block is the
+        textbook update computed in float32, for short, whole and single blocks."""
+        monkeypatch.setattr(e, "ADAM_BLOCK", block)
+        params = [stand_in(rng.standard_normal(17).astype(np.float32))]
+        params[0].grad = np.zeros(17, np.float32)
+        self._matches_per_array_formula(params, [(p.data, p.grad) for p in params], rng)
+        state = e.AdamState.for_params(params)
+        assert all(a.dtype == np.float32 for a in (state.m, state.v, state.update, state.scratch))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_gradient_after_a_step_changes_nothing(self, dtype, bad, rng):
+        """A non-finite value in the last block of a later step's gradient
+        raises NumericsError with the parameter, moments and step as they were."""
+        size = 4 * e.ADAM_BLOCK + 5
+        params = [stand_in(rng.standard_normal(size).astype(dtype))]
+        params[0].grad = rng.standard_normal(size).astype(dtype)
+        state = e.AdamState.for_params(params)
+        e.adam_step(params, state, 1e-3)
+        before = [a.tobytes() for a in (params[0].data, state.m, state.v)]
+        params[0].grad[-1] = bad
+        with pytest.raises(NumericsError, match="non-finite gradient"):
+            e.adam_step(params, state, 1e-3)
+        assert [a.tobytes() for a in (params[0].data, state.m, state.v)] == before
+        assert state.step == 1
+
     @staticmethod
     def _matches_per_array_formula(params, arrays, rng):
         """Twenty adam_steps against the textbook per-array update, byte for byte.
@@ -691,6 +720,56 @@ class TestTrainPrecision:
                   *buffers._arrays.values()]
         assert all(a.dtype == np.float32 for a in arrays)
         assert len(buffers._arrays) == (5 if mode == "torus" else 0)
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (128, 64)], ids=["none", "8", "128-64"])
+    @pytest.mark.parametrize("mode", ["torus", "euclidean"])
+    def test_float32_weights_are_the_rounded_float64_draws(self, mode, hidden):
+        """build_vae draws the same float64 weights whatever its dtype and
+        rounds them once; a new float32 model's gradient is float32 zeros."""
+        latent = e.LatentSpec(mode, 3)
+        double = e.build_vae(latent, 7, hidden, np.random.default_rng(5))
+        single = e.build_vae(latent, 7, hidden, np.random.default_rng(5), dtype=np.float32)
+        assert single.flat.dtype == np.float32
+        assert single.flat.tobytes() == double.flat.astype(np.float32).tobytes()
+        assert single.flat_grad.dtype == np.float32 and not single.flat_grad.any()
+
+    @pytest.mark.parametrize("mode", ["torus", "euclidean"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_and_join_keep_the_dtype(self, dtype, mode, rng):
+        """_split copies (mu, logvar) out of encoder rows in their own dtype
+        (a circle's pairs as complex64 for float32), and _join puts them back
+        bit for bit; float32 rows split to the rounding of their float64 split."""
+        model = e.VaeModel(e.LatentSpec(mode, 3), 5, (8,), dtype=dtype)
+        out = rng.standard_normal((6, model.latent.encoder_out_dim)).astype(dtype)
+        mu, logvar = model._split(out)
+        assert mu.dtype == logvar.dtype == dtype
+        assert model._join(mu, logvar).tobytes() == out.tobytes()
+        wide = model._split(out.astype(np.float64))
+        assert mu.tobytes() == wide[0].astype(dtype).tobytes()
+        assert logvar.tobytes() == wide[1].astype(dtype).tobytes()
+
+    @pytest.mark.parametrize("scale", [e.SCALE_SYMMETRIC, e.SCALE_UNIT])
+    def test_scale_in_rounds_once(self, scale, rng):
+        """scale_in to float32 maps in float64 and rounds once, so a float32
+        array and its float64 copy scale to the same float32 bits."""
+        x = rng.uniform(0.0, 1.0, size=(9, 4)).astype(np.float32)
+        single = e.scale_in(x, scale, np.float32)
+        assert single.dtype == np.float32
+        assert single.tobytes() == e.scale_in(x.astype(np.float64), scale, np.float32).tobytes()
+        assert single.tobytes() == e.scale_in(x, scale).astype(np.float32).tobytes()
+
+    def test_train_starts_no_thread(self, monkeypatch):
+        """The step runs on the caller's thread alone: a train in which
+        starting a thread fails still trains."""
+        def refuse(self):
+            raise AssertionError(f"train started thread {self.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        data = ds.shapes_source(300, seed=8, width=16, height=16).render()
+        cfg = e.TrainConfig("torus", 4, 1.0, 1e-3, 144, 2, seed=3, hidden=(128, 64),
+                            input_scale=e.SCALE_UNIT)
+        model, report = e.train(cfg, data.x)
+        assert model.flat.dtype == np.float64 and len(report.val_mse) == 2
 
     @pytest.mark.parametrize("case", ["readme-2dshapes", "synthetic-d8"])
     def test_float32_tracks_the_float64_train(self, case, monkeypatch):
