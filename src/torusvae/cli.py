@@ -2,13 +2,14 @@
 
 Every command is a pure function of the JSON config and its input files, so
 reruns reproduce identical bytes. Each command reads and checks all of its
-config through errors.json_value before it loads or computes anything, so a
-bad value exits 1 having done no work; each input file is loaded once per
-command (sweep's cells share one loaded dataset). Every output goes through
-errors.write_files (staged in a temp directory, then renamed into place), so
-an interruption never leaves a truncated file; _Paths checks every path a
-command reads or writes before that. One parser reads the command line: a
-flag may come before or after the command, and the last of a repeated one wins.
+config through its rows of CONFIG_KEYS before it loads or computes anything,
+so a bad value or key exits 1 having done no work; each input file is loaded
+once per command (sweep's cells share one loaded dataset). Every output goes
+through errors.write_files (staged in a temp directory, then renamed into
+place), so an interruption never leaves a truncated file; _Paths checks every
+path a command reads or writes before that. One parser reads the command line:
+a flag may come before or after the command, and the last of a repeated one
+wins.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import datasets, engine, geometry, metrics
-from .errors import ConfigError, FormatError, json_value, write_files
+from .errors import REQUIRED, ConfigError, FormatError, json_value, write_files
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -36,7 +37,66 @@ EXIT_RUNTIME = 2
 # -- config ----------------------------------------------------------------------
 
 
+class _Key(NamedTuple):
+    kind: object  # of json_value
+    default: object = REQUIRED
+    lo: object = None  # the inclusive bounds
+    hi: object = None
+    path: str = ""  # FILE or DIRECTORY, relative to the output directory; "" if no path
+
+
+FILE, DIRECTORY = "file", "directory"
+# How each key that a command reads is read, by its name: a top-level key, or
+# section.key. One config file serves every command, so load_config refuses any
+# other key.
+CONFIG_KEYS = {
+    "out_dir": _Key(str, ".", path=DIRECTORY),
+    "dataset.kind": _Key(str),  # "2dshapes" or "synthetic"
+    "dataset.count": _Key(int, lo=1, hi=datasets.MAX_RECORD_COUNT),
+    "dataset.seed": _Key(int, lo=0),
+    "dataset.factors": _Key(int, lo=1, hi=8),
+    "dataset.noise_sigma": _Key(float, 0.0, lo=0.0),
+    "dataset.width": _Key(int, 16, lo=8),
+    "dataset.height": _Key(int, 16, lo=8),
+    "dataset.path": _Key(str, "dataset.tdds", path=FILE),
+    # The model keys that name no path are the fields of engine.TrainConfig,
+    # which checks the ranges that no bound here expresses.
+    "model.mode": _Key(str, engine.TORUS),
+    "model.latent_dim": _Key(int),
+    "model.beta": _Key(float, 1.0, lo=0),  # not 0.0: the message says ">= 0"
+    "model.learning_rate": _Key(float, 0.0001),
+    "model.batch_size": _Key(int, 144, lo=1),
+    "model.epochs": _Key(int, 50, lo=1),
+    "model.seed": _Key(int, lo=0),
+    "model.hidden": _Key([int], engine.TrainConfig.hidden, lo=1),
+    "model.val_fraction": _Key(float, engine.TrainConfig.val_fraction),
+    "model.checkpoint": _Key(str, "model.tdvae", path=FILE),
+    "model.report": _Key(str, "train_report.json", path=FILE),
+    "metrics.split_seed": _Key(int, lo=0),
+    "metrics.alpha_grid": _Key([float], metrics.DEFAULT_ALPHA_GRID, lo=0.0),
+    "metrics.folds": _Key(int, 10, lo=2),
+    "metrics.holdout_fraction": _Key(float, 0.2),
+    "metrics.codes_source": _Key(str, "encoder"),
+    "metrics.report": _Key(str, "dci_report.json", path=FILE),
+    "metrics.heatmap_dir": _Key(str, "heatmaps", path=DIRECTORY),
+    "sweep.betas": _Key([float], (0.0, 1.0, 3.0, 6.0, 9.0), lo=0.0),
+    "sweep.dims": _Key([int], (4, 5, 6, 8), lo=1),  # hi: the model's latent bound
+    "sweep.csv": _Key(str, "sweep.csv", path=FILE),
+    "traverse.circle": _Key(int, 0, lo=0),
+    # Frame names sort in step order up to {step:03d} = 999, and write_files
+    # holds one writer per frame, so the count is bounded above.
+    "traverse.steps": _Key(int, 12, lo=1, hi=1000),
+    "traverse.anchor": _Key([float], None),
+    "traverse.prefix": _Key(str, "traverse", path=FILE),
+}
+
+
 def load_config(path) -> dict:
+    """The config object at path, refused if any key in it is one that no
+    command reads: a top-level key that is neither out_dir nor a section, or
+    a key in a section that is an object (any other section is left to
+    _value). The message names the first such key and the nearest known one
+    of its level."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -48,13 +108,30 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    sections = {name.partition(".")[0] for name in CONFIG_KEYS if "." in name}
+    top = [name for name in CONFIG_KEYS if "." not in name] + sorted(sections)
+    unknown = [(key, top) for key in config if key not in top] + [
+        (f"{section}.{key}", list(CONFIG_KEYS)) for section, block in config.items()
+        if section in sections and isinstance(block, dict)
+        for key in block if f"{section}.{key}" not in CONFIG_KEYS]
+    if unknown:
+        import difflib  # only a refused config pays for its import
+        name, known = unknown[0]
+        near = difflib.get_close_matches(name, known, n=1)
+        raise ConfigError(f"{name} is not a config key"
+                          + (f" (did you mean {near[0]}?)" if near else ""))
     return config
 
 
-def _section(config: dict, name: str) -> dict:
-    if name not in config or not isinstance(config[name], dict):
-        raise ConfigError(f"config needs a {name!r} object")
-    return config[name]
+def _value(config: dict, name: str, **bounds):
+    """The value of key name in config, read by its CONFIG_KEYS row with bounds
+    in place of the row's."""
+    section, _, key = name.rpartition(".")
+    block = config.get(section) if section else config
+    if not isinstance(block, dict):
+        raise ConfigError(f"config needs a {section!r} object")
+    row = CONFIG_KEYS[name]._replace(**bounds)
+    return json_value(block, key, section, row.kind, row.default, row.lo, row.hi)
 
 
 class _Paths:
@@ -66,13 +143,14 @@ class _Paths:
 
     def __init__(self, config: dict, args):
         self.config, self.seen, self.inputs = config, {}, []
-        value = args.out or json_value(config, "out_dir", "", str, ".")
-        self.out_dir = _checked_path("--out" if args.out else "out_dir", value, Path(value), True)
+        value = _value(config, "out_dir") if args.out is None else args.out
+        self.out_dir = _checked_path("out_dir" if args.out is None else "--out", value,
+                                     Path(value), True)
 
-    def get(self, section, key, default, directory=False, made_by="", suffix="") -> Path:
-        """section.key (or default) plus suffix, checked; made_by writes an input."""
-        name = f"{section}.{key}"
-        value = json_value(_section(self.config, section), key, section, str, default) + suffix
+    def get(self, name, made_by="", suffix="") -> Path:
+        """The path of key name plus suffix, checked; made_by writes an input."""
+        directory = CONFIG_KEYS[name].path == DIRECTORY
+        value = _value(self.config, name) + suffix
         path = _checked_path(name, value, self.out_dir / value, directory)
         self.inputs += [(path, made_by)] if made_by else []
         return self.claim(name, path, directory)
@@ -114,29 +192,25 @@ def _json_writer(obj):
 # -- dataset plumbing --------------------------------------------------------------
 
 
-def _build_dataset(block: dict):
+def _build_dataset(config: dict):
     """The dataset block as what save_dataset writes: a 2dshapes ShapesSource
     (rendered block by block as it is written) or a synthetic Dataset."""
-    kind = json_value(block, "kind", "dataset", str)
-    count = json_value(block, "count", "dataset", int, lo=1, hi=datasets.MAX_RECORD_COUNT)
-    seed = json_value(block, "seed", "dataset", int, lo=0)
+    kind, count, seed = (_value(config, f"dataset.{key}") for key in ("kind", "count", "seed"))
     try:
         if kind == "2dshapes":
-            return datasets.shapes_source(count, seed, *_image_size(block))
+            return datasets.shapes_source(count, seed, *_image_size(config))
         if kind == "synthetic":
-            return datasets.make_synthetic_dataset(
-                json_value(block, "factors", "dataset", int, lo=1, hi=8), count, seed,
-                json_value(block, "noise_sigma", "dataset", default=0.0, lo=0.0))
+            return datasets.make_synthetic_dataset(_value(config, "dataset.factors"), count,
+                                                   seed, _value(config, "dataset.noise_sigma"))
     except MemoryError:
         raise ConfigError(f"dataset.count = {count} needs more memory than is free") from None
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _image_size(block: dict) -> tuple:
+def _image_size(config: dict) -> tuple:
     """(width, height) of a 2dshapes dataset block: each at least 8, and a
     record (6 factors, width * height * 3 pixels) that load_dataset accepts."""
-    width, height = (json_value(block, key, "dataset", int, 16, lo=8)
-                     for key in ("width", "height"))
+    width, height = (_value(config, f"dataset.{key}") for key in ("width", "height"))
     limit = datasets.MAX_RECORD_BYTES
     if datasets.record_bytes(datasets.SHAPES_SPEC.k, width * height * 3) > limit:
         raise ConfigError(f"dataset.width x dataset.height = {width}x{height} makes "
@@ -144,61 +218,42 @@ def _image_size(block: dict) -> tuple:
     return width, height
 
 
-def _train_config(config: dict, beta=None, latent_dim=None) -> engine.TrainConfig:
-    """The model block as a TrainConfig; a sweep cell passes its own beta and latent_dim.
-
-    json_value reads each value's type, and TrainConfig checks the ranges of
-    its fields; each of its messages starts with the field's name, which is
-    also the model key.
-    """
-    block = _section(config, "model")
-    dataset_kind = json_value(_section(config, "dataset"), "kind", "dataset", str)
-    fields = dict(
-        mode=json_value(block, "mode", "model", str, engine.TORUS),
-        latent_dim=(json_value(block, "latent_dim", "model", int)
-                    if latent_dim is None else latent_dim),
-        beta=json_value(block, "beta", "model", default=1.0) if beta is None else beta,
-        learning_rate=json_value(block, "learning_rate", "model", default=0.0001),
-        batch_size=json_value(block, "batch_size", "model", int, 144),
-        epochs=json_value(block, "epochs", "model", int, 50),
-        seed=json_value(block, "seed", "model", int, lo=0),
-        hidden=tuple(json_value(block, "hidden", "model", [int], engine.TrainConfig.hidden,
-                                lo=1)),
-        val_fraction=json_value(block, "val_fraction", "model",
-                                default=engine.TrainConfig.val_fraction),
-        input_scale=engine.SCALE_UNIT if dataset_kind == "2dshapes" else engine.SCALE_SYMMETRIC,
-    )
+def _train_config(config: dict, **cell) -> engine.TrainConfig:
+    """The model block as a TrainConfig; a sweep cell passes its own beta and latent_dim."""
+    keys = [name.partition(".")[2] for name, row in CONFIG_KEYS.items()
+            if name.startswith("model.") and not row.path]
+    fields = {key: cell[key] if key in cell else _value(config, f"model.{key}") for key in keys}
+    fields["hidden"] = tuple(fields["hidden"])
+    image = _value(config, "dataset.kind") == "2dshapes"
     try:
-        return engine.TrainConfig(**fields)
+        return engine.TrainConfig(
+            **fields, input_scale=engine.SCALE_UNIT if image else engine.SCALE_SYMMETRIC)
     except ConfigError as exc:
         raise ConfigError(f"model.{exc}") from None
 
 
 class MetricsSettings(NamedTuple):
-    """The checked metrics block: the run_dci arguments and where codes come from."""
+    """The checked metrics block, one field per key: run_dci's arguments, then
+    where codes come from."""
 
     split_seed: int
-    grid: tuple
+    alpha_grid: tuple
     folds: int
     holdout_fraction: float
     codes_source: str  # "encoder" (model codes) or "factors" (identity bypass)
 
 
 def _metrics_settings(config: dict) -> MetricsSettings:
-    block = _section(config, "metrics")
-    split_seed = json_value(block, "split_seed", "metrics", int, lo=0)
-    grid = tuple(json_value(block, "alpha_grid", "metrics", [float],
-                            metrics.DEFAULT_ALPHA_GRID, lo=0.0))
-    if not grid:
+    settings = MetricsSettings(*(_value(config, f"metrics.{key}")
+                                 for key in MetricsSettings._fields))
+    if not settings.alpha_grid:
         raise ConfigError("metrics.alpha_grid must list at least one alpha")
-    folds = json_value(block, "folds", "metrics", int, 10, lo=2)
-    holdout = json_value(block, "holdout_fraction", "metrics", default=0.2)
-    if not 0.0 < holdout < 1.0:
-        raise ConfigError(f"metrics.holdout_fraction must be in (0, 1), got {holdout}")
-    source = json_value(block, "codes_source", "metrics", str, "encoder")
-    if source not in ("encoder", "factors"):
-        raise ConfigError(f"unknown metrics.codes_source {source!r}")
-    return MetricsSettings(split_seed, grid, folds, holdout, source)
+    if not 0.0 < settings.holdout_fraction < 1.0:
+        raise ConfigError(
+            f"metrics.holdout_fraction must be in (0, 1), got {settings.holdout_fraction}")
+    if settings.codes_source not in ("encoder", "factors"):
+        raise ConfigError(f"unknown metrics.codes_source {settings.codes_source!r}")
+    return settings._replace(alpha_grid=tuple(settings.alpha_grid))
 
 
 # -- commands ------------------------------------------------------------------------
@@ -206,9 +261,9 @@ def _metrics_settings(config: dict) -> MetricsSettings:
 
 def cmd_generate(config: dict, args) -> int:
     paths = _Paths(config, args)
-    path = paths.get("dataset", "path", "dataset.tdds")
-    sidecar = paths.get("dataset", "path", "dataset.tdds", suffix=".json")
-    dataset = _build_dataset(_section(config, "dataset"))
+    path = paths.get("dataset.path")
+    sidecar = paths.get("dataset.path", suffix=".json")
+    dataset = _build_dataset(config)
     write_files(path.parent, {
         path.name: lambda tmp: datasets.save_dataset(dataset, tmp),
         sidecar.name: _json_writer(json.loads(dataset.spec.to_json())),
@@ -220,9 +275,9 @@ def cmd_generate(config: dict, args) -> int:
 def cmd_train(config: dict, args) -> int:
     paths = _Paths(config, args)
     train_config = _train_config(config)
-    dataset_path = paths.get("dataset", "path", "dataset.tdds", made_by="generate")
-    checkpoint_path = paths.get("model", "checkpoint", "model.tdvae")
-    report_path = paths.get("model", "report", "train_report.json")
+    dataset_path = paths.get("dataset.path", made_by="generate")
+    checkpoint_path = paths.get("model.checkpoint")
+    report_path = paths.get("model.report")
     paths.check_inputs()
 
     model, report = engine.train(train_config, datasets.load_dataset(dataset_path).x)
@@ -247,18 +302,17 @@ def _validation_dci(model, dataset, train_config: engine.TrainConfig,
         codes = factors
     else:
         codes = model.codes(engine.scale_in(dataset.x[rows], model.input_scale))
-    return metrics.run_dci(codes, factors, settings.split_seed, settings.grid,
-                           settings.folds, settings.holdout_fraction)
+    return metrics.run_dci(codes, factors, *settings[:4])  # the fields before codes_source
 
 
 def cmd_evaluate(config: dict, args) -> int:
     paths = _Paths(config, args)
     train_config = _train_config(config)
     settings = _metrics_settings(config)
-    dataset_path = paths.get("dataset", "path", "dataset.tdds", made_by="generate")
-    checkpoint_path = paths.get("model", "checkpoint", "model.tdvae", made_by="train")
-    report_path = paths.get("metrics", "report", "dci_report.json")
-    heatmap_dir = paths.get("metrics", "heatmap_dir", "heatmaps", directory=True)
+    dataset_path = paths.get("dataset.path", made_by="generate")
+    checkpoint_path = paths.get("model.checkpoint", made_by="train")
+    report_path = paths.get("metrics.report")
+    heatmap_dir = paths.get("metrics.heatmap_dir")
     paths.check_inputs()
 
     dataset = datasets.load_dataset(dataset_path)
@@ -294,21 +348,19 @@ def cmd_sweep(config: dict, args) -> int:
     validation error; a cell that fails at run time becomes an error row.
     """
     paths = _Paths(config, args)
-    sweep_block = _section(config, "sweep")
-    betas = json_value(sweep_block, "betas", "sweep", [float], (0.0, 1.0, 3.0, 6.0, 9.0), lo=0.0)
+    betas = _value(config, "sweep.betas")
     # The model's latent bound; an unknown mode is refused with the cells.
-    mode = json_value(_section(config, "model"), "mode", "model", str, engine.TORUS)
-    dims = json_value(sweep_block, "dims", "sweep", [int], (4, 5, 6, 8), lo=1,
-                      hi=engine.MAX_LATENT_DIM.get(mode))
+    dims = _value(config, "sweep.dims",
+                  hi=engine.MAX_LATENT_DIM.get(_value(config, "model.mode")))
     if not betas or not dims:
         raise ConfigError("sweep grids must be non-empty")
-    csv_path = paths.get("sweep", "csv", "sweep.csv")
+    csv_path = paths.get("sweep.csv")
     settings = _metrics_settings(config)
-    cells = [_train_config(config, beta=beta, latent_dim=dim) for beta in betas for dim in dims]
-    dataset_path = paths.get("dataset", "path", "dataset.tdds", made_by="generate")
+    jobs = [(_train_config(config, beta=beta, latent_dim=dim), settings)
+            for beta in betas for dim in dims]
+    dataset_path = paths.get("dataset.path", made_by="generate")
     paths.check_inputs()
     dataset = datasets.load_dataset(dataset_path)
-    jobs = [(cell, settings) for cell in cells]
     # A pool forks all of its workers at once, so it never gets more than there are cells.
     workers = min(args.workers, len(jobs))
     if workers > 1:
@@ -374,19 +426,15 @@ def _sweep_cell(job):
 def cmd_traverse(config: dict, args) -> int:
     config = {"traverse": {}, **config}  # every traverse key has a default
     paths = _Paths(config, args)
-    block = _section(config, "traverse")
-    circle = json_value(block, "circle", "traverse", int, 0, lo=0)
-    # Frame names sort in step order up to {step:03d} = 999, and write_files
-    # holds one writer per frame, so the count is bounded above.
-    steps = json_value(block, "steps", "traverse", int, 12, lo=1, hi=1000)
-    anchor = json_value(block, "anchor", "traverse", [float], None)
-    stem = paths.get("traverse", "prefix", "traverse", suffix="_")
+    circle, steps, anchor = (_value(config, f"traverse.{key}")
+                             for key in ("circle", "steps", "anchor"))
+    stem = paths.get("traverse.prefix", suffix="_")
     frames = [paths.claim("traverse.prefix", stem.with_name(f"{stem.name}{step:03d}.ppm"), False)
               for step in range(steps)]
-    if json_value(_section(config, "dataset"), "kind", "dataset", str) != "2dshapes":
+    if _value(config, "dataset.kind") != "2dshapes":
         raise ConfigError("traverse writes PPM frames and needs an image dataset (2dshapes)")
-    width, height = _image_size(config["dataset"])
-    checkpoint_path = paths.get("model", "checkpoint", "model.tdvae", made_by="train")
+    width, height = _image_size(config)
+    checkpoint_path = paths.get("model.checkpoint", made_by="train")
     paths.check_inputs()
 
     model = engine.load_checkpoint(checkpoint_path)
@@ -452,6 +500,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if args.out == "":
+            raise ConfigError("--out must be a non-empty path")
         config = load_config(args.config)
         return _COMMANDS[args.command][0](config, args)
     except (ConfigError, FormatError) as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, Reader, all_finite, json_value, sized_output
+from .errors import FormatError, Reader, json_value, max_abs, sized_output
 from .geometry import TWO_PI
 
 DATASET_MAGIC = b"TDDS1"
@@ -413,9 +413,9 @@ def load_dataset(path) -> Dataset:
     records = np.frombuffer(reader.take(n * record_size), _record_dtype(k, pixels), n)
     reader.done()
     x, factors = records["x"].reshape(n, pixels), records["z"].astype(float).reshape(n, k)
-    if not all_finite(x):
+    if not np.isfinite(max_abs(x)):
         raise FormatError(f"non-finite pixel in {path}")
-    if not all_finite(factors):
+    if not np.isfinite(max_abs(factors)):
         raise FormatError(f"non-finite factor value in {path}")
     return Dataset(
         x=x,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, node
-from .errors import ConfigError, FormatError, NumericsError, Reader, all_finite, sized_output
+from .errors import ConfigError, FormatError, NumericsError, Reader, max_abs, sized_output
 from .geometry import (RowBuffers, canonical_angle, embed, embed_parts, embed_vjp, gaussian_kl,
                        gaussian_kl_vjp, tuple_norms, unit_tuples, unit_tuples_vjp)
 
@@ -417,14 +417,18 @@ def adam_step(params, state: AdamState, lr: float) -> AdamState:
 
     params is the one-item list the state was made for (a model's
     parameters(): one Tensor over VaeModel.flat), its data and grad arrays
-    C-contiguous. A non-finite gradient raises NumericsError before anything
+    C-contiguous. A non-finite gradient, or one whose square overflows the
+    dtype (as the second moment would), raises NumericsError before anything
     changes. The parameter is updated one block of ADAM_BLOCK elements at a
     time, so a block's moments, gradient and scratch stay in cache, and no
     arrays are allocated.
     """
     (param,) = params
-    if not all_finite(param.grad):
+    size = max_abs(param.grad)
+    if not np.isfinite(size):
         raise NumericsError("non-finite gradient")
+    if size >= np.sqrt(np.finfo(size.dtype).max):
+        raise NumericsError(f"gradient of magnitude {size:.3g}: its square overflows {size.dtype}")
     state.step += 1
     t = state.step
     data, grad = param.data.reshape(-1), param.grad.reshape(-1)
@@ -468,13 +472,9 @@ class TrainConfig:
     input_scale: str = SCALE_SYMMETRIC
 
     def __post_init__(self):
-        """Each message starts with the name of the field it rejects."""
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        """The ranges that no inclusive bound of a config key expresses (the
+        others are cli.CONFIG_KEYS bounds); each message starts with the name
+        of the field it rejects."""
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -695,7 +695,7 @@ def load_checkpoint(path) -> VaeModel:
     # parameter array is allocated.
     flat = np.frombuffer(reader.take(8 * param_count(expected[0] + expected[1])), dtype="<f8")
     reader.done()
-    if not all_finite(flat):
+    if not np.isfinite(max_abs(flat)):
         raise FormatError(f"non-finite parameter in {path}")
     try:
         return VaeModel(latent, input_dim, hidden, _SCALES[scale_tag], flat=flat)

@@ -1,7 +1,7 @@
 """Exception types shared across the package, the one checked reader of JSON
 values, the bounded reader of both binary containers, the one finiteness
-check of arrays, and the staged writer of every output file with the sized
-writer of those whose size is known before their first byte."""
+check of arrays (max_abs), and the staged writer of every output file with
+the sized writer of those whose size is known before their first byte."""
 import contextlib
 import math
 import os
@@ -106,13 +106,14 @@ class Reader:
             raise FormatError(f"{len(self.blob) - self.offset} trailing bytes in {self.path}")
 
 
-def all_finite(a: np.ndarray) -> bool:
-    """Whether every value of a float array is finite (True when it is empty).
+def max_abs(a: np.ndarray):
+    """The largest |value| of a float array, of its dtype (0 when it is empty):
+    NaN or inf when a value is not finite.
 
     min and max propagate NaN and reach any infinity, so no mask the size of
     the array is allocated.
     """
-    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
+    return np.maximum(-a.min(initial=0.0), a.max(initial=0.0))
 
 
 def write_files(directory, writers) -> None:

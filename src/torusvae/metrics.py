@@ -345,10 +345,9 @@ def run_dci(codes: np.ndarray, factors: np.ndarray, split_seed: int,
     rows, R[a, i] = |W[i, a]| is how much code a counts in predicting factor
     i, and informativeness is the mean squared error of the lasso predictions
     on the holdout rows. What only warns (a constant column, a lasso that did
-    not converge) is also kept in the report's flags.
+    not converge) is also kept in the report's flags. holdout_fraction is in
+    (0, 1), as the metrics config is checked.
     """
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ConfigError("holdout_fraction must be in (0, 1)")
     codes = np.asarray(codes, dtype=float)
     factors = np.asarray(factors, dtype=float)
     if codes.ndim != 2 or factors.ndim != 2:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from torusvae import cli, datasets as ds, engine, geometry, metrics
 from torusvae.errors import ConfigError, FormatError, json_value
-from helpers import REFUSED_CHECKPOINTS, traced_peak, write_checkpoint
+from helpers import REFUSED_CHECKPOINTS, run_fresh, traced_peak, write_checkpoint
 
 
 def base_config(out_dir, kind="synthetic", epochs=3):
@@ -126,6 +127,15 @@ class TestGenerate:
         assert run("generate", "--config", str(config), "--out", str(tmp_path / "other")) == 0
         assert (tmp_path / "other" / "data.tdds").exists()
         assert not (tmp_path / "out").exists()
+
+    def test_empty_out_flag_exits_1(self, tmp_path, capsys, monkeypatch):
+        """An empty --out is refused, as an empty out_dir is, and does not fall
+        back to out_dir."""
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert run("generate", "--config", str(config), "--out", "") == 1
+        assert "error: --out must be a non-empty path" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_failed_sidecar_keeps_the_previous_dataset(self, tmp_path, monkeypatch):
         """The dataset and its sidecar are replaced together or not at all: a
@@ -1070,6 +1080,24 @@ class TestExitCodes:
         assert err.count(", 10000000000000, ") == 2  # the encoder's and the decoder's
         assert not (tmp_path / "out" / "model.tdvae").exists()
 
+    def test_float32_adam_overflow_is_a_runtime_failure(self, tmp_path, capsys):
+        """At learning_rate 0.3 a finite float32 gradient grows past
+        sqrt(float32 max), so its square would make Adam's second moment inf and
+        freeze those weights: train exits 2 naming the epoch, the step and the
+        gradient, and writes no checkpoint."""
+        cfg = base_config(tmp_path / "out")
+        cfg["dataset"].update(count=1000, seed=1, factors=3)
+        cfg["model"].update(latent_dim=4, hidden=[64, 32], batch_size=144, epochs=15,
+                            learning_rate=0.3, seed=1)
+        config = write_config(tmp_path, cfg)
+        assert run("generate", "--config", str(config)) == 0
+        capsys.readouterr()
+        assert run("train", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^runtime failure: epoch \d+, step \d+: gradient of magnitude "
+                         r"[0-9.e+]+: its square overflows float32$", err, re.M), err
+        assert not (tmp_path / "out" / "model.tdvae").exists()
+
     def test_runtime_failure_is_two(self, tmp_path, capsys, monkeypatch):
         def failing_train(*args):
             raise RuntimeError("simulated failure")
@@ -1081,6 +1109,66 @@ class TestExitCodes:
         assert run("train", "--config", str(config)) == 2
         assert "runtime failure: simulated failure" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.tdvae").exists()
+
+
+class TestUnknownKeys:
+    """One config serves every command, so a key that no command reads exits 1
+    for each of them, naming the key and the nearest known one, before any
+    file is written."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("section,key,near", [
+        ("model", "epohcs", "model.epochs"), ("dataset", "sead", "dataset.seed"),
+        ("metrics", "fold", "metrics.folds"), ("sweep", "betass", "sweep.betas"),
+        ("traverse", "stesp", "traverse.steps")])
+    def test_misspelled_key_exits_1_with_the_nearest_key(self, tmp_path, capsys, command,
+                                                           section, key, near):
+        config = trained_2dshapes(tmp_path)
+        before = tree_hashes(tmp_path / "out")
+        cfg = json.loads(config.read_text())
+        cfg[section][key] = 1
+        if section == "model":
+            cfg["model"]["lerning_rate"] = 0.5  # the first unknown key is the one named
+        config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(command, "--config", str(config)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {section}.{key} is not a config key (did you mean {near}?)\n")
+        assert tree_hashes(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("key,message", [
+        ("out_dri", "out_dri is not a config key (did you mean out_dir?)"),
+        ("modle", "modle is not a config key (did you mean model?)"),
+        ("model.epochs", "model.epochs is not a config key"),
+        ("notes", "notes is not a config key")])
+    def test_unknown_top_level_key_exits_1(self, tmp_path, capsys, command, key, message):
+        """A top-level key is out_dir or a section; a dotted name there is no
+        key of a section."""
+        cfg = base_config(tmp_path / "out")
+        cfg[key] = {"epochs": 1}
+        config = write_config(tmp_path, cfg)
+        assert run(command, "--config", str(config)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_section_that_is_not_an_object_is_left_to_the_command(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["sweep"] = [1, 2]
+        config = write_config(tmp_path, cfg)
+        assert run("generate", "--config", str(config)) == 0
+        assert run("sweep", "--config", str(config)) == 1
+        assert "config needs a 'sweep' object" in capsys.readouterr().err
+
+    def test_a_refused_config_imports_difflib_and_a_valid_one_does_not(self, tmp_path):
+        cfg = base_config(tmp_path / "out")
+        config = write_config(tmp_path, cfg)
+        probe = ("import sys; from torusvae import cli; cli.main(['generate', '--config', "
+                 f"{str(config)!r}]); print('difflib' in sys.modules)")
+        assert run_fresh(probe).split()[-1] == "False"
+        cfg["dataset"]["kinds"] = "x"
+        write_config(tmp_path, cfg)
+        assert run_fresh(probe).split()[-1] == "True"
 
 
 class TestDeterminism:

@@ -1,24 +1,27 @@
 """Fuzzed CLI configs: a bad value exits 1 naming its key, or the command starts its work.
 
 Every case starts from a small valid config of one command and changes one
-value in it: a value of another JSON type, a dropped key, a value nested in
-an object, a huge integer of either sign, or a path of ".", "..", "/", with
-a trailing slash, under an existing file (dataset.tdds/x) or equal to
-another file path of the command. The entry points of real work (building,
-loading and writing datasets, training, loading checkpoints, DCI and the
-staged writer) raise a sentinel, so a case must either exit 1 with an error
-that names the changed key or reach the sentinel, having read and accepted
-its whole config. A file-valued path of one of the first four forms must be
+value in it: a value of another JSON type, a dropped key, a key renamed to one
+that no command reads, a value nested in an object, a huge integer of either
+sign, or a path of ".", "..", "/", with a trailing slash, under an existing
+file (dataset.tdds/x) or equal to another file path of the command. The entry
+points of real work (building, loading and writing datasets, training, loading
+checkpoints, DCI and the staged writer) raise a sentinel, so a case must
+either exit 1 with an error that names the changed key or reach the sentinel,
+having read and accepted its whole config. A renamed key must be refused,
+naming its new name. A file-valued path of one of the first four forms must be
 refused, and so must a file or directory path of one of the last two, and a
 latent dim over engine.MAX_LATENT_DIM (model.latent_dim of train and evaluate,
-each of sweep.dims), whose layer widths no checkpoint header holds. Each
-case runs under tracemalloc, and a peak over PEAK_BYTES fails it: no config
-value may size an allocation before the work starts.
+each of sweep.dims), whose layer widths no checkpoint header holds. Each case
+runs under tracemalloc, and a peak over PEAK_BYTES fails it: no config value
+may size an allocation before the work starts.
 """
 import contextlib
 import io
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +73,9 @@ DIR_KEYS = {command: {"out_dir"} for command in FILE_KEYS} | {
     "evaluate": {"out_dir", "metrics.heatmap_dir"}}
 PATH_KEYS = set().union(*FILE_KEYS.values()) | {"out_dir", "metrics.heatmap_dir",
                                                  "traverse.prefix"}
+# Every config key, by its dotted name: out_dir and the keys of the seed blocks.
+KEYS = {"out_dir"} | {f"{section}.{key}" for section, block in [
+    *BLOCKS.items(), *(("dataset", block) for block in DATASETS.values())] for key in block}
 WORK = [(datasets, "shapes_source"), (datasets, "make_synthetic_dataset"),
         (datasets, "load_dataset"), (engine, "train"), (engine, "load_checkpoint"),
         (metrics, "run_dci"), (cli, "write_files")]
@@ -174,12 +180,20 @@ def mutations(draw):
     for k in parent_keys:
         parent = parent[k]
     old = parent[key]
-    kinds = ["swap", "nest", "huge"] + (["drop"] if isinstance(key, str) else [])
+    kinds = ["swap", "nest", "huge"] + (["drop", "misspell"] if isinstance(key, str) else [])
     if key_name(site) in PATH_KEYS and isinstance(key, str):
         kinds.append("path")
     kind = draw(st.sampled_from(kinds))
     if kind == "drop":
         del parent[key]
+    elif kind == "misspell":
+        # a name that neither the key's block nor the config's sections hold
+        known = KEYS | {"dataset", *BLOCKS}
+        new = draw(st.sampled_from([key[1:], key[:-1], key + key[-1], key.upper(), key + ".x"])
+                   .filter(lambda new: key_name((*parent_keys, new)) not in known
+                           and new not in parent))
+        parent[new] = parent.pop(key)
+        site = (*parent_keys, new)
     elif kind == "swap":
         parent[key] = draw(st.sampled_from(
             [v for v in OTHER_TYPES if json_type(v) != json_type(old)]))
@@ -205,7 +219,9 @@ def test_mutated_config_exits_1_naming_the_key_or_reaches_the_work(case, workdir
     code, err, reached = attempt(command, config, workdir)
     over_bound = (kind == "huge" and name in LATENT_KEYS.get(command, ())
                   and value_at(config, site) > LATENT_BOUND)
-    if (kind == "path" and name in FILE_KEYS[command]
+    if kind == "misspell":
+        assert code == 1 and f"error: {name} is not a config key" in err, (code, err)
+    elif (kind == "path" and name in FILE_KEYS[command]
             or kind == "clash" and name in FILE_KEYS[command] | DIR_KEYS[command]
             or over_bound):
         assert code == 1 and name in err, (code, err)
@@ -215,6 +231,36 @@ def test_mutated_config_exits_1_naming_the_key_or_reaches_the_work(case, workdir
         # find none where the changed out_dir points.
         missing_input = name == "out_dir" and "input file not found" in err
         assert name in err or missing_input, err
+
+
+def test_hand_tables_agree_with_the_schema():
+    """The hand tables above are this file's own oracle: they name the same
+    file and directory keys as cli.CONFIG_KEYS, and the seed blocks hold every
+    key of it and no other, so that the fuzz changes every key."""
+    def names(path_kind):
+        return {name for name, row in cli.CONFIG_KEYS.items() if path_kind in ("*", row.path)}
+
+    assert names(cli.DIRECTORY) == set().union(*DIR_KEYS.values())
+    assert names(cli.FILE) == set().union(*FILE_KEYS.values()) | {"traverse.prefix"}
+    assert names(cli.FILE) | names(cli.DIRECTORY) == PATH_KEYS
+    assert names("*") == KEYS
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_readme_configs_reach_the_work(command, tmp_path):
+    """Each JSON config in the README passes every command's config read, with
+    its inputs present at the paths it names, so it cannot drift from the table."""
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in map(json.loads, blocks):
+        out = tmp_path / block["out_dir"]
+        out.mkdir(parents=True, exist_ok=True)
+        for section, key in (("dataset", "path"), ("model", "checkpoint")):
+            (out / block[section][key]).write_bytes(b"")
+        assert attempt(command, block, tmp_path)[2]
 
 
 @pytest.mark.parametrize("command,key,dim", [

@@ -448,6 +448,33 @@ class TestAdam:
         assert [a.tobytes() for a in (params[0].data, state.m, state.v)] == before
         assert state.step == 1
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_float32_gradient_whose_square_overflows_changes_nothing(self, sign, rng):
+        """A finite float32 gradient of 2e19, over sqrt(float32 max) = 1.84e19,
+        would make the second moment inf and freeze its weights at update 0:
+        it raises NumericsError naming its size, with nothing changed."""
+        size = 4 * e.ADAM_BLOCK + 5
+        params = [stand_in(rng.standard_normal(size).astype(np.float32))]
+        params[0].grad = rng.standard_normal(size).astype(np.float32)
+        state = e.AdamState.for_params(params)
+        e.adam_step(params, state, 1e-3)
+        before = [a.tobytes() for a in (params[0].data, state.m, state.v)]
+        params[0].grad[-1] = sign * 2e19
+        with pytest.raises(NumericsError, match=r"gradient of magnitude 2e\+19: its square "
+                                                r"overflows float32"):
+            e.adam_step(params, state, 1e-3)
+        assert [a.tobytes() for a in (params[0].data, state.m, state.v)] == before
+        assert state.step == 1
+
+    def test_float32_gradient_under_the_bound_steps_without_a_warning(self, rng):
+        """1.8e19 is under the bound: a first step of it keeps every moment
+        finite (pytest turns an overflow RuntimeWarning into an error)."""
+        params = [stand_in(rng.standard_normal(5).astype(np.float32))]
+        params[0].grad = np.full(5, 1.8e19, np.float32)
+        state = e.AdamState.for_params(params)
+        e.adam_step(params, state, 1e-3)
+        assert all(np.isfinite(a).all() for a in (params[0].data, state.m, state.v))
+
     @staticmethod
     def _matches_per_array_formula(params, arrays, rng):
         """Twenty adam_steps against the textbook per-array update, byte for byte.
