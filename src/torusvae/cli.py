@@ -92,16 +92,18 @@ CONFIG_KEYS = {
 
 
 def load_config(path) -> dict:
-    """The config object at path, refused if any key in it is one that no
-    command reads: a top-level key that is neither out_dir nor a section, or
-    a key in a section that is an object (any other section is left to
-    _value). The message names the first such key and the nearest known one
-    of its level."""
+    """The config object at path, refused if an object in it holds a key twice
+    (_object), or if any key in it is one that no command reads: a top-level
+    key that is neither out_dir nor a section, or a key in a section that is
+    an object (any other section is left to _value). The message names the
+    first such key, and an unknown key the nearest known one of its level."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        config = json.loads(path.read_text(encoding="utf-8"))
+        config = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_object)
+    except ConfigError:
+        raise
     # ValueError: bad UTF-8, bad JSON or an integer of too many digits;
     # RecursionError: arrays or objects nested too deep to parse.
     except (ValueError, RecursionError) as exc:
@@ -121,6 +123,17 @@ def load_config(path) -> dict:
         raise ConfigError(f"{name} is not a config key"
                           + (f" (did you mean {near[0]}?)" if near else ""))
     return config
+
+
+def _object(pairs) -> dict:
+    """A JSON object of its (key, value) pairs, refused if it holds a key twice,
+    of which json would silently keep the last."""
+    block = {}
+    for key, value in pairs:
+        if key in block:
+            raise ConfigError(f"config key {key!r} appears twice in one object")
+        block[key] = value
+    return block
 
 
 def _value(config: dict, name: str, **bounds):
@@ -293,6 +306,18 @@ def cmd_train(config: dict, args) -> int:
     return EXIT_OK
 
 
+def _checkpoint(path: Path, mode: str, latent_dim: int, hidden, input_dim: int):
+    """The model of the checkpoint at path, refused unless it is the one that
+    the config's model block describes for samples of input_dim values."""
+    model = engine.load_checkpoint(path)
+    found = (model.latent.mode, model.latent.dim, list(model.hidden), model.input_dim)
+    wanted = (mode, latent_dim, list(hidden), input_dim)
+    if found != wanted:
+        raise ConfigError(f"checkpoint {path} holds {found}, but the config's (model.mode, "
+                          f"model.latent_dim, model.hidden, input width) is {wanted}")
+    return model
+
+
 def _validation_dci(model, dataset, train_config: engine.TrainConfig,
                     settings: MetricsSettings) -> metrics.DciEvaluation:
     """DCI of the validation rows that train held out, coded by the model or the factors."""
@@ -310,24 +335,15 @@ def cmd_evaluate(config: dict, args) -> int:
     train_config = _train_config(config)
     settings = _metrics_settings(config)
     dataset_path = paths.get("dataset.path", made_by="generate")
-    checkpoint_path = paths.get("model.checkpoint", made_by="train")
+    encoder = settings.codes_source == "encoder"  # the identity bypass reads no model
+    checkpoint_path = paths.get("model.checkpoint", made_by="train") if encoder else None
     report_path = paths.get("metrics.report")
     heatmap_dir = paths.get("metrics.heatmap_dir")
     paths.check_inputs()
 
     dataset = datasets.load_dataset(dataset_path)
-    model = engine.load_checkpoint(checkpoint_path)
-    if model.input_dim != dataset.x.shape[1]:
-        raise ConfigError(
-            f"checkpoint expects {model.input_dim}-dim samples, "
-            f"dataset provides {dataset.x.shape[1]}"
-        )
-    if (settings.codes_source == "encoder"
-            and (model.latent, model.hidden) != (train_config.latent(), train_config.hidden)):
-        raise ConfigError(f"checkpoint is {model.latent.mode}/{model.latent.dim} with hidden "
-                          f"widths {list(model.hidden)} but config says {train_config.mode}/"
-                          f"{train_config.latent_dim}, model.hidden {list(train_config.hidden)}")
-
+    model = _checkpoint(checkpoint_path, train_config.mode, train_config.latent_dim,
+                        train_config.hidden, dataset.x.shape[1]) if encoder else None
     evaluation = _validation_dci(model, dataset, train_config, settings)
     report = evaluation.report
     write_files(report_path.parent, {report_path.name: _json_writer(dataclasses.asdict(report))})
@@ -434,23 +450,20 @@ def cmd_traverse(config: dict, args) -> int:
     if _value(config, "dataset.kind") != "2dshapes":
         raise ConfigError("traverse writes PPM frames and needs an image dataset (2dshapes)")
     width, height = _image_size(config)
-    checkpoint_path = paths.get("model.checkpoint", made_by="train")
-    paths.check_inputs()
-
-    model = engine.load_checkpoint(checkpoint_path)
-    if model.latent.mode != engine.TORUS:
-        raise ConfigError("traverse needs a circle-latent checkpoint")
-    d = model.latent.dim
+    mode = _value(config, "model.mode")
+    if mode != engine.TORUS:
+        raise ConfigError(f"traverse needs a circle-latent checkpoint, not model.mode {mode!r}")
+    d = _value(config, "model.latent_dim", lo=1, hi=engine.MAX_LATENT_DIM[mode])
     if circle >= d:
         raise ConfigError(f"traverse.circle index {circle} out of range for {d} circles")
     anchor = np.zeros(d) if anchor is None else np.array(anchor)
     if anchor.shape != (d,):
         raise ConfigError(f"anchor must list {d} angles")
-    if width * height * 3 != model.input_dim:
-        raise ConfigError(
-            f"dataset dims {width}x{height}x3 do not match the checkpoint input "
-            f"({model.input_dim})"
-        )
+    hidden = _value(config, "model.hidden")
+    checkpoint_path = paths.get("model.checkpoint", made_by="train")
+    paths.check_inputs()
+
+    model = _checkpoint(checkpoint_path, mode, d, hidden, width * height * 3)
 
     def write_frame(step, tmp):
         angles = anchor.copy()

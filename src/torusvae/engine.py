@@ -369,24 +369,55 @@ def elbo_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray,
     like the encoder's mu block; the result is deterministic given it. A
     circle latent is built in buffers when given (see VaeModel._posterior).
     The step runs in the model's dtype, to which x is converted.
+
+    The forward runs with numpy's overflow and invalid-value errors raised,
+    so a step stops at the first op that makes a value non-finite, before
+    any warning prints; that, or a non-finite loss, raises NumericsError
+    (see _non_finite_loss).
     """
     x = np.asarray(x, dtype=model.flat.dtype)
     if x.ndim != 2:
         raise ValueError("expected a (N, input_dim) batch")
-    out = model.encoder.forward(Tensor(x))
-    v, kl = model._posterior(out, noise, beta, buffers)
-    recon = model.decoder.forward(v)
-    recon_term = _reconstruction_loss(recon, x)
-    reconstruction = float(recon_term.data)
-    loss = reconstruction + kl * beta
-    if not np.isfinite(loss):
-        bad = np.unique(np.argwhere(~np.isfinite(recon.data))[:, 0])
-        raise NumericsError(
-            f"non-finite loss (recon={reconstruction}, kl={kl}) on a "
-            f"batch of {x.shape[0]}; offending rows: {bad.tolist()[:8]}"
-        )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = model.encoder.forward(Tensor(x))
+            v, kl = model._posterior(out, noise, beta, buffers)
+            recon_term = _reconstruction_loss(model.decoder.forward(v), x)
+        reconstruction = float(recon_term.data)
+        loss = reconstruction + kl * beta
+        if not np.isfinite(loss):  # both terms are finite here, so beta * kl overflowed
+            raise FloatingPointError("overflow encountered in beta * kl")
+    except FloatingPointError as exc:
+        raise NumericsError(_non_finite_loss(model, x, beta, noise, exc)) from None
     recon_term.backward()
     return ElboResult(loss, reconstruction, kl)
+
+
+def _non_finite_loss(model: VaeModel, x: np.ndarray, beta: float, noise: np.ndarray,
+                     cause: FloatingPointError) -> str:
+    """Why a step's loss is not finite: the forward run again with numpy's
+    errors ignored names each non-finite term with the rows (and, for the KL,
+    the circles or units) where it is non-finite, and the largest |logvar|."""
+    n, d = x.shape[0], model.latent.dim
+    with np.errstate(all="ignore"):
+        out = model.encoder.forward(Tensor(x))
+        mu, logvar = model._split(out.data)
+        v, kl = model._posterior(out, noise, beta)
+        recon = model.decoder.forward(v)
+        reconstruction = float(_reconstruction_loss(recon, x).data)
+        kl_bad = ~np.isfinite(np.exp(logvar) + mu * mu - logvar).reshape(n, d, -1)
+    terms = []
+    if not np.isfinite(kl):
+        units = "circles" if model.latent.mode == TORUS else "units"
+        terms.append(f"the KL term is not finite in rows "
+                     f"{np.flatnonzero(kl_bad.any(axis=(1, 2))).tolist()[:8]} and {units} "
+                     f"{np.flatnonzero(kl_bad.any(axis=(0, 2))).tolist()[:8]}")
+    if not np.isfinite(reconstruction):
+        rows = np.flatnonzero(~np.isfinite(recon.data).all(axis=1))
+        terms.append(f"the reconstruction term is not finite in rows {rows.tolist()[:8]}")
+    return (f"non-finite loss (recon={reconstruction}, kl={kl}, beta={beta}) on a batch of "
+            f"{n} at {cause}: {'; '.join(terms) or 'both terms are finite'}; "
+            f"largest |logvar| {max_abs(logvar):.4g}")
 
 
 # -- Adam ----------------------------------------------------------------------
@@ -483,9 +514,6 @@ class TrainConfig:
             raise ConfigError(f"hidden must list at most {MAX_HIDDEN_LAYERS} widths, "
                               f"got {len(self.hidden)}")
         LatentSpec(self.mode, self.latent_dim)  # validates mode/latent_dim
-
-    def latent(self) -> LatentSpec:
-        return LatentSpec(self.mode, self.latent_dim)
 
 
 @dataclass
@@ -592,7 +620,7 @@ def train(config: TrainConfig, samples: np.ndarray):
     )
 
     dtype = TRAIN_DTYPE
-    latent = config.latent()
+    latent = LatentSpec(config.mode, config.latent_dim)
     model = build_vae(latent, input_dim, config.hidden, init_rng, config.input_scale, dtype)
 
     train_rows, val_rows = split_rows(config.seed, n, config.val_fraction)

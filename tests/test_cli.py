@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,23 @@ class TestEvaluate:
         assert report["completeness"] > 0.95
         assert report["informativeness"] < 0.01
 
+    def test_identity_bypass_reads_no_checkpoint(self, tmp_path):
+        """codes_source "factors" never runs the model, so evaluate neither
+        needs nor reads the checkpoint: its outputs are the same bytes with
+        the file removed."""
+        cfg = base_config(tmp_path / "out")
+        cfg["metrics"]["codes_source"] = "factors"
+        config = write_config(tmp_path, cfg)
+        run("generate", "--config", str(config))
+        run("train", "--config", str(config))
+        assert run("evaluate", "--config", str(config)) == 0
+        outputs = tree_hashes(tmp_path / "out")
+        (tmp_path / "out" / "model.tdvae").unlink()
+        (tmp_path / "out" / "dci_report.json").unlink()
+        assert run("evaluate", "--config", str(config)) == 0
+        del outputs["model.tdvae"]
+        assert tree_hashes(tmp_path / "out") == outputs
+
     def test_mode_mismatch_detected(self, tmp_path):
         config = write_config(tmp_path, base_config(tmp_path / "out"))
         run("generate", "--config", str(config))
@@ -363,6 +381,32 @@ class TestTraverse:
         capsys.readouterr()
         assert run("traverse", "--config", str(config)) == 1
         assert "traverse needs a circle-latent checkpoint" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("strip_*.ppm"))
+
+    @pytest.mark.parametrize("trained_mode,key,value,wanted", [
+        ("euclidean", "model.mode", "torus", ("torus", 2, [12], 192)),
+        ("torus", "model.latent_dim", 3, ("torus", 3, [12], 192)),
+        ("torus", "model.hidden", [16], ("torus", 2, [16], 192)),
+        ("torus", "dataset.width", 16, ("torus", 2, [12], 384))],
+        ids=["mode", "latent_dim", "hidden", "image_size"])
+    def test_checkpoint_of_another_model_exits_1(self, tmp_path, capsys, trained_mode, key,
+                                                 value, wanted):
+        """A checkpoint whose mode, latent dim, hidden widths or input width is
+        not the config's is refused, naming both sides, before any frame."""
+        cfg = base_config(tmp_path / "out", kind="2dshapes", epochs=1)
+        cfg["model"]["mode"] = trained_mode
+        config = write_config(tmp_path, cfg)
+        run("generate", "--config", str(config))
+        assert run("train", "--config", str(config)) == 0
+        section, name = key.split(".")
+        cfg[section][name] = value
+        write_config(tmp_path, cfg)
+        capsys.readouterr()
+        assert run("traverse", "--config", str(config)) == 1
+        found = (trained_mode, 2, [12], 192)
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {tmp_path / 'out' / 'model.tdvae'} holds {found}, but the "
+            f"config's (model.mode, model.latent_dim, model.hidden, input width) is {wanted}\n")
         assert not list((tmp_path / "out").glob("strip_*.ppm"))
 
     @pytest.mark.parametrize("anchor", [[0.0], [0.0, 0.0, 0.0]])
@@ -1098,6 +1142,29 @@ class TestExitCodes:
                          r"[0-9.e+]+: its square overflows float32$", err, re.M), err
         assert not (tmp_path / "out" / "model.tdvae").exists()
 
+    def test_diverging_float32_train_names_the_kl_term(self, tmp_path, capsys):
+        """At learning_rate 0.1 and beta 0 a float32 logvar grows past 88.7, so
+        its exp overflows: train exits 2 with a message that names the KL
+        term, its rows and circles and the largest |logvar|, issues no numpy
+        warning and writes no checkpoint."""
+        cfg = base_config(tmp_path / "out")
+        cfg["dataset"].update(count=1000, seed=1, factors=3)
+        cfg["model"].update(latent_dim=4, hidden=[64, 32], batch_size=144, epochs=15,
+                            learning_rate=0.1, beta=0.0, seed=1)
+        config = write_config(tmp_path, cfg)
+        assert run("generate", "--config", str(config)) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as issued:
+            warnings.simplefilter("always")
+            assert run("train", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert issued == [] and "RuntimeWarning" not in err
+        assert re.search(r"^runtime failure: epoch \d+, step \d+: non-finite loss \(recon="
+                         r"[0-9.]+, kl=inf, beta=0\.0\) on a batch of 144 at overflow "
+                         r"encountered in exp: the KL term is not finite in rows \[[0-9, ]+\] "
+                         r"and circles \[[0-3, ]+\]; largest \|logvar\| [0-9.]+$", err, re.M), err
+        assert not (tmp_path / "out" / "model.tdvae").exists()
+
     def test_runtime_failure_is_two(self, tmp_path, capsys, monkeypatch):
         def failing_train(*args):
             raise RuntimeError("simulated failure")
@@ -1169,6 +1236,26 @@ class TestUnknownKeys:
         cfg["dataset"]["kinds"] = "x"
         write_config(tmp_path, cfg)
         assert run_fresh(probe).split()[-1] == "True"
+
+
+class TestRepeatedKeys:
+    """json keeps the last of a key given twice in one object; the config
+    reader refuses it instead, for every command, before any file is written."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("text,key", [('"epochs": 2', "epochs"), ('"seed": 31', "seed"),
+                                          ('"folds": 5', "folds"), ('"steps": 5', "steps"),
+                                          ('"out_dir": ', "out_dir")])
+    def test_repeated_key_exits_1_naming_it(self, tmp_path, capsys, command, text, key):
+        config = trained_2dshapes(tmp_path)
+        before = tree_hashes(tmp_path / "out")
+        blob = json.dumps(json.loads(config.read_text()))
+        assert blob.count(text) == 1
+        config.write_text(blob.replace(text, f'"{key}": 1, {text}'))
+        capsys.readouterr()
+        assert run(command, "--config", str(config)) == 1
+        assert capsys.readouterr().err == f"error: config key '{key}' appears twice in one object\n"
+        assert tree_hashes(tmp_path / "out") == before
 
 
 class TestDeterminism:

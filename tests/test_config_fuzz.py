@@ -2,17 +2,18 @@
 
 Every case starts from a small valid config of one command and changes one
 value in it: a value of another JSON type, a dropped key, a key renamed to one
-that no command reads, a value nested in an object, a huge integer of either
+that no command reads, a key given twice in its object (written as JSON text,
+which a dict cannot hold), a value nested in an object, a huge integer of either
 sign, or a path of ".", "..", "/", with a trailing slash, under an existing
 file (dataset.tdds/x) or equal to another file path of the command. The entry
 points of real work (building, loading and writing datasets, training, loading
 checkpoints, DCI and the staged writer) raise a sentinel, so a case must
 either exit 1 with an error that names the changed key or reach the sentinel,
-having read and accepted its whole config. A renamed key must be refused,
-naming its new name. A file-valued path of one of the first four forms must be
+having read and accepted its whole config. A renamed or repeated key must be
+refused, naming it. A file-valued path of one of the first four forms must be
 refused, and so must a file or directory path of one of the last two, and a
-latent dim over engine.MAX_LATENT_DIM (model.latent_dim of train and evaluate,
-each of sweep.dims), whose layer widths no checkpoint header holds. Each case
+latent dim over engine.MAX_LATENT_DIM (model.latent_dim of train, evaluate and
+traverse, each of sweep.dims), whose layer widths no checkpoint header holds. Each case
 runs under tracemalloc, and a peak over PEAK_BYTES fails it: no config value
 may size an allocation before the work starts.
 """
@@ -66,7 +67,7 @@ FILE_KEYS = {"generate": {"dataset.path"},
              "traverse": {"model.checkpoint"}}
 # The keys of a latent dim each command reads; every base model is a torus.
 LATENT_KEYS = {"train": {"model.latent_dim"}, "evaluate": {"model.latent_dim"},
-               "sweep": {"sweep.dims"}}
+               "sweep": {"sweep.dims"}, "traverse": {"model.latent_dim"}}
 LATENT_BOUND = engine.MAX_LATENT_DIM[BLOCKS["model"]["mode"]]
 # The directory-valued paths each command reads.
 DIR_KEYS = {command: {"out_dir"} for command in FILE_KEYS} | {
@@ -138,9 +139,10 @@ def workdir(tmp_path_factory):
 
 
 def attempt(command, config, workdir):
-    """(exit code, stderr, whether real work was reached) of one command."""
+    """(exit code, stderr, whether real work was reached) of one command on a
+    config dict or JSON text."""
     path = workdir / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     err = io.StringIO()
 
     def sentinel(*args, **kwargs):
@@ -180,7 +182,8 @@ def mutations(draw):
     for k in parent_keys:
         parent = parent[k]
     old = parent[key]
-    kinds = ["swap", "nest", "huge"] + (["drop", "misspell"] if isinstance(key, str) else [])
+    kinds = ["swap", "nest", "huge"] + (["drop", "misspell", "repeat"]
+                                        if isinstance(key, str) else [])
     if key_name(site) in PATH_KEYS and isinstance(key, str):
         kinds.append("path")
     kind = draw(st.sampled_from(kinds))
@@ -194,6 +197,13 @@ def mutations(draw):
                            and new not in parent))
         parent[new] = parent.pop(key)
         site = (*parent_keys, new)
+    elif kind == "repeat":
+        # the key given twice, first with a value of another type: JSON text
+        marker = "\0repeated"
+        parent[key] = marker
+        pair = json.dumps(key) + ": "
+        config = json.dumps(config).replace(pair + json.dumps(marker), pair + ", ".join(
+            [json.dumps(draw(st.sampled_from(OTHER_TYPES))), pair + json.dumps(old)]))
     elif kind == "swap":
         parent[key] = draw(st.sampled_from(
             [v for v in OTHER_TYPES if json_type(v) != json_type(old)]))
@@ -221,6 +231,8 @@ def test_mutated_config_exits_1_naming_the_key_or_reaches_the_work(case, workdir
                   and value_at(config, site) > LATENT_BOUND)
     if kind == "misspell":
         assert code == 1 and f"error: {name} is not a config key" in err, (code, err)
+    elif kind == "repeat":
+        assert code == 1 and f"config key {site[-1]!r} appears twice" in err, (code, err)
     elif (kind == "path" and name in FILE_KEYS[command]
             or kind == "clash" and name in FILE_KEYS[command] | DIR_KEYS[command]
             or over_bound):

@@ -200,6 +200,45 @@ class TestElboLoss:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("mode,units,column", [("torus", "circles", 4 * 1 + 3),
+                                                   ("euclidean", "units", 3 + 1)])
+    def test_overflowing_logvar_names_the_kl_term(self, mode, units, column, rng):
+        """A logvar of 100 overflows float32's exp: the step stops at that op
+        with a NumericsError naming the KL term, its rows and latent unit 1,
+        and the largest |logvar|. Pytest turns a numpy RuntimeWarning into an
+        error, so none was issued."""
+        model = e.build_vae(e.LatentSpec(mode, 3), 5, (8,), rng, dtype=np.float32)
+        model.encoder.weights[-1][:, column] = 0.0  # one logvar of unit 1 is its bias
+        model.encoder.biases[-1][column] = 100.0
+        x = rng.uniform(-0.5, 0.5, size=(6, 5))
+        noise = rng.standard_normal(e._noise_shape(model.latent, 6)).astype(np.float32)
+        with pytest.raises(NumericsError) as caught:
+            e.elbo_loss(model, x, 1.0, noise)
+        message = str(caught.value)
+        assert message.startswith("non-finite loss (recon=")
+        assert (f"kl=inf, beta=1.0) on a batch of 6 at overflow encountered in exp: the KL "
+                f"term is not finite in rows [0, 1, 2, 3, 4, 5] and {units} [1]") in message
+        assert message.endswith("; largest |logvar| 100")
+
+    def test_non_finite_input_row_names_both_terms_and_the_row(self, rng):
+        model = tiny_model()
+        x = rng.uniform(-0.5, 0.5, size=(6, 5))
+        x[3, 1] = np.inf
+        with pytest.raises(NumericsError, match=(
+                r"at invalid value encountered in \w+: the KL term is not finite in rows \[3\] "
+                r"and circles \[0, 1\]; the reconstruction term is not finite in rows \[3\]; "
+                r"largest \|logvar\| nan$")):
+            e.elbo_loss(model, x, 1.0, rng.standard_normal((6, 2, 2)))
+
+    def test_overflowing_beta_times_kl_names_the_product(self, rng):
+        model = tiny_model()
+        model.encoder.biases[-1][...] = 3.0  # a KL of about 50
+        x = rng.uniform(-0.5, 0.5, size=(6, 5))
+        with pytest.raises(NumericsError, match=r"beta=1e\+308\) on a batch of 6 at overflow "
+                                                r"encountered in beta \* kl: both terms are "
+                                                r"finite"):
+            e.elbo_loss(model, x, 1e308, rng.standard_normal((6, 2, 2)))
+
     def test_latent_invariants_hold_for_any_encoder_output(self, rng):
         # unit-norm product block no matter what the encoder emits
         model = tiny_model(dim=3, input_dim=4)

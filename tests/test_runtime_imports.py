@@ -78,3 +78,12 @@ def test_every_definition_is_referenced_elsewhere_in_src():
         if not (node.name.startswith("__") and node.name.endswith("__"))
         and names[not method][node.name] == _references(node, not method)[node.name])
     assert unused == sorted(OUTSIDE_CALLERS)
+
+
+def test_one_function_of_the_cli_loads_checkpoints():
+    """cli.py names engine.load_checkpoint once, in the fit check that refuses a
+    checkpoint of another model than the config's, so that no command can
+    load one past it."""
+    tree = ast.parse(Path(torusvae.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    (check,) = [node for qualname, node, _ in _definitions(tree) if qualname == "_checkpoint"]
+    assert _references(tree)["load_checkpoint"] == _references(check)["load_checkpoint"] == 1
